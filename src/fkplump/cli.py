@@ -15,10 +15,11 @@ reference
 convergence-study
     Solve over a sweep of domain half-widths and tabulate errors vs lx.
 
-Exit codes: 0 converged / success, 1 invalid configuration, 2 stopped at
-max-iter, 3 diverged.  Configuration can come from a flat "key = value"
-file (keys equal to flag names) with flags taking precedence.  CSV output
-uses 17 significant digits so doubles round-trip exactly.
+Exit codes: 0 converged / success, 1 invalid configuration or a file
+that cannot be read or written, 2 stopped at max-iter, 3 diverged.
+Configuration can come from a flat "key = value" file (keys equal to
+flag names) with flags taking precedence.  CSV output uses 17
+significant digits so doubles round-trip exactly.
 """
 
 from __future__ import annotations
@@ -31,15 +32,16 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .analysis import cross_section, decay_profile, symmetry_report
 from .diagnostics import fourier_tail, functionals, residual
 from .fieldio import FieldFileError, load_field, save_field
-from .grid import SpectralGrid
+from .grid import SpectralGrid, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
-from .solver import SeedSpec, SolveStatus, SolverConfig, solve
+from .solver import TRANSFORM, SeedSpec, SolveStatus, SolverConfig, solve
 from .symbols import SymbolParams
 
 EXIT_OK = 0
@@ -176,11 +178,12 @@ def _solver_config(resolved: dict[str, object]) -> SolverConfig:
 
 @dataclass
 class RunManifest:
-    """Resolved configuration, produced files and per-phase timings."""
+    """Resolved configuration, produced files, per-phase timings, FFT settings."""
 
     config: dict[str, object]
     outputs: list[dict[str, str]]
     timings: dict[str, float]
+    environment: dict[str, object]
     software_version: str = __version__
 
     def write(self, path: Path) -> None:
@@ -188,6 +191,7 @@ class RunManifest:
             "config": self.config,
             "outputs": self.outputs,
             "timings": self.timings,
+            "environment": self.environment,
             "software_version": self.software_version,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -223,6 +227,8 @@ def run_solve(args: argparse.Namespace) -> int:
             {"path": str(log_path), "role": "iteration-log"},
         ],
         timings={"solve": solve_seconds, "write": time.perf_counter() - t1},
+        environment={"fft_workers": fft_workers(), "transform": TRANSFORM,
+                     "numpy": np.__version__, "scipy": scipy.__version__},
     )
     manifest.write(out_dir / "manifest.json")
 
@@ -449,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
         setattr(args, "lambda", args.lambda_)
     try:
         return args.func(args)
-    except (ConfigError, FieldFileError, ValueError) as exc:
+    except (ConfigError, FieldFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

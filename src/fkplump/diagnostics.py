@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RealField, fft2, ifft2
-from .symbols import DEFAULT_LAMBDA, SymbolParams, dispersion_symbol
+from .solver import SteadyOperator
+from .symbols import DEFAULT_LAMBDA, SymbolParams
 
 
 @dataclass(frozen=True)
@@ -46,17 +47,12 @@ def residual(phi: RealField, p: SymbolParams) -> float:
     """Sup norm of the steady-equation residual S phi.
 
     S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy, evaluated
-    spectrally; no inverse-x derivative appears, so no regularization is
-    involved.  Vanishes on exact steady solutions of the periodic problem.
+    spectrally by the solver's SteadyOperator; no inverse-x derivative
+    appears, so no regularization is involved.  Vanishes on exact steady
+    solutions of the periodic problem.
     """
-    grid = phi.grid
-    xi1sq = (grid.xi1**2)[:, None]
-    xi2sq = (grid.xi2**2)[None, :]
-    phi_hat = fft2(phi.values)
-    sq_hat = fft2(phi.values**2)
-    disp = dispersion_symbol(grid, p.alpha)
-    s_hat = -xi1sq * (-p.c * phi_hat + 0.5 * sq_hat - disp * phi_hat) + xi2sq * phi_hat
-    return float(np.max(np.abs(ifft2(s_hat).real)))
+    op = SteadyOperator(phi.grid, p)
+    return op.residual(*op.spectra(phi.values))
 
 
 def _antideriv_y_symbol(grid, lam: float) -> np.ndarray:

@@ -6,6 +6,9 @@ powers of two).  Fields are stored as (nx, ny) arrays in C order, index
 plain unnormalized DFT forward and 1/(nx*ny) on the inverse; physical
 wavenumbers are xi1 = pi*k/lx for signed index k in {-nx/2, ..., nx/2-1}
 (and likewise in y), stored in FFT order.
+
+The solver uses the rfft2 half-lattice of a real field, the first ny/2 + 1
+columns (k2 = 0, ..., ny/2); the others are conjugates of stored modes.
 """
 
 from __future__ import annotations
@@ -54,6 +57,16 @@ def fft2(values: np.ndarray) -> np.ndarray:
 def ifft2(coeffs: np.ndarray) -> np.ndarray:
     """Inverse 2D DFT (1/(nx*ny) normalization) of a raw array."""
     return _sfft.ifft2(coeffs, workers=fft_workers())
+
+
+def rfft2(values: np.ndarray) -> np.ndarray:
+    """Unnormalized forward 2D DFT of a real array, on the half-lattice."""
+    return _sfft.rfft2(values, workers=fft_workers())
+
+
+def irfft2(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Real inverse 2D DFT (1/(nx*ny) normalization) of half-lattice coefficients."""
+    return _sfft.irfft2(coeffs, s=shape, workers=fft_workers())
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -133,10 +146,6 @@ class SpectralGrid:
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """2D coordinate meshes (X, Y) with indexing matching field storage."""
         return np.meshgrid(self.x, self.y, indexing="ij")
-
-    def wavenumber_meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """2D wavenumber meshes (XI1, XI2) in FFT order."""
-        return np.meshgrid(self.xi1, self.xi2, indexing="ij")
 
 
 def wavenumbers(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:

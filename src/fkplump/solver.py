@@ -14,6 +14,10 @@ prevents the collapse/blow-up of the unstabilized map.  The run is
 monitored by three errors per iteration: the sup-norm step difference,
 |1 - M_n|, and the sup norm of the steady-equation residual; convergence
 means all three fall below the configured tolerance simultaneously.
+
+The step runs on rfft2 half-spectra against the real part of D
+(SteadyOperator), so the pairings are real by construction.  A step whose
+M^nu is not a finite positive number ends the run as DIVERGED.
 """
 
 from __future__ import annotations
@@ -24,20 +28,21 @@ from enum import Enum
 
 import numpy as np
 
-from .grid import RealField, SpectralGrid, fft2, ifft2
+# fft2 and ifft2 stay importable here: perfbench/selftest.py patches fkplump.solver.fft2.
+from .grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2  # noqa: F401
 from .reference import ExactLumpParams, exact_kp1_lump, gaussian_seed
 from .symbols import (
     ALPHA_ENERGY_CRITICAL,
     SymbolParams,
     dispersion_symbol,
-    petviashvili_denominator,
+    half_lattice_denominator,
 )
-
-#: Relative ceiling for the imaginary part of the stabilizing-factor sums.
-FACTOR_IMAG_RTOL = 1e-8
 
 #: Sup-norm blow-up guard, in units of the wave speed.
 DIVERGENCE_AMPLITUDE = 1e6
+
+#: The transform the iteration runs on, recorded in run manifests.
+TRANSFORM = "rfft2"
 
 
 class DegenerateIterateError(ArithmeticError):
@@ -45,7 +50,7 @@ class DegenerateIterateError(ArithmeticError):
 
 
 class DivergenceError(ArithmeticError):
-    """The iteration produced non-finite values."""
+    """The iteration produced non-finite values or an unusable factor M^nu."""
 
 
 class SolveStatus(str, Enum):
@@ -81,13 +86,7 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All parameters of one Petviashvili run.
-
-    dealias turns on 3/2-rule zero padding for the quadratic term.  The
-    plain scheme keeps aliasing below the solver tolerance for resolved
-    runs (the profiles decay fast in wavenumber), so padding is off by
-    default and exists to verify exactly that.
-    """
+    """All parameters of one Petviashvili run."""
 
     params: SymbolParams
     grid: SpectralGrid
@@ -96,7 +95,6 @@ class SolverConfig:
     max_iter: int = 200
     seed: SeedSpec = field(default_factory=SeedSpec)
     allow_supercritical: bool = False
-    dealias: bool = False
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.tol) or self.tol <= 0:
@@ -146,37 +144,76 @@ class IterationReport:
         return self.status is SolveStatus.CONVERGED
 
 
-def _pairing_sums(
-    denom: np.ndarray, phi_hat: np.ndarray, sq_hat: np.ndarray
-) -> tuple[complex, complex, float]:
-    """Lattice pairings of the stabilizing factor, with their scale.
+class SteadyOperator:
+    """The Petviashvili step and the steady residual on the rfft2 half-lattice.
 
-    The sums run over the zero-x-mass subspace: the constrained modes
-    (xi1 = 0, xi2 != 0) are excluded.  They carry no mass in the continuum
-    integrals, and on the lattice their regularized denominator
-    (~ -xi2^2/lambda^2) would amplify the transform roundoff of any
-    realized field into an order-one error of the factor.
+    Built once per (grid, params); its arrays are real.  The residual
+    symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 needs no lambda: S phi has
+    the transform A phi^ - (xi1^2/2) (phi^2)^.  The pairing weights turn
+    half-lattice sums into full-lattice pairings: 1 on the columns k2 = 0
+    and ny/2, 2 on the others (their conjugates are not stored), and 0 on
+    the constrained row xi1 = 0, xi2 != 0.  Those modes carry no mass, and
+    their regularized D (~ -2 xi2^2/lambda^2) would amplify the transform
+    roundoff of a realized field into an order-one error of M.
     """
-    conj_hat = np.conj(phi_hat)
-    num_terms = denom * phi_hat * conj_hat
-    den_terms = sq_hat * conj_hat
-    num = complex(np.sum(num_terms[1:, :]) + num_terms[0, 0])
-    den = complex(np.sum(den_terms[1:, :]) + den_terms[0, 0])
-    scale = float(np.sum(np.abs(den_terms[1:, :])) + abs(den_terms[0, 0]))
-    return num, den, scale
 
+    def __init__(self, grid: SpectralGrid, params: SymbolParams) -> None:
+        self.grid = grid
+        self.denom = half_lattice_denominator(grid, params)
+        self.xi1sq = grid.xi1[:, None] ** 2
+        self.residual_symbol = (
+            self.xi1sq * (params.c + dispersion_symbol(grid, params.alpha))
+            + grid.xi2[None, : grid.ny // 2 + 1] ** 2
+        )
+        self.weights = np.full(self.denom.shape, 2.0)
+        self.weights[:, [0, -1]] = 1.0
+        self.weights[0, 1:] = 0.0
 
-def _factor_from_sums(num: complex, den: complex, scale: float) -> float:
-    if abs(den) <= 1e-14 * scale:
-        raise DegenerateIterateError(
-            "cubic pairing vanished; the iterate has collapsed (or has odd parity)"
-        )
-    m = num / den
-    if abs(m.imag) > FACTOR_IMAG_RTOL * abs(m):
-        raise ArithmeticError(
-            f"stabilizing factor has non-negligible imaginary part: {m!r}"
-        )
-    return float(m.real)
+    def spectra(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half-lattice transforms of an iterate and of its square."""
+        return rfft2(values), rfft2(values * values)
+
+    def stabilizing_factor(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
+        """M from the spectra of phi and phi^2, as the function of that name.
+
+        M may come out negative or non-finite; step() rejects those.
+        """
+        power = phi_hat.real * phi_hat.real
+        power += phi_hat.imag * phi_hat.imag
+        cross = sq_hat.real * phi_hat.real
+        cross += sq_hat.imag * phi_hat.imag
+        num = float(np.vdot(self.weights, self.denom * power))
+        den = float(np.vdot(self.weights, cross))
+        scale = float(np.vdot(self.weights, np.abs(sq_hat) * np.sqrt(power)))
+        if abs(den) <= 1e-14 * scale:
+            raise DegenerateIterateError(
+                "cubic pairing vanished; the iterate has collapsed (or has odd parity)"
+            )
+        return num / den
+
+    def step(self, sq_hat: np.ndarray, m: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
+        """The next iterate M^nu (phi^2)^ / D, as (transform, values).
+
+        Raises DivergenceError if M^nu is not a finite positive number (as
+        for a negative M and nu = 1.5) or the next iterate is not finite.
+        """
+        try:
+            gain = math.pow(m, nu)
+        except (ValueError, OverflowError):
+            gain = math.nan
+        if not (math.isfinite(gain) and gain > 0.0):
+            raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive")
+        next_hat = sq_hat * (gain / self.denom)
+        next_phi = irfft2(next_hat, self.grid.shape)
+        if not np.all(np.isfinite(next_phi)):
+            raise DivergenceError("iteration produced non-finite values")
+        return next_hat, next_phi
+
+    def residual(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
+        """Sup norm of S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy."""
+        s_hat = self.residual_symbol * phi_hat
+        s_hat -= (0.5 * self.xi1sq) * sq_hat
+        return float(np.max(np.abs(irfft2(s_hat, self.grid.shape))))
 
 
 def stabilizing_factor(phi: RealField, p: SymbolParams) -> float:
@@ -192,24 +229,8 @@ def stabilizing_factor(phi: RealField, p: SymbolParams) -> float:
         If the cubic pairing is below 1e-14 of its natural scale, as for
         a zero or odd-in-x iterate.
     """
-    denom = petviashvili_denominator(phi.grid, p).values
-    phi_hat = fft2(phi.values)
-    sq_hat = fft2(phi.values**2)
-    num, den, scale = _pairing_sums(denom, phi_hat, sq_hat)
-    return _factor_from_sums(num, den, scale)
-
-
-def _step_raw(
-    phi: np.ndarray, denom: np.ndarray, nu: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """One raw update: returns (next values, next fft, M used)."""
-    phi_hat = fft2(phi)
-    sq_hat = fft2(phi * phi)
-    num, den, scale = _pairing_sums(denom, phi_hat, sq_hat)
-    m = _factor_from_sums(num, den, scale)
-    next_hat = (m**nu) * sq_hat / denom
-    next_phi = ifft2(next_hat).real
-    return next_phi, next_hat, m
+    op = SteadyOperator(phi.grid, p)
+    return op.stabilizing_factor(*op.spectra(phi.values))
 
 
 def petviashvili_step(
@@ -220,53 +241,16 @@ def petviashvili_step(
     Raises
     ------
     DivergenceError
-        If the update produces non-finite values.
+        If M^nu is not a finite positive number, or the update produces
+        non-finite values.
     DegenerateIterateError
         If the stabilizing factor is undefined for this iterate.
     """
-    denom = petviashvili_denominator(phi.grid, p).values
-    next_phi, _, m = _step_raw(phi.values, denom, nu)
-    if not np.all(np.isfinite(next_phi)):
-        raise DivergenceError("iteration produced non-finite values")
+    op = SteadyOperator(phi.grid, p)
+    phi_hat, sq_hat = op.spectra(phi.values)
+    m = op.stabilizing_factor(phi_hat, sq_hat)
+    _, next_phi = op.step(sq_hat, m, nu)
     return RealField(phi.grid, next_phi), m
-
-
-def _padded_square_hat(phi_hat: np.ndarray) -> np.ndarray:
-    """Transform of phi^2 with the square evaluated on a 3/2 zero-padded grid.
-
-    Removes the aliasing of quadratic products back onto the resolved
-    modes; exact for band-limited inputs whose square still fits the
-    padded band.
-    """
-    nx, ny = phi_hat.shape
-    mx, my = 3 * nx // 2, 3 * ny // 2
-    padded = np.zeros((mx, my), dtype=complex)
-    lo_x, lo_y = nx // 2, ny // 2
-    padded[:lo_x, :lo_y] = phi_hat[:lo_x, :lo_y]
-    padded[:lo_x, my - lo_y:] = phi_hat[:lo_x, lo_y:]
-    padded[mx - lo_x:, :lo_y] = phi_hat[lo_x:, :lo_y]
-    padded[mx - lo_x:, my - lo_y:] = phi_hat[lo_x:, lo_y:]
-    fine = ifft2(padded).real * (mx * my / (nx * ny))
-    fine_sq_hat = fft2(fine * fine)
-    out = np.empty((nx, ny), dtype=complex)
-    out[:lo_x, :lo_y] = fine_sq_hat[:lo_x, :lo_y]
-    out[:lo_x, lo_y:] = fine_sq_hat[:lo_x, my - lo_y:]
-    out[lo_x:, :lo_y] = fine_sq_hat[mx - lo_x:, :lo_y]
-    out[lo_x:, lo_y:] = fine_sq_hat[mx - lo_x:, my - lo_y:]
-    return out * (nx * ny / (mx * my))
-
-
-def _residual_raw(
-    phi_hat: np.ndarray,
-    sq_hat: np.ndarray,
-    xi1sq: np.ndarray,
-    xi2sq: np.ndarray,
-    disp: np.ndarray,
-    c: float,
-) -> float:
-    """Sup norm of S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy."""
-    s_hat = -xi1sq * (-c * phi_hat + 0.5 * sq_hat - disp * phi_hat) + xi2sq * phi_hat
-    return float(np.max(np.abs(ifft2(s_hat).real)))
 
 
 def project_zero_mass(phi: RealField) -> RealField:
@@ -279,9 +263,9 @@ def project_zero_mass(phi: RealField) -> RealField:
     iteration itself keeps the constraint: the huge denominator on that
     row annihilates whatever the nonlinearity reinjects.
     """
-    phi_hat = fft2(phi.values)
+    phi_hat = rfft2(phi.values)
     phi_hat[0, 1:] = 0.0
-    return RealField(phi.grid, ifft2(phi_hat).real)
+    return RealField(phi.grid, irfft2(phi_hat, phi.grid.shape))
 
 
 def build_seed(config: SolverConfig) -> RealField:
@@ -320,37 +304,25 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     """
     p = config.params
     grid = config.grid
-    denom = petviashvili_denominator(grid, p).values
-    xi1sq = (grid.xi1**2)[:, None]
-    xi2sq = (grid.xi2**2)[None, :]
-    disp = dispersion_symbol(grid, p.alpha)
-
-    def square_hat(values: np.ndarray, values_hat: np.ndarray) -> np.ndarray:
-        if config.dealias:
-            return _padded_square_hat(values_hat)
-        return fft2(values * values)
-
+    op = SteadyOperator(grid, p)
     phi = build_seed(config).values
-    phi_hat = fft2(phi)
-    sq_hat = square_hat(phi, phi_hat)
+    phi_hat, sq_hat = op.spectra(phi)
     records: list[IterationRecord] = []
     status = SolveStatus.MAX_ITER
 
     for n in range(1, config.max_iter + 1):
-        num, den, scale = _pairing_sums(denom, phi_hat, sq_hat)
-        m = _factor_from_sums(num, den, scale)
-        next_hat = (m**config.nu) * sq_hat / denom
-        next_phi = ifft2(next_hat).real
-
-        if not np.all(np.isfinite(next_phi)):
+        m = op.stabilizing_factor(phi_hat, sq_hat)
+        try:
+            next_hat, next_phi = op.step(sq_hat, m, config.nu)
+        except DivergenceError:
             records.append(IterationRecord(n, math.inf, m, abs(1.0 - m), math.inf))
             status = SolveStatus.DIVERGED
             break
 
         iter_error = float(np.max(np.abs(next_phi - phi)))
         factor_error = abs(1.0 - m)
-        next_sq_hat = square_hat(next_phi, next_hat)
-        residual = _residual_raw(next_hat, next_sq_hat, xi1sq, xi2sq, disp, p.c)
+        next_sq_hat = rfft2(next_phi * next_phi)
+        residual = op.residual(next_hat, next_sq_hat)
         records.append(IterationRecord(n, iter_error, m, factor_error, residual))
         phi, phi_hat, sq_hat = next_phi, next_hat, next_sq_hat
 

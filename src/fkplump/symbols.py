@@ -13,6 +13,12 @@ lattice point; for |xi1| >= pi/lx the perturbation is far below roundoff.
 At the row xi1 = 0, xi2 != 0 the regularized denominator is enormous
 (~ -2*xi2^2/lambda^2), so the iteration annihilates those modes; this is
 the discrete form of the zero-mass constraint in x.
+
+The solver keeps only the real part of the denominator, on the rfft2
+half-lattice (half_lattice_denominator).  It is real on the constrained
+row; elsewhere its imaginary part is at most 2*lambda/|xi1| of the real
+part, about 4e-14 at the smallest |xi1| = pi/256 of the 2^10, lx = 256
+desk grid, below the roundoff of the transforms.
 """
 
 from __future__ import annotations
@@ -83,15 +89,19 @@ class MultiplierField:
 
 
 def dispersion_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    """|xi1|^alpha on the lattice, broadcast over the y-axis."""
-    return np.abs(grid.xi1[:, None]) ** alpha * np.ones((1, grid.ny))
+    """|xi1|^alpha as an (nx, 1) column, constant along the y-axis."""
+    return np.abs(grid.xi1[:, None]) ** alpha
 
 
-def transverse_symbol(grid: SpectralGrid, lam: float = DEFAULT_LAMBDA) -> np.ndarray:
-    """Regularized xi2^2 / (xi1 + i*lambda)^2 on the lattice."""
+def _denominator(grid: SpectralGrid, p: SymbolParams, columns: int) -> np.ndarray:
+    """Regularized 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha), first y-columns."""
+    if p.sigma != -1:
+        raise UnsupportedEquationError(
+            "sigma = +1 has no lump solutions; only sigma = -1 is supported"
+        )
     xi1 = grid.xi1[:, None].astype(np.complex128)
-    xi2 = grid.xi2[None, :]
-    return xi2**2 / (xi1 + 1j * lam) ** 2
+    xi2 = grid.xi2[None, :columns]
+    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * p.lam) ** 2 + dispersion_symbol(grid, p.alpha))
 
 
 def petviashvili_denominator(grid: SpectralGrid, p: SymbolParams) -> MultiplierField:
@@ -102,12 +112,15 @@ def petviashvili_denominator(grid: SpectralGrid, p: SymbolParams) -> MultiplierF
     UnsupportedEquationError
         For sigma = +1 (no lump solutions exist in that regime).
     """
-    if p.sigma != -1:
-        raise UnsupportedEquationError(
-            "sigma = +1 has no lump solutions; only sigma = -1 is supported"
-        )
-    values = 2.0 * (p.c + transverse_symbol(grid, p.lam) + dispersion_symbol(grid, p.alpha))
-    return MultiplierField(grid, values)
+    return MultiplierField(grid, _denominator(grid, p, grid.ny))
+
+
+def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
+    """Real part of the denominator on the rfft2 half-lattice, (nx, ny/2 + 1).
+
+    Raises UnsupportedEquationError for sigma = +1, as the full one does.
+    """
+    return _denominator(grid, p, grid.ny // 2 + 1).real
 
 
 def _kernel_denominator(grid: SpectralGrid, alpha: float, c: float) -> np.ndarray:

@@ -4,8 +4,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy
 
-from fkplump.cli import EXIT_CONFIG, EXIT_OK, main
+from fkplump.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
 from fkplump.fieldio import load_field
 
 FAST_SOLVE = ["solve", "--alpha", "2", "--c", "1", "--n", "128", "--l", "32"]
@@ -25,6 +26,9 @@ class TestSolve:
         assert manifest["config"]["alpha"] == 2.0
         assert manifest["software_version"]
         assert set(manifest["timings"]) == {"solve", "write"}
+        assert manifest["environment"]["transform"] == "rfft2"
+        assert manifest["environment"]["numpy"] == np.__version__
+        assert manifest["environment"]["scipy"] == scipy.__version__
         from pathlib import Path
 
         for entry in manifest["outputs"]:
@@ -73,6 +77,27 @@ class TestSolve:
     def test_divergence_exit_code(self, tmp_path):
         code = run(FAST_SOLVE + ["--nu", "5", "--max-iter", "50", "--out", tmp_path])
         assert code == 3
+
+    def test_manifest_records_fft_workers(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FKP_THREADS", "2")
+        out = tmp_path / "run"
+        assert run(FAST_SOLVE + ["--out", out]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["fft_workers"] == 2
+
+    def test_negative_seed_with_fractional_nu_diverges(self, tmp_path, capsys):
+        # M < 0 makes M^1.5 complex: a diverged status, not a traceback
+        out = tmp_path / "run"
+        code = run(FAST_SOLVE + ["--seed-amplitude", "-3", "--nu", "1.5", "--out", out])
+        assert code == EXIT_DIVERGED
+        assert "status=diverged" in capsys.readouterr().out
+        assert len((out / "iterations.csv").read_text().splitlines()) == 2
+
+    def test_missing_seed_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.fkpl"
+        code = run(FAST_SOLVE + ["--seed", f"file:{missing}", "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_alpha(self, tmp_path, capsys):
         code = run(["solve", "--n", "64", "--l", "16", "--out", tmp_path])
@@ -172,6 +197,13 @@ class TestAnalyze:
         code = run(["analyze", solved, "--tasks", "teleport", "--out", tmp_path])
         assert code == EXIT_CONFIG
         assert "teleport" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["missing/field.fkpl", "."])
+    def test_unreadable_field_path(self, tmp_path, capsys, where):
+        # a missing file and a directory are both file errors
+        code = run(["analyze", tmp_path / where, "--out", tmp_path / "analysis"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_corrupt_field_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fkpl"

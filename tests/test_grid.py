@@ -150,6 +150,18 @@ class TestTransforms:
         with pytest.raises(SpectralSymmetryError):
             inverse_transform(SpectralField(small_grid, coeffs))
 
+    def test_half_spectrum_is_the_full_one_truncated(self, rng):
+        from fkplump.grid import fft2, irfft2, rfft2
+
+        grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
+        values = rng.standard_normal(grid.shape)
+        half = rfft2(values)
+        assert half.shape == (grid.nx, grid.ny // 2 + 1)
+        full = fft2(values)
+        assert np.max(np.abs(half - full[:, : grid.ny // 2 + 1])) <= 1e-12 * np.max(np.abs(full))
+        back = irfft2(half, grid.shape)
+        assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
+
     def test_exact_lump_round_trip(self):
         from fkplump.reference import ExactLumpParams, exact_kp1_lump
 

@@ -5,14 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from fkplump.grid import RealField, SpectralGrid, fft2
+from fkplump.diagnostics import residual
+from fkplump.grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import (
     DegenerateIterateError,
+    DivergenceError,
     IterationReport,
     SeedSpec,
     SolveStatus,
     SolverConfig,
+    SteadyOperator,
     build_seed,
     petviashvili_step,
     project_zero_mass,
@@ -22,6 +25,93 @@ from fkplump.solver import (
 from fkplump.symbols import SymbolParams, petviashvili_denominator
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
+
+
+# --- complex full-lattice reference ---------------------------------------
+# The step and residual as they were before the half-spectrum operator:
+# complex fft2/ifft2 on the full lattice, against the complex regularized
+# denominator.  SteadyOperator must reproduce them to roundoff.
+
+
+def complex_factor(denom, phi_hat, sq_hat):
+    """M from full-lattice conjugate pairings, constrained row excluded."""
+    conj_hat = np.conj(phi_hat)
+    num_terms = denom * phi_hat * conj_hat
+    den_terms = sq_hat * conj_hat
+    num = complex(np.sum(num_terms[1:, :]) + num_terms[0, 0])
+    den = complex(np.sum(den_terms[1:, :]) + den_terms[0, 0])
+    return (num / den).real
+
+
+def complex_residual(phi_hat, sq_hat, grid, p):
+    """Sup norm of S phi from full-lattice complex transforms."""
+    xi1sq = (grid.xi1**2)[:, None]
+    xi2sq = (grid.xi2**2)[None, :]
+    disp = np.abs(grid.xi1[:, None]) ** p.alpha
+    s_hat = -xi1sq * (-p.c * phi_hat + 0.5 * sq_hat - disp * phi_hat) + xi2sq * phi_hat
+    return float(np.max(np.abs(ifft2(s_hat).real)))
+
+
+def complex_solve(config):
+    """The complex-FFT Petviashvili loop; returns the field and monitor rows."""
+    grid, p = config.grid, config.params
+    denom = petviashvili_denominator(grid, p).values
+    phi = build_seed(config).values
+    phi_hat, sq_hat = fft2(phi), fft2(phi * phi)
+    rows = []
+    for _ in range(config.max_iter):
+        m = complex_factor(denom, phi_hat, sq_hat)
+        next_hat = (m**config.nu) * sq_hat / denom
+        next_phi = ifft2(next_hat).real
+        iter_error = float(np.max(np.abs(next_phi - phi)))
+        phi, phi_hat, sq_hat = next_phi, next_hat, fft2(next_phi * next_phi)
+        row = (iter_error, m, abs(1.0 - m), complex_residual(phi_hat, sq_hat, grid, p))
+        rows.append(row)
+        if max(row[0], row[2], row[3]) <= config.tol:
+            break
+    return phi, rows
+
+
+# --- de-aliased half-spectrum iteration -------------------------------------
+
+
+def padded_square_hat(phi_hat, shape):
+    """Half-spectrum of phi^2 with the square taken on a 3/2 zero-padded grid.
+
+    Removes the aliasing of the quadratic product back onto the resolved
+    modes; exact for band-limited inputs whose square still fits the
+    padded band.  The Nyquist row and column are dropped.
+    """
+    nx, ny = shape
+    mx, my = 3 * nx // 2, 3 * ny // 2
+    kx, ky = nx // 2, ny // 2
+    padded = np.zeros((mx, my // 2 + 1), dtype=complex)
+    padded[:kx, :ky] = phi_hat[:kx, :ky]
+    padded[mx - kx + 1 :, :ky] = phi_hat[kx + 1 :, :ky]
+    fine = irfft2(padded, (mx, my)) * (mx * my / (nx * ny))
+    fine_sq_hat = rfft2(fine * fine)
+    out = np.zeros_like(phi_hat)
+    out[:kx, :ky] = fine_sq_hat[:kx, :ky]
+    out[kx + 1 :, :ky] = fine_sq_hat[mx - kx + 1 :, :ky]
+    return out * (nx * ny / (mx * my))
+
+
+def padded_solve(config):
+    """The Petviashvili iteration on the SteadyOperator with a de-aliased square."""
+    op = SteadyOperator(config.grid, config.params)
+    shape = config.grid.shape
+    phi = build_seed(config).values
+    phi_hat = rfft2(phi)
+    sq_hat = padded_square_hat(phi_hat, shape)
+    for _ in range(config.max_iter):
+        m = op.stabilizing_factor(phi_hat, sq_hat)
+        next_hat, next_phi = op.step(sq_hat, m, config.nu)
+        iter_error = np.max(np.abs(next_phi - phi))
+        phi, phi_hat = next_phi, next_hat
+        sq_hat = padded_square_hat(phi_hat, shape)
+        if max(iter_error, abs(1.0 - m), op.residual(phi_hat, sq_hat)) <= config.tol:
+            return phi
+    raise AssertionError("padded iteration did not converge")
 
 
 @pytest.fixture(scope="module")
@@ -245,25 +335,75 @@ class TestSolve:
         assert r1.records == r2.records
 
     def test_padded_square_exact_on_band_limited_input(self):
-        from fkplump.solver import _padded_square_hat
-
         grid = SpectralGrid(nx=32, ny=16, lx=np.pi, ly=np.pi)
         X, _ = grid.meshes()
         f = np.cos(X)  # f^2 lives on modes 0 and +-2, well inside the band
-        plain = fft2(f * f)
-        padded = _padded_square_hat(fft2(f))
+        plain = rfft2(f * f)
+        padded = padded_square_hat(rfft2(f), grid.shape)
         assert np.max(np.abs(plain - padded)) <= 1e-10
 
     def test_aliasing_below_tolerance_on_resolved_grid(self):
         # the plain scheme needs no de-aliasing once the spectrum is
-        # resolved; the padded variant exists to check exactly this
+        # resolved; the padded iteration exists to check exactly this
         grid = SpectralGrid(nx=512, ny=512, lx=64.0, ly=64.0)
-        plain, r0 = solve(SolverConfig(params=PARAMS, grid=grid))
-        padded, r1 = solve(SolverConfig(params=PARAMS, grid=grid, dealias=True))
-        assert r0.converged() and r1.converged()
-        assert np.max(np.abs(plain.values - padded.values)) <= 1e-5
+        config = SolverConfig(params=PARAMS, grid=grid)
+        plain, r0 = solve(config)
+        padded = padded_solve(config)
+        assert r0.converged()
+        assert np.max(np.abs(plain.values - padded)) <= 1e-5
+
+    @pytest.mark.parametrize(
+        "nu, status", [(1.5, SolveStatus.DIVERGED), (2.0, SolveStatus.CONVERGED)]
+    )
+    def test_negative_seed(self, nu, status):
+        # a negative seed gives M < 0: M^1.5 is complex, so the run stops
+        # as diverged; M^2 is positive and the even power recovers
+        grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
+        seed = SeedSpec(kind="gaussian", amplitude=-3.0)
+        _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=nu, seed=seed))
+        assert report.status is status
+        assert report.records[0].m_factor < 0
+
+    def test_step_rejects_unusable_factor(self, small_grid):
+        op = SteadyOperator(small_grid, PARAMS)
+        phi_hat, sq_hat = op.spectra(build_seed(SolverConfig(params=PARAMS, grid=small_grid)).values)
+        for m, nu in [(-0.5, 1.5), (-0.5, 3.0), (math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0)]:
+            with pytest.raises(DivergenceError):
+                op.step(sq_hat, m, nu)
 
     def test_empty_report_has_no_final(self):
         report = IterationReport(records=(), status=SolveStatus.MAX_ITER, tol=1e-5)
         with pytest.raises(ValueError):
             report.final
+
+
+class TestComplexReference:
+    """SteadyOperator against the complex full-lattice step it replaced."""
+
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    def test_solve_matches_complex_loop(self, alpha):
+        grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
+        config = SolverConfig(params=SymbolParams(alpha=alpha, c=1.0), grid=grid)
+        field, report = solve(config)
+        ref_field, ref_rows = complex_solve(config)
+        assert report.converged()
+        assert report.iterations == len(ref_rows)
+        for rec, (iter_error, m, factor_error, res) in zip(report.records, ref_rows):
+            assert rec.m_factor == pytest.approx(m, rel=1e-12, abs=0.0)
+            assert rec.iter_error == pytest.approx(iter_error, rel=1e-6, abs=0.0)
+            assert rec.residual == pytest.approx(res, rel=1e-6, abs=0.0)
+            # |1 - M| falls to roundoff (1e-15) near convergence, where only
+            # its absolute difference, bounded by the agreement of M, means
+            # anything
+            assert rec.factor_error == pytest.approx(factor_error, rel=1e-6, abs=1e-12)
+        assert np.max(np.abs(field.values - ref_field)) <= 1e-12
+
+    def test_residual_of_exact_lump(self):
+        # the exact lump is not a torus steady state: its residual (about
+        # 0.73 on the desk grid) must equal the old formula's value
+        grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
+        phi = exact_kp1_lump(grid, ExactLumpParams(c=1.0)).values
+        ref = complex_residual(fft2(phi), fft2(phi * phi), grid, PARAMS)
+        got = residual(RealField(grid, phi), PARAMS)
+        assert got == pytest.approx(ref, rel=1e-10)
+        assert got == pytest.approx(0.73, abs=0.01)

@@ -10,6 +10,7 @@ from fkplump.symbols import (
     SymbolParams,
     UnsupportedEquationError,
     apply_multiplier,
+    half_lattice_denominator,
     petviashvili_denominator,
     symbol_h,
     symbol_m,
@@ -50,6 +51,19 @@ class TestDenominator:
         d = petviashvili_denominator(grid, SymbolParams(alpha=1.0, c=1.0)).values
         interior = np.abs(d.imag)[1:, :]  # the regularized zero row is huge by design
         assert np.max(interior) <= 1e-12 * np.max(np.abs(d[1:, :]))
+
+    def test_half_lattice_is_real_part(self):
+        # the solver's real half-lattice D is the real part of the complex
+        # one; the dropped imaginary part is at most 2 lambda/|xi1| of it
+        grid = SpectralGrid(nx=64, ny=32, lx=100.0, ly=40.0)
+        p = SymbolParams(alpha=1.5, c=1.0)
+        full = petviashvili_denominator(grid, p).values[:, : grid.ny // 2 + 1]
+        half = half_lattice_denominator(grid, p)
+        assert half.dtype == np.float64
+        assert np.array_equal(half, full.real)
+        xi1 = np.abs(grid.xi1[1:, None])
+        assert np.all(np.abs(full.imag[1:]) <= 2.0 * p.lam / xi1 * np.abs(full.real[1:]))
+        assert np.all(full.imag[0] == 0.0)
 
     def test_zero_row_is_huge(self, grid_pi):
         d = petviashvili_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0)).values
