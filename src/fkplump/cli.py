@@ -86,6 +86,7 @@ _SOLVE_DEFAULTS: dict[str, object] = {
     "seed-amplitude": None,
     "seed-width": 2.0,
     "allow-supercritical": False,
+    "accel-depth": 1,
     "out": ".",
 }
 
@@ -103,6 +104,7 @@ _CASTS = {
     "seed-amplitude": float,
     "seed-width": float,
     "allow-supercritical": lambda s: s if isinstance(s, bool) else s.lower() in ("1", "true", "yes"),
+    "accel-depth": int,
     "out": str,
 }
 
@@ -171,6 +173,7 @@ def _solver_config(resolved: dict[str, object]) -> SolverConfig:
             max_iter=int(resolved["max-iter"]),
             seed=_seed_spec(resolved),
             allow_supercritical=bool(resolved["allow-supercritical"]),
+            accel_depth=int(resolved["accel-depth"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -178,12 +181,14 @@ def _solver_config(resolved: dict[str, object]) -> SolverConfig:
 
 @dataclass
 class RunManifest:
-    """Resolved configuration, produced files, per-phase timings, FFT settings."""
+    """Resolved configuration, produced files, per-phase timings, FFT settings,
+    and how the run ended."""
 
     config: dict[str, object]
     outputs: list[dict[str, str]]
     timings: dict[str, float]
     environment: dict[str, object]
+    run: dict[str, object]
     software_version: str = __version__
 
     def write(self, path: Path) -> None:
@@ -192,6 +197,7 @@ class RunManifest:
             "outputs": self.outputs,
             "timings": self.timings,
             "environment": self.environment,
+            "run": self.run,
             "software_version": self.software_version,
         }
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -229,6 +235,9 @@ def run_solve(args: argparse.Namespace) -> int:
         timings={"solve": solve_seconds, "write": time.perf_counter() - t1},
         environment={"fft_workers": fft_workers(), "transform": TRANSFORM,
                      "numpy": np.__version__, "scipy": scipy.__version__},
+        run={"status": report.status.value, "reason": report.reason,
+             "iterations": report.iterations, "accel_depth": config.accel_depth,
+             "mixed_steps": report.mixed_steps},
     )
     manifest.write(out_dir / "manifest.json")
 
@@ -412,6 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed-amplitude", type=float)
     ps.add_argument("--seed-width", type=float)
     ps.add_argument("--allow-supercritical", action="store_true", default=False)
+    ps.add_argument("--accel-depth", type=int, help="Anderson mixing depth; 0 is the plain map")
     ps.add_argument("--out", type=str)
     ps.add_argument("--config", type=str, help="flat key = value configuration file")
     ps.set_defaults(func=run_solve)

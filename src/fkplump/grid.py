@@ -64,9 +64,17 @@ def rfft2(values: np.ndarray) -> np.ndarray:
     return _sfft.rfft2(values, workers=fft_workers())
 
 
-def irfft2(coeffs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Real inverse 2D DFT (1/(nx*ny) normalization) of half-lattice coefficients."""
-    return _sfft.irfft2(coeffs, s=shape, workers=fft_workers())
+def irfft2(
+    coeffs: np.ndarray, shape: tuple[int, int], overwrite_x: bool = False
+) -> np.ndarray:
+    """Real inverse 2D DFT (1/(nx*ny) normalization) of half-lattice coefficients.
+
+    The x pass (complex) runs before the y pass (real), as in scipy's
+    irfft2, to the same bits.  With overwrite_x it runs in place in coeffs,
+    which are then left undefined, instead of on a copy.
+    """
+    half = _sfft.ifft(coeffs, n=shape[0], axis=0, overwrite_x=overwrite_x, workers=fft_workers())
+    return _sfft.irfft(half, n=shape[1], axis=1, workers=fft_workers())
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -118,9 +118,10 @@ def petviashvili_denominator(grid: SpectralGrid, p: SymbolParams) -> MultiplierF
 def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
     """Real part of the denominator on the rfft2 half-lattice, (nx, ny/2 + 1).
 
+    A contiguous copy: the .real view would keep the complex array alive.
     Raises UnsupportedEquationError for sigma = +1, as the full one does.
     """
-    return _denominator(grid, p, grid.ny // 2 + 1).real
+    return _denominator(grid, p, grid.ny // 2 + 1).real.copy()
 
 
 def _kernel_denominator(grid: SpectralGrid, alpha: float, c: float) -> np.ndarray:

@@ -121,6 +121,32 @@ class TestSolve:
         lines = (out / "iterations.csv").read_text().splitlines()
         assert len(lines) - 1 == 1
 
+    def test_manifest_run_object(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(FAST_SOLVE + ["--out", out]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        record = manifest["run"]
+        rows = (out / "iterations.csv").read_text().splitlines()[1:]
+        assert record["status"] == "converged"
+        assert record["reason"].startswith("all three monitors")
+        assert record["iterations"] == len(rows)
+        assert record["accel_depth"] == manifest["config"]["accel-depth"] == 1
+        assert 0 < record["mixed_steps"] < record["iterations"]
+
+    def test_accel_depth_zero_is_plain_map(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(FAST_SOLVE + ["--accel-depth", "0", "--out", out]) == EXIT_OK
+        record = json.loads((out / "manifest.json").read_text())["run"]
+        assert record["accel_depth"] == 0
+        assert record["mixed_steps"] == 0
+        assert record["iterations"] == 57
+
+    @pytest.mark.parametrize("depth", ["-1", "2"])
+    def test_bad_accel_depth_rejected(self, tmp_path, capsys, depth):
+        code = run(FAST_SOLVE + ["--accel-depth", depth, "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        assert "accel_depth" in capsys.readouterr().err
+
     def test_lambda_flag_accepted(self, tmp_path):
         out = tmp_path / "run"
         code = run(FAST_SOLVE + ["--lambda", "1e-15", "--out", out])
@@ -141,6 +167,16 @@ class TestConfigFile:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["n"] == 128  # flag wins
         assert manifest["config"]["max-iter"] == 150  # file value kept
+
+    def test_accel_depth_key(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2\nn = 128\nl = 32\naccel-depth = 0\n")
+        out = tmp_path / "out"
+        assert run(["solve", "--config", config, "--out", out]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["accel-depth"] == 0
+        assert manifest["run"]["accel_depth"] == 0
+        assert manifest["run"]["mixed_steps"] == 0
 
     def test_unknown_key_names_offender(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -162,6 +162,15 @@ class TestTransforms:
         back = irfft2(half, grid.shape)
         assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
 
+    def test_in_place_inverse_is_bit_identical(self, rng):
+        from fkplump.grid import irfft2, rfft2
+
+        grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
+        half = rfft2(rng.standard_normal(grid.shape))
+        expected = irfft2(half, grid.shape)
+        scratch = half.copy()
+        assert np.array_equal(irfft2(scratch, grid.shape, overwrite_x=True), expected)
+
     def test_exact_lump_round_trip(self):
         from fkplump.reference import ExactLumpParams, exact_kp1_lump
 

@@ -1,14 +1,18 @@
 """Petviashvili iteration: configuration, stabilizing factor, convergence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkplump.diagnostics import residual
 from fkplump.grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import (
+    ACCEL_GATE,
     DegenerateIterateError,
     DivergenceError,
     IterationReport,
@@ -25,6 +29,13 @@ from fkplump.solver import (
 from fkplump.symbols import SymbolParams, petviashvili_denominator
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
+
+#: How the stop reason of each status begins.
+REASON_PREFIXES = {
+    SolveStatus.CONVERGED: ("all three monitors",),
+    SolveStatus.MAX_ITER: ("max-iter",),
+    SolveStatus.DIVERGED: ("step factor M^nu", "iteration produced non-finite", "sup|phi|"),
+}
 
 
 # --- complex full-lattice reference ---------------------------------------
@@ -240,6 +251,25 @@ class TestStabilizingFactor:
         with pytest.raises(DegenerateIterateError):
             stabilizing_factor(odd, PARAMS)
 
+    def test_degenerate_threshold_on_nearly_odd_iterates(self, small_grid):
+        # (x + eps) exp(-r^2): the cubic pairing grows like eps.  The blocked
+        # check must decide as the full-array one, 1e-14 of sum w |sq^| |phi^|;
+        # at eps = 2e-15 the ratio is 1.35e-14, so that iterate is accepted.
+        X, Y = small_grid.meshes()
+        op = SteadyOperator(small_grid, PARAMS)
+        accepted = []
+        for eps in (1e-12, 2e-15, 1e-15, 0.0):
+            phi_hat, sq_hat = op.spectra((X + eps) * np.exp(-(X**2) - Y**2))
+            den = np.vdot(op.weights, (sq_hat * np.conj(phi_hat)).real)
+            scale = np.vdot(op.weights, np.abs(sq_hat) * np.abs(phi_hat))
+            try:
+                op.stabilizing_factor(phi_hat, sq_hat)
+                accepted.append(True)
+            except DegenerateIterateError:
+                accepted.append(False)
+            assert accepted[-1] == (abs(den) > 1e-14 * scale)
+        assert accepted == [True, True, False, False]
+
 
 class TestStep:
     def test_fixed_point(self, unit_solve):
@@ -377,13 +407,79 @@ class TestSolve:
             report.final
 
 
+class TestAcceleration:
+    @pytest.mark.parametrize(
+        "alpha, n, lx", [(2.0, 128, 32.0), (1.5, 128, 32.0), (1.7, 256, 64.0)]
+    )
+    def test_mixing_halves_iterations(self, alpha, n, lx):
+        grid = SpectralGrid(nx=n, ny=n, lx=lx, ly=lx)
+        params = SymbolParams(alpha=alpha, c=1.0)
+        plain_field, plain = solve(SolverConfig(params=params, grid=grid, accel_depth=0))
+        mixed_field, mixed = solve(SolverConfig(params=params, grid=grid, accel_depth=1))
+        assert plain.converged() and mixed.converged()
+        assert 2 * mixed.iterations <= plain.iterations
+        assert np.max(np.abs(mixed_field.values - plain_field.values)) <= 1e-5
+        # mixing needs one gated iteration of history before it starts
+        gated = sum(r.factor_error <= ACCEL_GATE for r in mixed.records)
+        assert plain.mixed_steps == 0 < mixed.mixed_steps < gated
+
+    def test_default_converges_at_nu_2_5(self):
+        grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
+        _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=2.5))
+        assert report.converged()
+
+    @pytest.mark.parametrize("depth", [-1, 1.5, 2])
+    def test_rejects_bad_depth(self, small_grid, depth):
+        with pytest.raises(ValueError, match="accel_depth"):
+            SolverConfig(params=PARAMS, grid=small_grid, accel_depth=depth)
+
+    def test_reasons(self, small_grid):
+        _, report = solve(SolverConfig(params=PARAMS, grid=small_grid, max_iter=3))
+        assert report.reason.startswith("max-iter 3 reached")
+        assert "residual" in report.reason
+        grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
+        _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=5.0, max_iter=60))
+        assert "blow-up guard" in report.reason
+        seed = SeedSpec(kind="gaussian", amplitude=-3.0)
+        _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=1.5, seed=seed))
+        assert "M^nu" in report.reason
+        _, report = solve(SolverConfig(params=PARAMS, grid=grid))
+        assert report.reason.startswith("all three monitors")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        nu=st.floats(1.2, 2.8),
+        depth=st.sampled_from([0, 1]),
+        amplitude=st.floats(0.01, 100.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_every_run_ends_in_a_status(self, nu, depth, amplitude, sign):
+        grid = SpectralGrid(nx=32, ny=32, lx=8.0, ly=8.0)
+        seed = SeedSpec(kind="gaussian", amplitude=sign * amplitude)
+        config = SolverConfig(
+            params=PARAMS, grid=grid, nu=nu, max_iter=60, seed=seed, accel_depth=depth
+        )
+        try:
+            _, report = solve(config)
+        except DegenerateIterateError:
+            # allowed only where the plain map collapses too, not by mixing
+            if depth:
+                with pytest.raises(DegenerateIterateError):
+                    solve(replace(config, accel_depth=0))
+            return
+        assert report.reason.startswith(REASON_PREFIXES[report.status])
+        assert 1 <= report.iterations <= config.max_iter
+        assert report.mixed_steps <= report.iterations
+
+
 class TestComplexReference:
     """SteadyOperator against the complex full-lattice step it replaced."""
 
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
     def test_solve_matches_complex_loop(self, alpha):
+        # the reference is the plain map, so the mixing is switched off
         grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
-        config = SolverConfig(params=SymbolParams(alpha=alpha, c=1.0), grid=grid)
+        config = SolverConfig(params=SymbolParams(alpha=alpha, c=1.0), grid=grid, accel_depth=0)
         field, report = solve(config)
         ref_field, ref_rows = complex_solve(config)
         assert report.converged()
