@@ -18,14 +18,7 @@ from .analysis import (
 )
 from .diagnostics import FunctionalValues, fourier_tail, functionals, residual
 from .fieldio import LoadedField, load_field, save_field
-from .grid import (
-    RealField,
-    SpectralField,
-    SpectralGrid,
-    forward_transform,
-    inverse_transform,
-    wavenumbers,
-)
+from .grid import RealField, SpectralGrid
 from .kernels import (
     IntegrabilityProbe,
     build_kernel,
@@ -43,14 +36,7 @@ from .solver import (
     solve,
     stabilizing_factor,
 )
-from .symbols import (
-    MultiplierField,
-    SymbolParams,
-    apply_multiplier,
-    petviashvili_denominator,
-    symbol_h,
-    symbol_m,
-)
+from .symbols import SymbolParams, symbol_h, symbol_m
 
 __all__ = [
     "DecayProfile",
@@ -59,31 +45,25 @@ __all__ = [
     "IntegrabilityProbe",
     "IterationReport",
     "LoadedField",
-    "MultiplierField",
     "RealField",
     "SeedSpec",
     "SolveStatus",
     "SolverConfig",
-    "SpectralField",
     "SpectralGrid",
     "SymbolParams",
     "SymmetryReport",
-    "apply_multiplier",
     "build_kernel",
     "convolve",
     "cross_section",
     "decay_profile",
     "exact_kp1_lump",
-    "forward_transform",
     "fourier_tail",
     "functionals",
     "gaussian_seed",
     "integrability_probe",
-    "inverse_transform",
     "kernel_decay",
     "load_field",
     "peakedness",
-    "petviashvili_denominator",
     "petviashvili_step",
     "rescale_solution",
     "residual",
@@ -93,5 +73,4 @@ __all__ = [
     "symbol_h",
     "symbol_m",
     "symmetry_report",
-    "wavenumbers",
 ]

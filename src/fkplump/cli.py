@@ -16,7 +16,8 @@ convergence-study
     Solve over a sweep of domain half-widths and tabulate errors vs lx.
 
 Exit codes: 0 converged / success, 1 invalid configuration or a file
-that cannot be read or written, 2 stopped at max-iter, 3 diverged.
+that cannot be read or written, 2 stopped at max-iter, 3 diverged or an
+iterate whose stabilizing factor is undefined (a collapsed or odd seed).
 Configuration can come from a flat "key = value" file (keys equal to
 flag names) with flags taking precedence.  CSV output uses 17
 significant digits so doubles round-trip exactly.
@@ -41,7 +42,14 @@ from .fieldio import FieldFileError, load_field, save_field
 from .grid import SpectralGrid, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
-from .solver import TRANSFORM, SeedSpec, SolveStatus, SolverConfig, solve
+from .solver import (
+    TRANSFORM,
+    DegenerateIterateError,
+    SeedSpec,
+    SolveStatus,
+    SolverConfig,
+    solve,
+)
 from .symbols import SymbolParams
 
 EXIT_OK = 0
@@ -90,6 +98,17 @@ _SOLVE_DEFAULTS: dict[str, object] = {
     "out": ".",
 }
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(raw: str) -> bool:
+    """1/0, true/false or yes/no in any case; any other spelling is a ValueError."""
+    try:
+        return _BOOLEANS[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
 _CASTS = {
     "alpha": float,
     "c": float,
@@ -103,7 +122,7 @@ _CASTS = {
     "seed": str,
     "seed-amplitude": float,
     "seed-width": float,
-    "allow-supercritical": lambda s: s if isinstance(s, bool) else s.lower() in ("1", "true", "yes"),
+    "allow-supercritical": _parse_bool,
     "accel-depth": int,
     "out": str,
 }
@@ -468,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FieldFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except DegenerateIterateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, fft2, ifft2
+from .grid import RealField, irfft2, rfft2
 from .solver import SteadyOperator
 from .symbols import DEFAULT_LAMBDA, SymbolParams
 
@@ -56,26 +56,24 @@ def residual(phi: RealField, p: SymbolParams) -> float:
 
 
 def _antideriv_y_symbol(grid, lam: float) -> np.ndarray:
-    """Multiplier of dx^-1 dy: xi2 / (xi1 + i*lambda), odd in both variables.
+    """Multiplier of dx^-1 dy on the half-lattice: xi2 / (xi1 + i*lambda), odd in both.
 
     The unpaired Nyquist row and column are zeroed (the odd-operator
     convention); the self-paired Nyquist modes cannot carry an odd symbol,
     and leaving them in breaks conjugate symmetry on the lattice, which
     would make the real-space and Parseval routes below disagree.
     """
-    xi1 = grid.xi1[:, None]
-    xi2 = grid.xi2[None, :]
-    sym = xi2 / (xi1 + 1j * lam)
+    sym = grid.xi2_half[None, :] / (grid.xi1[:, None] + 1j * lam)
     sym[grid.nx // 2, :] = 0.0
-    sym[:, grid.ny // 2] = 0.0
+    sym[:, -1] = 0.0
     return sym
 
 
 def _energy_parts_spectral(
     grid, phi_hat: np.ndarray, alpha: float, lam: float
 ) -> tuple[float, float, float]:
-    """The three squared seminorms via Parseval on the lattice, from fft2(phi)."""
-    power = np.abs(phi_hat) ** 2
+    """The three squared seminorms via Parseval on the lattice, from rfft2(phi)."""
+    power = grid.column_weights * np.abs(phi_hat) ** 2
     weight = grid.cell_area / (grid.nx * grid.ny)
     xi1 = grid.xi1[:, None]
     l2 = float(np.sum(power)) * weight
@@ -98,11 +96,11 @@ def functionals(
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     grid = phi.grid
     cell = grid.cell_area
-    phi_hat = fft2(phi.values)
+    phi_hat = rfft2(phi.values)
     xi1 = grid.xi1[:, None]
 
-    frac_field = ifft2(np.abs(xi1) ** (alpha / 2.0) * phi_hat).real
-    anti_field = ifft2(_antideriv_y_symbol(grid, lam) * phi_hat).real
+    frac_field = irfft2(np.abs(xi1) ** (alpha / 2.0) * phi_hat, grid.shape)
+    anti_field = irfft2(_antideriv_y_symbol(grid, lam) * phi_hat, grid.shape)
 
     l2_sq = float(np.sum(phi.values**2)) * cell
     frac_sq = float(np.sum(frac_field**2)) * cell
@@ -138,11 +136,11 @@ def fourier_tail(phi: RealField) -> float:
     fields, order one for noise.
     """
     grid = phi.grid
-    coeffs = np.abs(fft2(phi.values))
+    coeffs = np.abs(rfft2(phi.values))  # |c(-k)| = |c(k)|: the half-lattice has every modulus
     peak = float(coeffs.max())
     if peak == 0.0:
         return 0.0
     k1 = np.abs(np.fft.fftfreq(grid.nx) * grid.nx)[:, None]
-    k2 = np.abs(np.fft.fftfreq(grid.ny) * grid.ny)[None, :]
+    k2 = np.arange(grid.xi2_half.size)[None, :]
     outer = (k1 > grid.nx / 4) | (k2 > grid.ny / 4)
     return float(coeffs[outer].max()) / peak

@@ -1,4 +1,4 @@
-"""Periodic 2D computational domain and its discrete Fourier transforms.
+"""Periodic 2D computational domain and its real discrete Fourier transforms.
 
 The domain is [-lx, lx) x [-ly, ly) sampled on an nx-by-ny lattice (both
 powers of two).  Fields are stored as (nx, ny) arrays in C order, index
@@ -7,8 +7,11 @@ plain unnormalized DFT forward and 1/(nx*ny) on the inverse; physical
 wavenumbers are xi1 = pi*k/lx for signed index k in {-nx/2, ..., nx/2-1}
 (and likewise in y), stored in FFT order.
 
-The solver uses the rfft2 half-lattice of a real field, the first ny/2 + 1
-columns (k2 = 0, ..., ny/2); the others are conjugates of stored modes.
+Every field is real, so every spectrum is stored on the rfft2 half-lattice
+(nx, ny/2 + 1): the columns k2 = 0, ..., ny/2, whose xi2 values are
+SpectralGrid.xi2_half.  The other columns are conjugates of stored modes,
+so a sum over the full lattice is a half-lattice sum with the column
+weights SpectralGrid.column_weights: 1 on k2 = 0 and ny/2, 2 elsewhere.
 """
 
 from __future__ import annotations
@@ -20,16 +23,8 @@ from functools import cached_property
 import numpy as np
 from scipy import fft as _sfft
 
-#: Relative tolerance for conjugate-symmetry and imaginary-residue checks.
-SYMMETRY_RTOL = 1e-10
-
-
 class InvalidFieldError(ValueError):
     """Field samples contain non-finite values."""
-
-
-class SpectralSymmetryError(ValueError):
-    """Fourier coefficients are not conjugate-symmetric within tolerance."""
 
 
 class GridMismatchError(ValueError):
@@ -49,6 +44,7 @@ def fft_workers() -> int:
     return max(1, workers)
 
 
+# fft2 and ifft2 are not used by the package; perfbench/run.py imports them.
 def fft2(values: np.ndarray) -> np.ndarray:
     """Unnormalized forward 2D DFT of a raw array."""
     return _sfft.fft2(values, workers=fft_workers())
@@ -151,14 +147,22 @@ class SpectralGrid:
         xi.setflags(write=False)
         return xi
 
+    @cached_property
+    def xi2_half(self) -> np.ndarray:
+        """xi2 on the half-lattice columns k2 = 0, ..., ny/2 (the last one negative)."""
+        return self.xi2[: self.ny // 2 + 1]
+
+    @cached_property
+    def column_weights(self) -> np.ndarray:
+        """Multiplicity of each half-lattice column in the full lattice: 1, 2, ..., 2, 1."""
+        w = np.full(self.ny // 2 + 1, 2.0)
+        w[[0, -1]] = 1.0
+        w.setflags(write=False)
+        return w
+
     def meshes(self) -> tuple[np.ndarray, np.ndarray]:
         """2D coordinate meshes (X, Y) with indexing matching field storage."""
         return np.meshgrid(self.x, self.y, indexing="ij")
-
-
-def wavenumbers(grid: SpectralGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Signed physical wavenumbers (xi1, xi2) in transform order."""
-    return grid.xi1, grid.xi2
 
 
 def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
@@ -184,64 +188,3 @@ class RealField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Discrete Fourier coefficients of a field on a SpectralGrid."""
-
-    grid: SpectralGrid
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_array(self.coeffs, np.complex128, self.grid.shape, "coeffs")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidFieldError("coefficients must all be finite")
-        object.__setattr__(self, "coeffs", arr)
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Max deviation from coeff(-k1,-k2) == conj(coeff(k1,k2)), relative."""
-        c = self.coeffs
-        scale = float(np.max(np.abs(c)))
-        if scale == 0.0:
-            return 0.0
-        reflected = np.roll(c[::-1, ::-1], (1, 1), axis=(0, 1))
-        return float(np.max(np.abs(c - np.conj(reflected)))) / scale
-
-
-def forward_transform(f: RealField) -> SpectralField:
-    """Unnormalized discrete Fourier coefficients of a real field.
-
-    The inverse applied to the result reproduces the field to roundoff
-    (see inverse_transform).
-    """
-    return SpectralField(f.grid, fft2(f.values))
-
-
-def inverse_transform(g: SpectralField) -> RealField:
-    """Real-space samples from Fourier coefficients.
-
-    Requires conjugate symmetry within SYMMETRY_RTOL; the imaginary residue
-    of the inverse transform is checked against the same tolerance and then
-    discarded.
-
-    Raises
-    ------
-    SpectralSymmetryError
-        If the coefficients (or the resulting imaginary residue) violate the
-        symmetry tolerance.
-    """
-    defect = g.conjugate_symmetry_defect()
-    if defect > SYMMETRY_RTOL:
-        raise SpectralSymmetryError(
-            f"coefficients violate conjugate symmetry: defect {defect:.3e} > {SYMMETRY_RTOL:.1e}"
-        )
-    z = ifft2(g.coeffs)
-    scale = float(np.max(np.abs(z)))
-    if scale > 0.0:
-        residue = float(np.max(np.abs(z.imag))) / scale
-        if residue > SYMMETRY_RTOL:
-            raise SpectralSymmetryError(
-                f"imaginary residue {residue:.3e} exceeds {SYMMETRY_RTOL:.1e}"
-            )
-    return RealField(g.grid, z.real)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, SpectralGrid, fft2
+from .grid import RealField, SpectralGrid, rfft2
 
 
 class DomainRangeError(ValueError):
@@ -56,8 +56,9 @@ def _trig_eval_matrix(xi: np.ndarray, points: np.ndarray, half_width: float, n: 
 
     Node j sits at -half_width + j*dx, so the DFT phase of mode k at a
     physical point x is exp(i xi_k (x + half_width)).  The unpaired
-    Nyquist mode is evaluated as a cosine, the symmetric convention that
-    reproduces lattice points exactly.
+    Nyquist mode xi[n // 2] is evaluated as a cosine, the symmetric
+    convention that reproduces lattice points exactly.  xi is either the
+    full set of n wavenumbers or its half-lattice part (n // 2 + 1).
     """
     shifted = points + half_width
     e = np.exp(1j * np.outer(shifted, xi))
@@ -98,8 +99,10 @@ def rescale_solution(
             "stretched target coordinates fall outside the source domain; "
             "use a larger source grid or a smaller speed ratio"
         )
-    coeffs = fft2(phi.values) / (src.nx * src.ny)
+    # Half-lattice coefficients: each column k2 != 0, ny/2 also stands for
+    # its conjugate column -k2, whose terms are the conjugates of its own.
+    coeffs = rfft2(phi.values) / (src.nx * src.ny)
     ex = _trig_eval_matrix(src.xi1, xs, src.lx, src.nx)
-    ey = _trig_eval_matrix(src.xi2, ys, src.ly, src.ny)
+    ey = _trig_eval_matrix(src.xi2_half, ys, src.ly, src.ny) * src.column_weights
     values = c * np.real(ex @ coeffs @ ey.T)
     return RealField(target_grid, values)

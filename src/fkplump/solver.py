@@ -42,8 +42,8 @@ from enum import Enum
 
 import numpy as np
 
-# fft2 and ifft2 stay importable here: perfbench/selftest.py patches fkplump.solver.fft2.
-from .grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2  # noqa: F401
+# fft2 is unused here; perfbench/selftest.py checks fkplump.solver.fft2.
+from .grid import RealField, SpectralGrid, fft2, irfft2, rfft2  # noqa: F401
 from .reference import ExactLumpParams, exact_kp1_lump, gaussian_seed
 from .symbols import (
     ALPHA_ENERGY_CRITICAL,
@@ -203,9 +203,9 @@ class SteadyOperator:
     Built once per (grid, params); its arrays are real.  The residual
     symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 needs no lambda: S phi has
     the transform A phi^ - (xi1^2/2) (phi^2)^.  The pairing weights turn
-    half-lattice sums into full-lattice pairings: 1 on the columns k2 = 0
-    and ny/2, 2 on the others (their conjugates are not stored), and 0 on
-    the constrained row xi1 = 0, xi2 != 0.  Those modes carry no mass, and
+    half-lattice sums into full-lattice pairings: the grid's column weights
+    (1 on the columns k2 = 0 and ny/2, 2 on the others), and 0 on the
+    constrained row xi1 = 0, xi2 != 0.  Those modes carry no mass, and
     their regularized D (~ -2 xi2^2/lambda^2) would amplify the transform
     roundoff of a realized field into an order-one error of M.
     """
@@ -217,10 +217,9 @@ class SteadyOperator:
         self.half_xi1sq = 0.5 * xi1sq
         self.residual_symbol = (
             xi1sq * (params.c + dispersion_symbol(grid, params.alpha))
-            + grid.xi2[None, : grid.ny // 2 + 1] ** 2
+            + grid.xi2_half[None, :] ** 2
         )
-        self.weights = np.full(self.denom.shape, 2.0)
-        self.weights[:, [0, -1]] = 1.0
+        self.weights = np.tile(grid.column_weights, (grid.nx, 1))
         self.weights[0, 1:] = 0.0
         rows = max(1, BLOCK_BYTES // (16 * self.denom.shape[1]))  # complex rows
         self.blocks = [slice(i, i + rows) for i in range(0, grid.nx, rows)]

@@ -1,8 +1,10 @@
-"""Fourier multipliers on a grid's wavenumber lattice.
+"""Fourier multipliers on the rfft2 half-lattice of a grid.
 
-Four symbols are built here: the fractional x-dispersion |xi1|^alpha, the
-regularized Petviashvili denominator 2(c + xi2^2/(xi1 + i*lambda)^2 +
-|xi1|^alpha), and the kernel symbols
+Four real symbols are built here: the fractional x-dispersion |xi1|^alpha
+(an (nx, 1) column) and, as read-only (nx, ny/2 + 1) arrays on the rfft2
+half-lattice (see grid), the real part of the regularized Petviashvili
+denominator 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha) and the kernel
+symbols
 
     m(xi1, xi2) = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)),
     h(xi1, xi2) = xi1   / (|xi|^2 + |xi1|^(alpha+2)).
@@ -14,11 +16,11 @@ At the row xi1 = 0, xi2 != 0 the regularized denominator is enormous
 (~ -2*xi2^2/lambda^2), so the iteration annihilates those modes; this is
 the discrete form of the zero-mass constraint in x.
 
-The solver keeps only the real part of the denominator, on the rfft2
-half-lattice (half_lattice_denominator).  It is real on the constrained
-row; elsewhere its imaginary part is at most 2*lambda/|xi1| of the real
-part, about 4e-14 at the smallest |xi1| = pi/256 of the 2^10, lx = 256
-desk grid, below the roundoff of the transforms.
+Only the real part of the denominator is kept (half_lattice_denominator).
+It is real on the constrained row; elsewhere its imaginary part is at most
+2*lambda/|xi1| of the real part, about 4e-14 at the smallest |xi1| =
+pi/256 of the 2^10, lx = 256 desk grid, below the roundoff of the
+transforms.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridMismatchError, RealField, SpectralGrid, _frozen_array, fft2, ifft2
+# perfbench/selftest.py checks that fkplump.symbols._frozen_array is the grid's.
+from .grid import SpectralGrid, _frozen_array  # noqa: F401
 
 #: Default regularization shift for the singular transverse symbol.
 DEFAULT_LAMBDA = 2.2e-16
@@ -74,109 +77,71 @@ class SymbolParams:
             raise ValueError(f"lambda must be positive, got {self.lam!r}")
 
 
-@dataclass(frozen=True)
-class MultiplierField:
-    """A Fourier multiplier evaluated on the full wavenumber lattice."""
-
-    grid: SpectralGrid
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = _frozen_array(self.values, np.complex128, self.grid.shape, "values")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("multiplier values must be finite everywhere")
-        object.__setattr__(self, "values", arr)
-
-
 def dispersion_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
     """|xi1|^alpha as an (nx, 1) column, constant along the y-axis."""
     return np.abs(grid.xi1[:, None]) ** alpha
 
 
-def _denominator(grid: SpectralGrid, p: SymbolParams, columns: int) -> np.ndarray:
-    """Regularized 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha), first y-columns."""
+def _denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
+    """Regularized 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha), complex, half-lattice."""
     if p.sigma != -1:
         raise UnsupportedEquationError(
             "sigma = +1 has no lump solutions; only sigma = -1 is supported"
         )
     xi1 = grid.xi1[:, None].astype(np.complex128)
-    xi2 = grid.xi2[None, :columns]
+    xi2 = grid.xi2_half[None, :]
     return 2.0 * (p.c + xi2**2 / (xi1 + 1j * p.lam) ** 2 + dispersion_symbol(grid, p.alpha))
 
 
-def petviashvili_denominator(grid: SpectralGrid, p: SymbolParams) -> MultiplierField:
+def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
     """Denominator 2(c + xi2^2/xi1^2 + |xi1|^alpha) of the fixed-point map.
+
+    The real part of the regularized complex symbol on the half-lattice, a
+    contiguous read-only copy (a .real view would keep the complex array
+    alive).
 
     Raises
     ------
     UnsupportedEquationError
         For sigma = +1 (no lump solutions exist in that regime).
     """
-    return MultiplierField(grid, _denominator(grid, p, grid.ny))
+    denom = _denominator(grid, p).real.copy()
+    denom.setflags(write=False)
+    return denom
 
 
-def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
-    """Real part of the denominator on the rfft2 half-lattice, (nx, ny/2 + 1).
-
-    A contiguous copy: the .real view would keep the complex array alive.
-    Raises UnsupportedEquationError for sigma = +1, as the full one does.
-    """
-    return _denominator(grid, p, grid.ny // 2 + 1).real.copy()
-
-
-def _kernel_denominator(grid: SpectralGrid, alpha: float, c: float) -> np.ndarray:
-    xi1 = grid.xi1[:, None]
-    xi2 = grid.xi2[None, :]
-    return c * xi1**2 + xi2**2 + np.abs(xi1) ** (alpha + 2.0)
-
-
-def symbol_m(grid: SpectralGrid, alpha: float) -> MultiplierField:
-    """Kernel symbol m = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)).
-
-    Real-valued on the lattice, 0 <= m <= 1.  The row xi1 = 0 is exactly
-    zero for xi2 != 0; the 0/0 at the origin resolves to 1 under the
-    lambda regularization (the same value the Petviashvili denominator
-    assigns the mean mode at c = 1).
-    """
+def _kernel_symbol(grid: SpectralGrid, alpha: float, xi1_power: int) -> np.ndarray:
+    """xi1^xi1_power / (|xi|^2 + |xi1|^(alpha+2)) on the half-lattice, 0 where 0/0."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     xi1 = grid.xi1[:, None]
-    num = (xi1**2) * np.ones((1, grid.ny))
-    den = _kernel_denominator(grid, alpha, 1.0)
-    values = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    xi2 = grid.xi2_half[None, :]
+    num = (xi1**xi1_power) * np.ones((1, xi2.size))
+    den = xi1**2 + xi2**2 + np.abs(xi1) ** (alpha + 2.0)
+    return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+
+
+def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
+    """Kernel symbol m = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)), read-only half-lattice.
+
+    Real-valued, 0 <= m <= 1.  The row xi1 = 0 is exactly zero for
+    xi2 != 0; the 0/0 at the origin resolves to 1 under the lambda
+    regularization (the same value the Petviashvili denominator assigns
+    the mean mode at c = 1).
+    """
+    values = _kernel_symbol(grid, alpha, 2)
     values[0, 0] = 1.0
-    return MultiplierField(grid, values.astype(np.complex128))
+    values.setflags(write=False)
+    return values
 
 
-def symbol_h(grid: SpectralGrid, alpha: float) -> MultiplierField:
-    """Kernel symbol h = xi1 / (|xi|^2 + |xi1|^(alpha+2)), odd in xi1.
+def symbol_h(grid: SpectralGrid, alpha: float) -> np.ndarray:
+    """Kernel symbol h = xi1 / (|xi|^2 + |xi1|^(alpha+2)), odd in xi1, read-only half-lattice.
 
     The whole row xi1 = 0 (origin included) is set to zero, the odd-symbol
     convention; every other lattice point is the plain quotient.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    xi1 = grid.xi1[:, None]
-    num = xi1 * np.ones((1, grid.ny))
-    den = _kernel_denominator(grid, alpha, 1.0)
-    values = np.divide(num, den, out=np.zeros_like(den), where=den > 0)
+    values = _kernel_symbol(grid, alpha, 1)
     values[0, :] = 0.0
-    return MultiplierField(grid, values.astype(np.complex128))
-
-
-def apply_multiplier(f: RealField, m: MultiplierField) -> RealField:
-    """Apply a Fourier multiplier to a real field spectrally.
-
-    Computes the inverse transform of m * fft(f) and returns the real part;
-    the imaginary residue is a symmetry check inherited from the grid
-    module when m is the symbol of a real operator.
-
-    Raises
-    ------
-    GridMismatchError
-        If the field and multiplier live on different grids.
-    """
-    if f.grid != m.grid:
-        raise GridMismatchError("field and multiplier are on different grids")
-    z = ifft2(m.values * fft2(f.values))
-    return RealField(f.grid, z.real)
+    values.setflags(write=False)
+    return values

@@ -5,9 +5,23 @@ import json
 import numpy as np
 import pytest
 import scipy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from fkplump.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, main
-from fkplump.fieldio import load_field
+from fkplump.cli import (
+    _SOLVE_DEFAULTS,
+    EXIT_CONFIG,
+    EXIT_DIVERGED,
+    EXIT_OK,
+    ConfigError,
+    _parse_bool,
+    _resolve_options,
+    _solver_config,
+    build_parser,
+    main,
+)
+from fkplump.fieldio import load_field, save_field
+from fkplump.grid import RealField, SpectralGrid
 
 FAST_SOLVE = ["solve", "--alpha", "2", "--c", "1", "--n", "128", "--l", "32"]
 
@@ -98,6 +112,20 @@ class TestSolve:
         code = run(FAST_SOLVE + ["--seed", f"file:{missing}", "--out", tmp_path])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_odd_seed_is_an_error_line(self, tmp_path, capsys):
+        # x exp(-x^2 - y^2) has a vanishing cubic pairing: the stabilizing
+        # factor is undefined, so the run cannot start
+        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        X, Y = grid.meshes()
+        seed = tmp_path / "odd.fkpl"
+        save_field(seed, RealField(grid, X * np.exp(-(X**2) - Y**2)), 2.0, 1.0)
+        code = run(["solve", "--alpha", "2", "--n", "64", "--l", "16",
+                    "--seed", f"file:{seed}", "--out", tmp_path / "run"])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cubic pairing" in err
+        assert len(err.splitlines()) == 1
 
     def test_missing_alpha(self, tmp_path, capsys):
         code = run(["solve", "--n", "64", "--l", "16", "--out", tmp_path])
@@ -191,6 +219,41 @@ class TestConfigFile:
         code = run(["solve", "--config", config, "--out", tmp_path])
         assert code == EXIT_CONFIG
         assert "alpha" in capsys.readouterr().err
+
+    def test_unknown_boolean_spelling_names_key(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2\nallow-supercritical = ture\n")
+        code = run(["solve", "--config", config, "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        assert "allow-supercritical" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, value",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False)],
+    )
+    def test_boolean_spellings(self, raw, value):
+        assert _parse_bool(raw) is value
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        key=st.sampled_from(sorted(_SOLVE_DEFAULTS)),
+        value=st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+            st.floats().map(repr),
+            st.integers(-(2**70), 2**70).map(str),
+            st.sampled_from(["0", "1", "2", "-1", "8", "16", "yes", "ture", "nan", "-inf",
+                             "1e-320", "gaussian", "exact-kp1", "file:", "file:x.fkpl"]),
+        ),
+    )
+    def test_any_known_key_resolves_or_is_a_config_error(self, tmp_path, key, value):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"alpha = 2\n{key} = {value}\n", encoding="utf-8")
+        args = build_parser().parse_args(["solve", "--config", str(config)])
+        try:
+            _solver_config(_resolve_options(args))
+        except ConfigError:
+            pass
 
 
 class TestAnalyze:

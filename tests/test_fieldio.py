@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fkplump.fieldio import (
     MAGIC,
@@ -13,7 +15,30 @@ from fkplump.fieldio import (
     load_field,
     save_field,
 )
-from fkplump.grid import RealField
+from fkplump.grid import RealField, SpectralGrid
+
+_GRID_16 = SpectralGrid(nx=16, ny=16, lx=4.0, ly=4.0)
+_FIELD_16 = RealField(_GRID_16, np.random.default_rng(16).standard_normal(_GRID_16.shape))
+_HEADER_BYTES = 56
+_FILE_BYTES = _HEADER_BYTES + 8 * 16 * 16
+
+
+def _load_bytes(path, raw):
+    """load_field on raw bytes; a ValueError subclass is the only failure allowed."""
+    path.write_bytes(raw)
+    try:
+        loaded = load_field(path)
+    except ValueError:
+        return
+    assert np.array_equal(loaded.field.values, _FIELD_16.values)
+
+
+@pytest.fixture(scope="module")
+def fkpl_16(tmp_path_factory):
+    """A scratch path and the bytes of a valid 16^2 field file."""
+    path = tmp_path_factory.mktemp("fkpl") / "field.fkpl"
+    save_field(path, _FIELD_16, alpha=1.7, c=2.0)
+    return path, path.read_bytes()
 
 
 @pytest.fixture()
@@ -91,3 +116,19 @@ class TestFailureModes:
 
     def test_magic_constant(self):
         assert MAGIC == b"FKPL"
+
+
+class TestCorruptedFiles:
+    @settings(max_examples=100, deadline=None)
+    @given(cut=st.integers(0, _FILE_BYTES))
+    def test_truncation_loads_exactly_or_is_a_value_error(self, fkpl_16, cut):
+        path, raw = fkpl_16
+        _load_bytes(path, raw[:cut])
+
+    @settings(max_examples=200, deadline=None)
+    @given(offset=st.integers(0, _HEADER_BYTES - 1), byte=st.integers(0, 255))
+    def test_header_byte_loads_exactly_or_is_a_value_error(self, fkpl_16, offset, byte):
+        path, raw = fkpl_16
+        corrupted = bytearray(raw)
+        corrupted[offset] = byte
+        _load_bytes(path, bytes(corrupted))

@@ -5,16 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkplump.grid import (
-    InvalidFieldError,
-    RealField,
-    SpectralField,
-    SpectralGrid,
-    SpectralSymmetryError,
-    forward_transform,
-    inverse_transform,
-    wavenumbers,
-)
+from fkplump.grid import InvalidFieldError, RealField, SpectralGrid, irfft2, rfft2
 
 
 class TestSpectralGrid:
@@ -37,18 +28,18 @@ class TestSpectralGrid:
     def test_wavenumber_order_nx8(self):
         # nx=8, lx=pi: transform-order signed indices 0..3, -4..-1
         grid = SpectralGrid(nx=8, ny=8, lx=np.pi, ly=np.pi)
-        xi1, _ = wavenumbers(grid)
+        xi1 = grid.xi1
         np.testing.assert_allclose(xi1, [0, 1, 2, 3, -4, -3, -2, -1], atol=1e-14)
 
     def test_wavenumber_spacing(self):
         grid = SpectralGrid(nx=8, ny=8, lx=4.0, ly=4.0)
-        xi1, _ = wavenumbers(grid)
+        xi1 = grid.xi1
         assert xi1[1] == pytest.approx(np.pi / 4.0, rel=1e-15)
 
     def test_experiment_scale_spacing(self):
         # 2^13 nodes on [-1024, 1024): spacing pi/1024
         grid = SpectralGrid(nx=2**13, ny=8, lx=1024.0, ly=1.0)
-        xi1, _ = wavenumbers(grid)
+        xi1 = grid.xi1
         assert xi1[1] == pytest.approx(np.pi / 1024.0, rel=1e-15)
         assert xi1[1] == pytest.approx(3.0679615757712823e-3, rel=1e-12)
 
@@ -58,6 +49,16 @@ class TestSpectralGrid:
             grid.nx = 32
         with pytest.raises(ValueError):
             grid.x[0] = 5.0
+
+    def test_half_lattice_columns(self):
+        # rfft2 keeps the columns k2 = 0..ny/2; the xi2 of the last one is
+        # the (negative) Nyquist value of the full lattice
+        grid = SpectralGrid(nx=8, ny=8, lx=np.pi, ly=np.pi)
+        np.testing.assert_allclose(grid.xi2_half, [0, 1, 2, 3, -4], atol=1e-14)
+        assert np.array_equal(grid.column_weights, [1.0, 2.0, 2.0, 2.0, 1.0])
+        for arr in (grid.xi2_half, grid.column_weights):
+            with pytest.raises(ValueError):
+                arr[0] = 5.0
 
 
 class TestFftWorkers:
@@ -80,9 +81,9 @@ class TestFftWorkers:
     def test_transform_value_unchanged_by_workers(self, monkeypatch, rng, small_grid):
         f = RealField(small_grid, rng.standard_normal(small_grid.shape))
         monkeypatch.setenv("FKP_THREADS", "2")
-        threaded = forward_transform(f).coeffs
+        threaded = rfft2(f.values)
         monkeypatch.setenv("FKP_THREADS", "1")
-        single = forward_transform(f).coeffs
+        single = rfft2(f.values)
         assert np.array_equal(threaded, single)
 
 
@@ -105,11 +106,10 @@ class TestFields:
 
 class TestTransforms:
     def test_constant_field_is_dc_only(self, small_grid):
-        f = RealField(small_grid, np.ones(small_grid.shape))
-        g = forward_transform(f)
+        coeffs = rfft2(np.ones(small_grid.shape))
         n_total = small_grid.nx * small_grid.ny
-        assert g.coeffs[0, 0] == pytest.approx(n_total, rel=1e-14)
-        rest = g.coeffs.copy()
+        assert coeffs[0, 0] == pytest.approx(n_total, rel=1e-14)
+        rest = coeffs.copy()
         rest[0, 0] = 0.0
         assert np.max(np.abs(rest)) <= 1e-9 * n_total
 
@@ -118,8 +118,7 @@ class TestTransforms:
         # each of magnitude nx*ny/2 (the node origin at -lx flips the sign)
         grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
         X, _ = grid.meshes()
-        f = RealField(grid, np.cos(np.pi * X / grid.lx))
-        coeffs = forward_transform(f).coeffs
+        coeffs = rfft2(np.cos(np.pi * X / grid.lx))
         half = grid.nx * grid.ny / 2.0
         assert abs(coeffs[1, 0]) == pytest.approx(half, rel=1e-12)
         assert abs(coeffs[-1, 0]) == pytest.approx(half, rel=1e-12)
@@ -130,28 +129,21 @@ class TestTransforms:
 
     def test_round_trip_random_field(self, rng):
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
-        f = RealField(grid, rng.standard_normal(grid.shape))
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * f.max_abs()
+        f = rng.standard_normal(grid.shape)
+        back = irfft2(rfft2(f), grid.shape)
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
     def test_zero_coefficients_give_zero_field(self, small_grid):
-        g = SpectralField(small_grid, np.zeros(small_grid.shape, dtype=complex))
-        assert np.all(inverse_transform(g).values == 0.0)
+        coeffs = np.zeros((small_grid.nx, small_grid.ny // 2 + 1), dtype=complex)
+        assert np.all(irfft2(coeffs, small_grid.shape) == 0.0)
 
     def test_dc_coefficient_gives_constant(self, small_grid):
-        coeffs = np.zeros(small_grid.shape, dtype=complex)
+        coeffs = np.zeros((small_grid.nx, small_grid.ny // 2 + 1), dtype=complex)
         coeffs[0, 0] = small_grid.nx * small_grid.ny
-        f = inverse_transform(SpectralField(small_grid, coeffs))
-        np.testing.assert_allclose(f.values, 1.0, atol=1e-13)
-
-    def test_asymmetric_coefficients_rejected(self, small_grid):
-        coeffs = np.zeros(small_grid.shape, dtype=complex)
-        coeffs[1, 0] = 1.0  # no conjugate partner at (-1, 0)
-        with pytest.raises(SpectralSymmetryError):
-            inverse_transform(SpectralField(small_grid, coeffs))
+        np.testing.assert_allclose(irfft2(coeffs, small_grid.shape), 1.0, atol=1e-13)
 
     def test_half_spectrum_is_the_full_one_truncated(self, rng):
-        from fkplump.grid import fft2, irfft2, rfft2
+        from fkplump.grid import fft2
 
         grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
         values = rng.standard_normal(grid.shape)
@@ -163,8 +155,6 @@ class TestTransforms:
         assert np.max(np.abs(back - values)) <= 1e-12 * np.max(np.abs(values))
 
     def test_in_place_inverse_is_bit_identical(self, rng):
-        from fkplump.grid import irfft2, rfft2
-
         grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
         half = rfft2(rng.standard_normal(grid.shape))
         expected = irfft2(half, grid.shape)
@@ -176,8 +166,36 @@ class TestTransforms:
 
         grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
         f = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
-        back = inverse_transform(forward_transform(f))
-        assert np.max(np.abs(back.values - f.values)) <= 1e-12 * f.max_abs()
+        back = irfft2(rfft2(f.values), grid.shape)
+        assert np.max(np.abs(back - f.values)) <= 1e-12 * f.max_abs()
+
+
+class TestRealTransformsOnly:
+    def test_no_complex_transform_on_library_paths(self, monkeypatch, rng):
+        # every field is real, so no library path needs a complex 2D transform
+        import scipy.fft
+
+        from fkplump.diagnostics import fourier_tail, functionals, residual
+        from fkplump.kernels import build_kernel, convolve
+        from fkplump.reference import ExactLumpParams, exact_kp1_lump, rescale_solution
+        from fkplump.symbols import SymbolParams
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex full-lattice transform called")
+
+        for module in (scipy.fft, np.fft):
+            for name in ("fft2", "ifft2", "fftn", "ifftn"):
+                monkeypatch.setattr(module, name, forbidden)
+
+        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        phi = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
+        residual(phi, SymbolParams(alpha=2.0, c=1.0))
+        functionals(phi, 1.5)
+        fourier_tail(phi)
+        K = build_kernel(grid, 1.5, "K")
+        build_kernel(grid, 1.5, "H")
+        convolve(K, RealField(grid, rng.standard_normal(grid.shape)))
+        rescale_solution(phi, 2.0, 1.5, SpectralGrid(nx=32, ny=32, lx=8.0, ly=4.0))
 
 
 @st.composite
@@ -199,20 +217,20 @@ class TestTransformProperties:
     @given(grid_and_two_fields())
     def test_linearity(self, data):
         grid, f, g, a, b = data
-        lhs = forward_transform(RealField(grid, a * f + b * g)).coeffs
-        rhs = a * forward_transform(RealField(grid, f)).coeffs + b * forward_transform(
-            RealField(grid, g)
-        ).coeffs
+        lhs = rfft2(a * f + b * g)
+        rhs = a * rfft2(f) + b * rfft2(g)
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
     @settings(max_examples=25, deadline=None)
     @given(grid_and_two_fields())
     def test_parseval(self, data):
+        # each half-lattice column counts with its multiplicity in the full lattice
         grid, f, _, _, _ = data
-        coeffs = forward_transform(RealField(grid, f)).coeffs
+        coeffs = rfft2(f)
         real_energy = np.sum(f**2) * grid.cell_area
-        spec_energy = np.sum(np.abs(coeffs) ** 2) * grid.cell_area / (grid.nx * grid.ny)
+        power = grid.column_weights * np.abs(coeffs) ** 2
+        spec_energy = np.sum(power) * grid.cell_area / (grid.nx * grid.ny)
         assert spec_energy == pytest.approx(real_energy, rel=1e-10)
 
     @settings(max_examples=25, deadline=None)
@@ -220,9 +238,9 @@ class TestTransformProperties:
     def test_translation_phase(self, data):
         grid, f, _, _, _ = data
         shifted = np.roll(f, 1, axis=0)
-        lhs = forward_transform(RealField(grid, shifted)).coeffs
+        lhs = rfft2(shifted)
         k = np.fft.fftfreq(grid.nx) * grid.nx
         phase = np.exp(-2j * np.pi * k / grid.nx)[:, None]
-        rhs = phase * forward_transform(RealField(grid, f)).coeffs
+        rhs = phase * rfft2(f)
         scale = max(np.max(np.abs(rhs)), 1.0)
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale

@@ -1,25 +1,28 @@
-"""Fourier multiplier values, parities and application."""
+"""Fourier multiplier values and parities on the rfft2 half-lattice."""
 
 import numpy as np
 import pytest
 
-from fkplump.grid import GridMismatchError, RealField, SpectralGrid
+from fkplump.grid import SpectralGrid, irfft2, rfft2
 from fkplump.kernels import build_kernel
 from fkplump.symbols import (
-    MultiplierField,
     SymbolParams,
     UnsupportedEquationError,
-    apply_multiplier,
     half_lattice_denominator,
-    petviashvili_denominator,
     symbol_h,
     symbol_m,
 )
+from oracles import complex_denominator
 
 
 def lattice_value(grid, values, k1, k2):
-    """Value at signed mode indices (k1, k2)."""
-    return values[k1 % grid.nx, k2 % grid.ny]
+    """Value at signed mode index k1 and column k2 (0 <= k2 <= ny/2)."""
+    return values[k1 % grid.nx, k2]
+
+
+def apply_multiplier(values, sym):
+    """The real field whose half-spectrum is sym * rfft2(values)."""
+    return irfft2(sym * rfft2(values), values.shape)
 
 
 @pytest.fixture()
@@ -30,26 +33,29 @@ def grid_pi():
 
 class TestDenominator:
     def test_spot_values(self, grid_pi):
-        d2 = petviashvili_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0)).values
+        d2 = half_lattice_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0))
         assert lattice_value(grid_pi, d2, 1, 0) == pytest.approx(4.0, rel=1e-12)
         assert lattice_value(grid_pi, d2, 0, 0) == pytest.approx(2.0, rel=1e-12)
-        d1 = petviashvili_denominator(grid_pi, SymbolParams(alpha=1.0, c=1.0)).values
+        d1 = half_lattice_denominator(grid_pi, SymbolParams(alpha=1.0, c=1.0))
         assert lattice_value(grid_pi, d1, 1, 2) == pytest.approx(12.0, rel=1e-12)
 
     def test_origin_is_2c(self, grid_pi):
         for c in (0.5, 1.0, 3.0):
-            d = petviashvili_denominator(grid_pi, SymbolParams(alpha=1.3, c=c)).values
+            d = half_lattice_denominator(grid_pi, SymbolParams(alpha=1.3, c=c))
             assert d[0, 0] == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_modulus_floor(self, grid_pi):
         p = SymbolParams(alpha=1.5, c=0.7)
-        d = petviashvili_denominator(grid_pi, p).values
+        d = half_lattice_denominator(grid_pi, p)
         assert np.min(np.abs(d)) >= 2.0 * p.c * (1.0 - 1e-12)
 
     def test_imaginary_part_small(self):
+        # the imaginary part that the real half-lattice D drops
         grid = SpectralGrid(nx=64, ny=64, lx=100.0, ly=100.0)
-        d = petviashvili_denominator(grid, SymbolParams(alpha=1.0, c=1.0)).values
-        interior = np.abs(d.imag)[1:, :]  # the regularized zero row is huge by design
+        p = SymbolParams(alpha=1.0, c=1.0)
+        dropped = complex_denominator(grid, p)[:, : grid.ny // 2 + 1].imag
+        d = half_lattice_denominator(grid, p)
+        interior = np.abs(dropped)[1:, :]  # the regularized zero row is huge by design
         assert np.max(interior) <= 1e-12 * np.max(np.abs(d[1:, :]))
 
     def test_half_lattice_is_real_part(self):
@@ -57,107 +63,108 @@ class TestDenominator:
         # one; the dropped imaginary part is at most 2 lambda/|xi1| of it
         grid = SpectralGrid(nx=64, ny=32, lx=100.0, ly=40.0)
         p = SymbolParams(alpha=1.5, c=1.0)
-        full = petviashvili_denominator(grid, p).values[:, : grid.ny // 2 + 1]
+        full = complex_denominator(grid, p)[:, : grid.ny // 2 + 1]
         half = half_lattice_denominator(grid, p)
         assert half.dtype == np.float64
+        assert half.shape == (grid.nx, grid.ny // 2 + 1)
+        assert not half.flags.writeable
         assert np.array_equal(half, full.real)
         xi1 = np.abs(grid.xi1[1:, None])
         assert np.all(np.abs(full.imag[1:]) <= 2.0 * p.lam / xi1 * np.abs(full.real[1:]))
         assert np.all(full.imag[0] == 0.0)
 
     def test_zero_row_is_huge(self, grid_pi):
-        d = petviashvili_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0)).values
+        d = half_lattice_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0))
         assert np.min(np.abs(d[0, 1:])) > 1e20  # annihilates non-zero-mass modes
 
     def test_rejects_weak_surface_tension(self, grid_pi):
         with pytest.raises(UnsupportedEquationError):
-            petviashvili_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0, sigma=1))
+            half_lattice_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0, sigma=1))
 
     def test_even_in_both_variables(self, grid_pi):
-        d = petviashvili_denominator(grid_pi, SymbolParams(alpha=1.7, c=1.0)).values
-        for k1, k2 in [(1, 2), (3, 5), (2, 0)]:
+        # even in xi1 on the stored columns, and each stored column k2 also
+        # holds the oracle's value at the conjugate column -k2
+        p = SymbolParams(alpha=1.7, c=1.0)
+        d = half_lattice_denominator(grid_pi, p)
+        full = complex_denominator(grid_pi, p).real
+        for k1, k2 in [(1, 2), (3, 5), (2, 0), (4, 8)]:
             assert lattice_value(grid_pi, d, -k1, k2) == pytest.approx(
                 lattice_value(grid_pi, d, k1, k2), rel=1e-12
             )
-            assert lattice_value(grid_pi, d, k1, -k2) == pytest.approx(
+            assert full[k1, -k2 % grid_pi.ny] == pytest.approx(
                 lattice_value(grid_pi, d, k1, k2), rel=1e-12
             )
+
+
+# A real half-lattice symbol s stands for the full-lattice symbol with
+# s(k1, -k2) = s(-k1, k2), so its parity in xi1 on the stored columns
+# fixes its parity in xi2 as well.
 
 
 class TestSymbolM:
     def test_spot_values(self, grid_pi):
-        m2 = symbol_m(grid_pi, 2.0).values
+        m2 = symbol_m(grid_pi, 2.0)
         assert lattice_value(grid_pi, m2, 1, 0) == pytest.approx(0.5, rel=1e-12)
-        m1 = symbol_m(grid_pi, 1.0).values
+        m1 = symbol_m(grid_pi, 1.0)
         assert lattice_value(grid_pi, m1, 2, 0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_zero_row(self, grid_pi):
-        m = symbol_m(grid_pi, 1.35).values
+        m = symbol_m(grid_pi, 1.35)
         assert np.max(np.abs(m[0, 1:])) <= 1e-30
 
     def test_range(self, grid_pi):
         for alpha in (0.5, 1.0, 1.7, 2.0):
-            m = symbol_m(grid_pi, alpha).values
-            assert np.all(m.real >= 0.0)
-            assert np.all(m.real <= 1.0)
-            assert np.all(m.imag == 0.0)
+            m = symbol_m(grid_pi, alpha)
+            assert m.dtype == np.float64
+            assert np.all(m >= 0.0)
+            assert np.all(m <= 1.0)
 
     def test_even_in_both(self, grid_pi):
-        m = symbol_m(grid_pi, 1.5).values
-        for k1, k2 in [(1, 2), (3, 1), (5, 4)]:
+        m = symbol_m(grid_pi, 1.5)
+        for k1, k2 in [(1, 2), (3, 1), (5, 4), (3, 8)]:
             assert lattice_value(grid_pi, m, -k1, k2) == lattice_value(grid_pi, m, k1, k2)
-            assert lattice_value(grid_pi, m, k1, -k2) == lattice_value(grid_pi, m, k1, k2)
+
+    def test_read_only_half_lattice(self, grid_pi):
+        for sym in (symbol_m(grid_pi, 1.5), symbol_h(grid_pi, 1.5)):
+            assert sym.shape == (grid_pi.nx, grid_pi.ny // 2 + 1)
+            assert not sym.flags.writeable
 
 
 class TestSymbolH:
     def test_spot_values(self, grid_pi):
-        h2 = symbol_h(grid_pi, 2.0).values
+        h2 = symbol_h(grid_pi, 2.0)
         assert lattice_value(grid_pi, h2, 1, 0) == pytest.approx(0.5, rel=1e-12)
-        h1 = symbol_h(grid_pi, 1.0).values
+        h1 = symbol_h(grid_pi, 1.0)
         assert lattice_value(grid_pi, h1, 1, 1) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
     def test_zero_row(self, grid_pi):
-        h = symbol_h(grid_pi, 1.0).values
+        h = symbol_h(grid_pi, 1.0)
         assert np.all(h[0, :] == 0.0)
 
     def test_odd_in_x_even_in_y(self, grid_pi):
-        h = symbol_h(grid_pi, 1.5).values
+        h = symbol_h(grid_pi, 1.5)
         for k1 in range(1, grid_pi.nx // 2):  # Nyquist row excluded (unpaired)
-            for k2 in (0, 1, 3):
+            for k2 in (0, 1, 3, 8):
                 assert lattice_value(grid_pi, h, -k1, k2) == -lattice_value(grid_pi, h, k1, k2)
-                assert lattice_value(grid_pi, h, k1, -k2) == lattice_value(grid_pi, h, k1, k2)
 
 
 class TestApplyMultiplier:
-    def test_identity(self, small_grid, rng):
-        f = RealField(small_grid, rng.standard_normal(small_grid.shape))
-        one = MultiplierField(small_grid, np.ones(small_grid.shape, dtype=complex))
-        out = apply_multiplier(f, one)
-        assert np.max(np.abs(out.values - f.values)) <= 1e-12 * f.max_abs()
+    """Half-lattice symbols applied to real fields by rfft2 / irfft2."""
 
     def test_cosine_eigenfunction(self):
         # |xi1|^2 has eigenvalue 1 on cos(pi x / lx) when lx = pi
         grid = SpectralGrid(nx=32, ny=16, lx=np.pi, ly=2.0)
         X, _ = grid.meshes()
-        f = RealField(grid, np.cos(X))
-        sym = MultiplierField(grid, (grid.xi1[:, None] ** 2 + 0j) * np.ones((1, grid.ny)))
-        out = apply_multiplier(f, sym)
-        assert np.max(np.abs(out.values - f.values)) <= 1e-12
-
-    def test_grid_mismatch(self, small_grid):
-        other = SpectralGrid(nx=32, ny=32, lx=16.0, ly=16.0)
-        f = RealField(small_grid, np.zeros(small_grid.shape))
-        m = MultiplierField(other, np.ones(other.shape, dtype=complex))
-        with pytest.raises(GridMismatchError):
-            apply_multiplier(f, m)
+        f = np.cos(X)
+        sym = grid.xi1[:, None] ** 2 * np.ones((1, grid.ny // 2 + 1))
+        assert np.max(np.abs(apply_multiplier(f, sym) - f)) <= 1e-12
 
     def test_impulse_response_matches_kernel(self):
         # reciprocal denominator applied to a delta impulse samples K/2
         grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
-        values = np.zeros(grid.shape)
-        values[grid.nx // 2, grid.ny // 2] = 1.0 / grid.cell_area
-        delta = RealField(grid, values)
-        denom = petviashvili_denominator(grid, SymbolParams(alpha=2.0, c=1.0))
-        out = apply_multiplier(delta, MultiplierField(grid, 1.0 / denom.values))
+        delta = np.zeros(grid.shape)
+        delta[grid.nx // 2, grid.ny // 2] = 1.0 / grid.cell_area
+        denom = half_lattice_denominator(grid, SymbolParams(alpha=2.0, c=1.0))
+        out = apply_multiplier(delta, 1.0 / denom)
         kernel = build_kernel(grid, 2.0, "K")
-        assert np.max(np.abs(out.values - 0.5 * kernel.values)) <= 1e-12
+        assert np.max(np.abs(out - 0.5 * kernel.values)) <= 1e-12
