@@ -29,7 +29,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -211,15 +211,7 @@ class RunManifest:
     software_version: str = __version__
 
     def write(self, path: Path) -> None:
-        payload = {
-            "config": self.config,
-            "outputs": self.outputs,
-            "timings": self.timings,
-            "environment": self.environment,
-            "run": self.run,
-            "software_version": self.software_version,
-        }
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
 
 
 def _write_iteration_log(path: Path, report) -> None:
@@ -434,7 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--lambda", dest="lambda_", type=float)
     ps.add_argument("--n", type=int)
     ps.add_argument("--l", type=float)
-    ps.add_argument("--tol", type=float)
+    ps.add_argument("--tol", type=float, help="absolute bound on all three monitors; at "
+                    "speed c the step error scales like c, the residual like c^(2+2/alpha)")
     ps.add_argument("--max-iter", type=int)
     ps.add_argument("--seed", type=str, help="gaussian | exact-kp1 | file:PATH")
     ps.add_argument("--seed-amplitude", type=float)
@@ -470,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--c", type=float, default=1.0)
     pc.add_argument("--n", type=int, default=256, help="node count at the first --l value")
     pc.add_argument("--l", type=str, required=True, help="comma list of half-widths")
-    pc.add_argument("--tol", type=float, default=1e-5)
+    pc.add_argument("--tol", type=float, default=1e-5, help="absolute, as for solve --tol")
     pc.add_argument("--out", type=str, default=".")
     pc.set_defaults(func=run_convergence_study)
 

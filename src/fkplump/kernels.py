@@ -13,10 +13,10 @@ expanding domains:
   * diverging exponents keep growing (> 5% per doubling),
   * anything in between is reported as inconclusive rather than asserted.
 
-Each truncated norm is computed two independent ways: direct 2D panel
-quadrature of |symbol|^p in (xi1, xi2), and a 1D reduction in which the
-xi2 integral is evaluated in the scaled variable z = xi2 / (xi1 *
-sqrt(1 + xi1^alpha)) where it becomes an incomplete-beta factor.  The
+Each truncated norm is computed two independent ways, both with one
+24-point Gauss-Legendre rule on dyadic xi1 panels: 2D quadrature of
+|symbol|^p in (xi1, xi2), and a 1D reduction in which the xi2 integral is
+an incomplete-beta factor of z = xi2 / (xi1 sqrt(1 + xi1^alpha)).  The
 domains carry a shrinking inner cutoff |xi1| >= 1/R^3 alongside the
 growing box |xi1|, |xi2| <= R, so divergence at the origin (the h symbol
 for p >= 2) is detected by the same increment criterion as divergence at
@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
@@ -42,6 +41,9 @@ DIVERGING_BAND = 0.05
 
 #: Dyadic truncation radii 2^2 .. 2^16; inner cutoff is radius**-3.
 PROBE_EXPONENTS = range(2, 17)
+
+#: The 24-point Gauss-Legendre rule on [-1, 1] that both routes use.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
 class InvalidExponentError(ValueError):
@@ -71,6 +73,13 @@ class KernelNormProbe:
     norms: np.ndarray
     last_increment: float
     verdict: str
+
+
+def _verdict(last_increment: float) -> str:
+    """Verdict on the relative norm growth over the final radius doubling."""
+    if last_increment < CONVERGING_BAND:
+        return "converging"
+    return "diverging" if last_increment > DIVERGING_BAND else "inconclusive"
 
 
 def _alternating_phase(grid: SpectralGrid) -> np.ndarray:
@@ -136,14 +145,12 @@ def kernel_decay(kernel: RealField, power: float, axis: str = "x") -> DecayProfi
 
 def _z_factor(p: float, zeta: np.ndarray) -> np.ndarray:
     """integral of (1 + z^2)^-p over |z| <= zeta, via the incomplete beta."""
-    zeta = np.asarray(zeta, dtype=np.float64)
     t = zeta**2 / (1.0 + zeta**2)
     return beta_fn(0.5, p - 0.5) * betainc(0.5, p - 0.5, t)
 
 
 def _weight(which: str, alpha: float, p: float, xi1: np.ndarray) -> np.ndarray:
     """xi2-reduced weight of |symbol|^p at positive xi1."""
-    xi1 = np.asarray(xi1, dtype=np.float64)
     base = xi1 * (1.0 + xi1**alpha) ** (0.5 - p)
     if which == "m":
         return base
@@ -152,7 +159,6 @@ def _weight(which: str, alpha: float, p: float, xi1: np.ndarray) -> np.ndarray:
 
 def _zeta(alpha: float, xi1: np.ndarray, radius: float) -> np.ndarray:
     """Scaled xi2 box limit: z at xi2 = radius."""
-    xi1 = np.asarray(xi1, dtype=np.float64)
     return radius / (xi1 * np.sqrt(1.0 + xi1**alpha))
 
 
@@ -166,13 +172,19 @@ def _dyadic_panels(lo: float, hi: float) -> np.ndarray:
     return np.array(edges)
 
 
-def _quad_panels(f, lo: float, hi: float) -> float:
-    edges = _dyadic_panels(lo, hi)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(f, a, b, limit=200)
-        total += val
-    return total
+def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on the panels between consecutive edges."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    pts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
+    wts = half[:, None] * _GL_WEIGHTS[None, :]
+    return pts.ravel(), wts.ravel()
+
+
+def _panel_integral(f, lo: float, hi: float) -> float:
+    """Integral of the vectorised f over [lo, hi] on dyadic Gauss-Legendre panels."""
+    x, w = _panel_rule(_dyadic_panels(lo, hi))
+    return float(np.dot(w, f(x)))
 
 
 def _separated_increment(
@@ -192,17 +204,17 @@ def _separated_increment(
     The factor 2 accounts for +-xi1; the z factor already covers +-xi2.
     """
 
-    def band(xi1: float, radius: float) -> float:
-        return _weight(which, alpha, p, xi1) * _z_factor(p, _zeta(alpha, xi1, radius))
+    def band(xi1: np.ndarray) -> np.ndarray:
+        return _weight(which, alpha, p, xi1) * _z_factor(p, _zeta(alpha, xi1, r_new))
 
-    def extension(xi1: float) -> float:
+    def extension(xi1: np.ndarray) -> np.ndarray:
         znew = _z_factor(p, _zeta(alpha, xi1, r_new))
         zold = _z_factor(p, _zeta(alpha, xi1, r_prev))
         return _weight(which, alpha, p, xi1) * (znew - zold)
 
-    total = _quad_panels(lambda x: band(x, r_new), r_prev, r_new)
-    total += _quad_panels(lambda x: band(x, r_new), d_new, d_prev)
-    total += _quad_panels(extension, d_prev, r_prev)
+    total = _panel_integral(band, r_prev, r_new)
+    total += _panel_integral(band, d_new, d_prev)
+    total += _panel_integral(extension, d_prev, r_prev)
     return 2.0 * total
 
 
@@ -213,8 +225,6 @@ def _box_quadrature(which: str, alpha: float, p: float, radius: float, cutoff: f
     original coordinates (times 4 by symmetry) on dyadic xi1 panels, with
     xi2 panels laid out from the local transverse scale of the symbol.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(24)
-
     if which == "m":
         def symbol_pow(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
             return (x1**2 / (x1**2 + x2**2 + x1 ** (alpha + 2.0))) ** p
@@ -222,22 +232,15 @@ def _box_quadrature(which: str, alpha: float, p: float, radius: float, cutoff: f
         def symbol_pow(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
             return (x1 / (x1**2 + x2**2 + x1 ** (alpha + 2.0))) ** p
 
-    def panel_nodes(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        pts = mid[:, None] + half[:, None] * nodes[None, :]
-        wts = half[:, None] * weights[None, :]
-        return pts.ravel(), wts.ravel()
-
     total = 0.0
     x1_edges = _dyadic_panels(cutoff, radius)
     for a, b in zip(x1_edges[:-1], x1_edges[1:]):
-        x1_pts, x1_wts = panel_nodes(np.array([a, b]))
+        x1_pts, x1_wts = _panel_rule(np.array([a, b]))
         s = a * np.sqrt(1.0 + a**alpha)  # transverse scale at the panel edge
         inner_edges = [0.0, min(s, radius)]
         while inner_edges[-1] < radius:
             inner_edges.append(min(2.0 * inner_edges[-1], radius))
-        x2_pts, x2_wts = panel_nodes(np.array(inner_edges))
+        x2_pts, x2_wts = _panel_rule(np.array(inner_edges))
         vals = symbol_pow(x1_pts[:, None], x2_pts[None, :])
         total += float(np.sum(x1_wts[:, None] * x2_wts[None, :] * vals))
     return 4.0 * total
@@ -258,6 +261,8 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     InvalidExponentError
         For p <= 1/2, where the transverse integral diverges identically.
     """
+    if not (np.isfinite(alpha) and np.isfinite(p)):
+        raise ValueError(f"alpha and p must be finite, got alpha={alpha!r}, p={p!r}")
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if p <= 0.5:
@@ -280,12 +285,6 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
 
     norms = np.array(powers) ** (1.0 / p)
     last_increment = float((norms[-1] - norms[-2]) / norms[-1])
-    if last_increment < CONVERGING_BAND:
-        verdict = "converging"
-    elif last_increment > DIVERGING_BAND:
-        verdict = "diverging"
-    else:
-        verdict = "inconclusive"
 
     box = _box_quadrature(which, alpha, p, radii[-1], cutoffs[-1]) ** (1.0 / p)
     return IntegrabilityProbe(
@@ -294,7 +293,7 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
         which=which,
         truncation_radii=radii,
         truncated_norms=norms,
-        verdict=verdict,
+        verdict=_verdict(last_increment),
         last_increment=last_increment,
         box_norm=box,
     )
@@ -316,12 +315,7 @@ def kernel_norm_probe(kernel: RealField, r: float, n_radii: int = 5) -> KernelNo
     mass = np.abs(kernel.values) ** r * grid.cell_area
     norms = np.array([float(np.sum(mass[box <= rad])) ** (1.0 / r) for rad in radii])
     last_increment = float((norms[-1] - norms[-2]) / norms[-1])
-    if last_increment < CONVERGING_BAND:
-        verdict = "converging"
-    elif last_increment > DIVERGING_BAND:
-        verdict = "diverging"
-    else:
-        verdict = "inconclusive"
     return KernelNormProbe(
-        r=r, radii=radii, norms=norms, last_increment=last_increment, verdict=verdict
+        r=r, radii=radii, norms=norms, last_increment=last_increment,
+        verdict=_verdict(last_increment),
     )

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, SpectralGrid, rfft2
+from .grid import RealField, SpectralGrid
 
 
 class DomainRangeError(ValueError):
@@ -51,19 +51,28 @@ def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealFie
     return RealField(grid, amplitude * np.exp(-(X**2 + Y**2) / width**2))
 
 
-def _trig_eval_matrix(xi: np.ndarray, points: np.ndarray, half_width: float, n: int) -> np.ndarray:
-    """Complex evaluation matrix of the trig interpolant at off-lattice points.
+def _periodic_sinc_matrix(points: np.ndarray, half_width: float, n: int) -> np.ndarray:
+    """Real matrix that evaluates the trig interpolant at off-lattice points.
 
-    Node j sits at -half_width + j*dx, so the DFT phase of mode k at a
-    physical point x is exp(i xi_k (x + half_width)).  The unpaired
-    Nyquist mode xi[n // 2] is evaluated as a cosine, the symmetric
-    convention that reproduces lattice points exactly.  xi is either the
-    full set of n wavenumbers or its half-lattice part (n // 2 + 1).
+    Entry (i, j) is the periodic sinc sin(pi d) / (n tan(pi d / n)) of
+    d = u_i - j, u_i = (x_i + half_width) / dx, and 1 at d = 0: the
+    interpolant whose unpaired Nyquist mode is a cosine, which reproduces
+    lattice values exactly.  sin(pi d) = (-1)^j sin(pi u_i) is taken from
+    u_i's offset to the nearest integer, and d is reduced to [-n/2, n/2],
+    so entries near a node or half a period away keep full accuracy.
     """
-    shifted = points + half_width
-    e = np.exp(1j * np.outer(shifted, xi))
-    e[:, n // 2] = np.cos(xi[n // 2] * shifted)
-    return e
+    u = (points + half_width) / (2.0 * half_width / n)
+    nearest = np.round(u)
+    sin_u = np.where(nearest % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (u - nearest))
+    nodes = np.arange(n)
+    offset = u[:, None] - nodes[None, :]
+    offset -= n * np.round(offset / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(nodes % 2 == 0, 1.0, -1.0) * sin_u[:, None] / (
+            n * np.tan(np.pi * offset / n)
+        )
+    values[offset == 0.0] = 1.0
+    return values
 
 
 def rescale_solution(
@@ -75,10 +84,10 @@ def rescale_solution(
 
     where psi is the input field (a solution at c = 1).  Values at the
     stretched coordinates are taken from the source field's trigonometric
-    interpolant (a tensor-product evaluation of its Fourier series), which
-    is accurate to the source grid's spectral tail; local polynomial
-    interpolation of these peaked profiles would cost several orders of
-    magnitude in accuracy.
+    interpolant, evaluated in real space as Px @ psi @ Py^T with periodic
+    sinc matrices, which is accurate to the source grid's spectral tail;
+    local polynomial interpolation of these peaked profiles would cost
+    several orders of magnitude in accuracy.
 
     Raises
     ------
@@ -99,10 +108,7 @@ def rescale_solution(
             "stretched target coordinates fall outside the source domain; "
             "use a larger source grid or a smaller speed ratio"
         )
-    # Half-lattice coefficients: each column k2 != 0, ny/2 also stands for
-    # its conjugate column -k2, whose terms are the conjugates of its own.
-    coeffs = rfft2(phi.values) / (src.nx * src.ny)
-    ex = _trig_eval_matrix(src.xi1, xs, src.lx, src.nx)
-    ey = _trig_eval_matrix(src.xi2_half, ys, src.ly, src.ny) * src.column_weights
-    values = c * np.real(ex @ coeffs @ ey.T)
+    px = _periodic_sinc_matrix(xs, src.lx, src.nx)
+    py = _periodic_sinc_matrix(ys, src.ly, src.ny)
+    values = c * (px @ phi.values @ py.T)
     return RealField(target_grid, values)

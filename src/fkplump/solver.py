@@ -118,7 +118,13 @@ class SeedSpec:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """All parameters of one Petviashvili run."""
+    """All parameters of one Petviashvili run.
+
+    tol is absolute, not scaled by the field.  Under the speed scaling
+    phi_c(x, y) = c psi(c^(1/alpha) x, c^(1/alpha + 1/2) y) the step error
+    grows like c, the residual like c^(2 + 2/alpha), and |1 - M| does not
+    depend on c.
+    """
 
     params: SymbolParams
     grid: SpectralGrid

@@ -1,4 +1,4 @@
-"""Full-lattice complex reference formulas that the half-lattice code is checked against."""
+"""Complex reference formulas that the real half-lattice and real-space code is checked against."""
 
 import numpy as np
 
@@ -14,3 +14,27 @@ def complex_denominator(grid, p):
     xi1 = grid.xi1[:, None].astype(np.complex128)
     xi2 = grid.xi2[None, :]
     return 2.0 * (p.c + xi2**2 / (xi1 + 1j * p.lam) ** 2 + dispersion_symbol(grid, p.alpha))
+
+
+def _exponential_eval_matrix(xi, points, half_width, n):
+    """exp(i xi_k (x + half_width)) at each point, the Nyquist mode xi[n // 2] as a cosine."""
+    shifted = points + half_width
+    e = np.exp(1j * np.outer(shifted, xi))
+    e[:, n // 2] = np.cos(xi[n // 2] * shifted)
+    return e
+
+
+def complex_rescale(phi, alpha, c, target_grid):
+    """c * psi(c^(1/alpha) x, c^(1/alpha + 1/2) y) summed as a complex Fourier series.
+
+    The source field's rfft2 coefficients are evaluated at the stretched
+    target coordinates with complex exponential matrices; each half-lattice
+    column k2 != 0, ny/2 also stands for its conjugate column -k2.
+    """
+    src = phi.grid
+    xs = c ** (1.0 / alpha) * target_grid.x
+    ys = c ** (1.0 / alpha + 0.5) * target_grid.y
+    coeffs = np.fft.rfft2(phi.values) / (src.nx * src.ny)
+    ex = _exponential_eval_matrix(src.xi1, xs, src.lx, src.nx)
+    ey = _exponential_eval_matrix(src.xi2_half, ys, src.ly, src.ny) * src.column_weights
+    return c * np.real(ex @ coeffs @ ey.T)

@@ -328,6 +328,14 @@ class TestKernelProbe:
         code = run(["kernel-probe", "--alpha", "1", "--p", "0.7", "--out", tmp_path])
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("alpha, p", [("1", "nan"), ("nan", "2"), ("inf", "2")])
+    def test_rejects_non_finite_parameters(self, tmp_path, capsys, alpha, p):
+        code = run(["kernel-probe", "--alpha", alpha, "--p", p, "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "finite" in err[0]
+        assert not (tmp_path / "kernel_probe_m.csv").exists()
+
 
 class TestReference:
     def test_emits_exact_lump(self, tmp_path):

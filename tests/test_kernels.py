@@ -1,5 +1,9 @@
 """Kernel construction, decay, and symbol integrability probes."""
 
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,28 @@ from fkplump.kernels import (
     kernel_decay,
     kernel_norm_probe,
 )
+
+
+M_THRESHOLD = 2.0 / (4.0 / 3.0) + 0.5  # m's L^p threshold at alpha = 4/3
+H_LOWER = 0.5 + 3.0 / (2.0 * (1.0 + 4.0 / 3.0))  # lower end of h's window at alpha = 4/3
+
+#: (alpha, p, which, truncated_norms[-1], last_increment, box_norm) of the
+#: adaptive-quadrature probe that the fixed panel rule replaced: the four
+#: criterion-5 cases, then the alpha = 4/3 and 1.5 cases below.
+PROBE_TABLE = [
+    (1.0, 3.0, "m", 1.4520547874943477, 0.0022695687010640454, 1.4520547874943477),
+    (1.0, 2.0, "m", 19.32895789187516, 0.11413733134687605, 19.328957891875163),
+    (1.0, 1.9, "h", 6.021101966472979, 0.004725683316379242, 6.021101966472981),
+    (1.0, 2.1, "h", 24.26973555573279, 0.09833314213436171, 24.269735555732794),
+    (4 / 3, 0.8 * M_THRESHOLD, "m", 37.912246583087956, 0.13386873266691596, 37.912246583088),
+    (4 / 3, 1.2 * M_THRESHOLD, "m", 1.799996790152491, 0.002750153988188892, 1.7999967901524916),
+    (4 / 3, 0.8 * H_LOWER, "h", 876.8112163994808, 0.22058792653507123, 876.8112163992224),
+    (4 / 3, 1.2 * H_LOWER, "h", 6.213949541785324, 0.00313786972274233, 6.213949541785326),
+    (4 / 3, 1.6, "h", 4.311482236691283, 8.050603656233272e-05, 4.311482236691284),
+    (4 / 3, 2.4, "h", 571.154322034266, 0.2928941626563801, 571.1543220342661),
+    (1.5, 2.2, "m", 1.9858938156894856, 0.003018090705992452, 1.9858938156894852),
+    (1.5, 1.6, "h", 4.245967429731169, 3.639245918422463e-05, 4.245967429731169),
+]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +103,36 @@ class TestIntegrabilityProbe:
         with pytest.raises(ValueError):
             integrability_probe(1.0, 2.0, "q")
 
+    @pytest.mark.parametrize(
+        "alpha, p", [(1.0, np.nan), (np.nan, 2.0), (np.inf, 2.0), (1.0, np.inf)]
+    )
+    def test_rejects_non_finite_parameters(self, alpha, p):
+        with pytest.raises(ValueError, match="finite"):
+            integrability_probe(alpha, p, "m")
+
+    @pytest.mark.parametrize("alpha, p, which, norm, last, box", PROBE_TABLE)
+    def test_matches_adaptive_quadrature_table(self, alpha, p, which, norm, last, box):
+        probe = integrability_probe(alpha, p, which)
+        assert probe.truncated_norms[-1] == pytest.approx(norm, rel=1e-10)
+        assert probe.last_increment == pytest.approx(last, rel=1e-10)
+        assert probe.box_norm == pytest.approx(box, rel=1e-10)
+
+    @pytest.mark.parametrize("which", ["m", "h"])
+    def test_near_critical_exponent_is_warning_free(self, which):
+        # p = 0.55 sits just above the p = 1/2 limit of the transverse integral
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probe = integrability_probe(3.0, 0.55, which)
+        assert np.all(np.isfinite(probe.truncated_norms))
+        assert np.isfinite(probe.box_norm)
+
+    def test_import_leaves_out_scipy_integrate(self):
+        code = "import sys, fkplump; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_norms_nondecreasing(self):
         probe = integrability_probe(1.0, 3.0, "m")
         assert np.all(np.diff(probe.truncated_norms) >= 0.0)
@@ -84,16 +140,14 @@ class TestIntegrabilityProbe:
 
     def test_m_threshold_bracketing_l2_critical(self):
         # at alpha = 4/3 the threshold sits exactly at p = 2
-        threshold = 2.0 / (4.0 / 3.0) + 0.5
-        below = integrability_probe(4.0 / 3.0, 0.8 * threshold, "m")
-        above = integrability_probe(4.0 / 3.0, 1.2 * threshold, "m")
+        below = integrability_probe(4.0 / 3.0, 0.8 * M_THRESHOLD, "m")
+        above = integrability_probe(4.0 / 3.0, 1.2 * M_THRESHOLD, "m")
         assert below.verdict == "diverging"
         assert above.verdict == "converging"
 
     def test_h_window_bracketing(self):
-        lower = 0.5 + 3.0 / (2.0 * (1.0 + 4.0 / 3.0))
-        assert integrability_probe(4.0 / 3.0, 0.8 * lower, "h").verdict == "diverging"
-        assert integrability_probe(4.0 / 3.0, 1.2 * lower, "h").verdict == "converging"
+        assert integrability_probe(4.0 / 3.0, 0.8 * H_LOWER, "h").verdict == "diverging"
+        assert integrability_probe(4.0 / 3.0, 1.2 * H_LOWER, "h").verdict == "converging"
         assert integrability_probe(4.0 / 3.0, 0.8 * 2.0, "h").verdict == "converging"
         assert integrability_probe(4.0 / 3.0, 1.2 * 2.0, "h").verdict == "diverging"
 

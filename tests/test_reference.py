@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from oracles import complex_rescale
 
-from fkplump.grid import SpectralGrid
+from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import (
     DomainRangeError,
     ExactLumpParams,
@@ -106,6 +107,23 @@ class TestRescale:
         expected = exact_kp1_lump(back_grid, ExactLumpParams(c=1.0))
         # tolerance: twice the single-interpolation error budget
         assert np.max(np.abs(back.values - expected.values)) <= 2e-6
+
+    @pytest.mark.parametrize(
+        "n_src, n_tgt, alpha, c", [(256, 128, 1.5, 1.7), (64, 32, 2.0, 0.8)]
+    )
+    def test_matches_complex_fourier_series(self, n_src, n_tgt, alpha, c):
+        # neither even nor band-limited below Nyquist: a shifted, tilted
+        # gaussian plus white noise
+        src = SpectralGrid(nx=n_src, ny=n_src, lx=16.0, ly=16.0)
+        X, Y = src.meshes()
+        u, v = X - 1.3, Y + 0.9
+        values = np.exp(-(u**2 + 0.7 * v**2 + 0.6 * u * v) / 4.0)
+        values += 1e-3 * np.random.default_rng(5).standard_normal(src.shape)
+        psi = RealField(src, values)
+        tgt = SpectralGrid(nx=n_tgt, ny=n_tgt, lx=8.0, ly=6.0)
+        out = rescale_solution(psi, alpha=alpha, c=c, target_grid=tgt).values
+        expected = complex_rescale(psi, alpha, c, tgt)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
 
     def test_out_of_domain_raises(self):
         src = SpectralGrid(nx=64, ny=64, lx=8.0, ly=8.0)
