@@ -15,9 +15,10 @@ reference
 convergence-study
     Solve over a sweep of domain half-widths and tabulate errors vs lx.
 
-Exit codes: 0 converged / success, 1 invalid configuration or a file
-that cannot be read or written, 2 stopped at max-iter, 3 diverged or an
-iterate whose stabilizing factor is undefined (a collapsed or odd seed).
+Exit codes: 0 converged / success, 1 invalid configuration, a usage
+error or a file that cannot be read or written, 2 stopped at max-iter, 3
+diverged or an iterate whose stabilizing factor is undefined (a
+collapsed or odd seed).
 Configuration can come from a flat "key = value" file (keys equal to
 flag names) with flags taking precedence.  CSV output uses 17
 significant digits so doubles round-trip exactly.
@@ -31,6 +32,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 import scipy
@@ -85,7 +87,6 @@ _SOLVE_DEFAULTS: dict[str, object] = {
     "c": 1.0,
     "sigma": -1,
     "nu": 2.0,
-    "lambda": 2.2e-16,
     "n": 1024,
     "l": 256.0,
     "tol": 1e-5,
@@ -114,7 +115,6 @@ _CASTS = {
     "c": float,
     "sigma": int,
     "nu": float,
-    "lambda": float,
     "n": int,
     "l": float,
     "tol": float,
@@ -178,7 +178,6 @@ def _solver_config(resolved: dict[str, object]) -> SolverConfig:
             alpha=float(resolved["alpha"]),
             c=float(resolved["c"]),
             sigma=int(resolved["sigma"]),
-            lam=float(resolved["lambda"]),
         )
         grid = SpectralGrid(
             nx=int(resolved["n"]), ny=int(resolved["n"]),
@@ -410,8 +409,18 @@ def run_convergence_study(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse whose usage errors are ConfigErrors: one `error:` line, exit 1.
+
+    argparse's own exit status 2 is this program's max-iter code.
+    """
+
+    def error(self, message: str) -> NoReturn:
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fkplump",
         description="Lump solutions of the fractional KP-I equation by Petviashvili iteration.",
     )
@@ -423,7 +432,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--c", type=float)
     ps.add_argument("--sigma", type=int)
     ps.add_argument("--nu", type=float)
-    ps.add_argument("--lambda", dest="lambda_", type=float)
     ps.add_argument("--n", type=int)
     ps.add_argument("--l", type=float)
     ps.add_argument("--tol", type=float, help="absolute bound on all three monitors; at "
@@ -471,11 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "lambda_", None) is not None:
-        setattr(args, "lambda", args.lambda_)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, FieldFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

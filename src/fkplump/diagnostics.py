@@ -5,6 +5,10 @@ functionals of the associated minimization problem, the energy-space norm,
 the anisotropic Sobolev ratio, the mean (DC) mode, and the relative size
 of the outer Fourier tail.  All integrals are lattice sums times the cell
 area, which is spectrally accurate for smooth decaying integrands.
+
+The energy space requires dx^-1 dy phi in L^2, so the modes on the
+constrained row xi1 = 0, xi2 != 0 are not part of it; the dx^-1 dy
+multiplier xi2/xi1 is taken as 0 there, as the solver's iterates are.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from .grid import RealField, irfft2, rfft2
 from .solver import SteadyOperator
-from .symbols import DEFAULT_LAMBDA, SymbolParams
+from .symbols import SymbolParams
 
 
 @dataclass(frozen=True)
@@ -48,29 +52,32 @@ def residual(phi: RealField, p: SymbolParams) -> float:
 
     S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy, evaluated
     spectrally by the solver's SteadyOperator; no inverse-x derivative
-    appears, so no regularization is involved.  Vanishes on exact steady
-    solutions of the periodic problem.
+    appears.  Vanishes on exact steady solutions of the periodic problem.
     """
     op = SteadyOperator(phi.grid, p)
     return op.residual(*op.spectra(phi.values))
 
 
-def _antideriv_y_symbol(grid, lam: float) -> np.ndarray:
-    """Multiplier of dx^-1 dy on the half-lattice: xi2 / (xi1 + i*lambda), odd in both.
+def _antideriv_y_symbol(grid) -> np.ndarray:
+    """Multiplier of dx^-1 dy on the half-lattice: xi2 / xi1, real and odd in both.
 
-    The unpaired Nyquist row and column are zeroed (the odd-operator
-    convention); the self-paired Nyquist modes cannot carry an odd symbol,
-    and leaving them in breaks conjugate symmetry on the lattice, which
-    would make the real-space and Parseval routes below disagree.
+    The constrained row xi1 = 0 is zero.  The unpaired Nyquist row and
+    column are zeroed too (the odd-operator convention); the self-paired
+    Nyquist modes cannot carry an odd symbol, and leaving them in breaks
+    conjugate symmetry on the lattice, which would make the real-space and
+    Parseval routes below disagree.
     """
-    sym = grid.xi2_half[None, :] / (grid.xi1[:, None] + 1j * lam)
+    xi1 = grid.xi1[:, None]
+    xi2 = grid.xi2_half[None, :]
+    shape = (grid.nx, grid.xi2_half.size)
+    sym = np.divide(xi2, xi1, out=np.zeros(shape), where=xi1 != 0)
     sym[grid.nx // 2, :] = 0.0
     sym[:, -1] = 0.0
     return sym
 
 
 def _energy_parts_spectral(
-    grid, phi_hat: np.ndarray, alpha: float, lam: float
+    grid, phi_hat: np.ndarray, alpha: float
 ) -> tuple[float, float, float]:
     """The three squared seminorms via Parseval on the lattice, from rfft2(phi)."""
     power = grid.column_weights * np.abs(phi_hat) ** 2
@@ -78,13 +85,11 @@ def _energy_parts_spectral(
     xi1 = grid.xi1[:, None]
     l2 = float(np.sum(power)) * weight
     frac = float(np.sum(np.abs(xi1) ** alpha * power)) * weight
-    anti = float(np.sum(np.abs(_antideriv_y_symbol(grid, lam)) ** 2 * power)) * weight
+    anti = float(np.sum(_antideriv_y_symbol(grid) ** 2 * power)) * weight
     return l2, frac, anti
 
 
-def functionals(
-    phi: RealField, alpha: float, lam: float = DEFAULT_LAMBDA
-) -> FunctionalValues:
+def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     """Evaluate the diagnostic functionals of a field.
 
     The quadratic functional is computed by real-space quadrature of the
@@ -100,14 +105,14 @@ def functionals(
     xi1 = grid.xi1[:, None]
 
     frac_field = irfft2(np.abs(xi1) ** (alpha / 2.0) * phi_hat, grid.shape)
-    anti_field = irfft2(_antideriv_y_symbol(grid, lam) * phi_hat, grid.shape)
+    anti_field = irfft2(_antideriv_y_symbol(grid) * phi_hat, grid.shape)
 
     l2_sq = float(np.sum(phi.values**2)) * cell
     frac_sq = float(np.sum(frac_field**2)) * cell
     anti_sq = float(np.sum(anti_field**2)) * cell
     l_value = 0.5 * (l2_sq + frac_sq + anti_sq)
 
-    s_l2, s_frac, s_anti = _energy_parts_spectral(grid, phi_hat, alpha, lam)
+    s_l2, s_frac, s_anti = _energy_parts_spectral(grid, phi_hat, alpha)
     energy_norm = float(np.sqrt(s_l2 + s_frac + s_anti))
 
     n_value = float(np.sum(phi.values**3)) * cell / 6.0

@@ -279,12 +279,15 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     r_prev = cutoffs[0] * 2.0  # degenerate start: first increment covers all
     d_prev = r_prev
     for r_new, d_new in zip(radii, cutoffs):
-        running += _separated_increment(which, alpha, p, r_prev, r_new, d_prev, d_new)
+        increment = _separated_increment(which, alpha, p, r_prev, r_new, d_prev, d_new)
+        running += increment
         powers.append(running)
         r_prev, d_prev = r_new, d_new
 
     norms = np.array(powers) ** (1.0 / p)
-    last_increment = float((norms[-1] - norms[-2]) / norms[-1])
+    # 1 - (1 - increment/running)^(1/p), without the cancellation of the
+    # difference of the last two norms
+    last_increment = float(-np.expm1(np.log1p(-increment / running) / p))
 
     box = _box_quadrature(which, alpha, p, radii[-1], cutoffs[-1]) ** (1.0 / p)
     return IntegrabilityProbe(
@@ -306,8 +309,8 @@ def kernel_norm_probe(kernel: RealField, r: float, n_radii: int = 5) -> KernelNo
     singularity nor radii beyond the half domain, so this supports the
     integrable side of the L^r window but cannot certify divergence.
     """
-    if r < 1:
-        raise InvalidExponentError(f"r must be >= 1, got {r!r}")
+    if not (np.isfinite(r) and r >= 1):
+        raise InvalidExponentError(f"r must be finite and >= 1, got {r!r}")
     grid = kernel.grid
     radii = np.array([grid.lx / 2.0**k for k in range(n_radii - 1, -1, -1)])
     X, Y = grid.meshes()

@@ -91,13 +91,15 @@ def rescale_solution(
 
     Raises
     ------
+    ValueError
+        If alpha or c is not a finite positive number.
     DomainRangeError
         If any stretched target coordinate falls outside the source domain.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if c <= 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    if not (np.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
+    if not (np.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and positive, got {c!r}")
     src = phi.grid
     ax = c ** (1.0 / alpha)
     ay = c ** (1.0 / alpha + 0.5)

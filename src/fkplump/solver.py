@@ -3,7 +3,7 @@
 One step maps the iterate phi_n to
 
     fft(phi_{n+1}) = M_n^nu * fft(phi_n^2) / D,
-    D = 2 (c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha),
+    D = 2 (c + xi2^2/xi1^2 + |xi1|^alpha),
 
 where the stabilizing factor
 
@@ -15,9 +15,11 @@ monitored by three errors per iteration: the sup-norm step difference,
 |1 - M_n|, and the sup norm of the steady-equation residual; convergence
 means all three fall below the configured tolerance simultaneously.
 
-The step runs on rfft2 half-spectra against the real part of D
-(SteadyOperator), so the pairings are real by construction.  A step whose
-M^nu is not a finite positive number ends the run as DIVERGED.
+On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
+outside the energy space (zero mass in x), and the image is set to
+exactly 0 there.  The step runs on rfft2 half-spectra (SteadyOperator),
+so D and the pairings are real by construction.  A step whose M^nu is
+not a finite positive number ends the run as DIVERGED.
 
 By default the map is accelerated by type-II Anderson mixing (Walker & Ni,
 SIAM J. Numer. Anal. 2011; for Petviashvili maps see Alvarez & Duran,
@@ -207,13 +209,13 @@ class SteadyOperator:
     """The Petviashvili step and the steady residual on the rfft2 half-lattice.
 
     Built once per (grid, params); its arrays are real.  The residual
-    symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 needs no lambda: S phi has
-    the transform A phi^ - (xi1^2/2) (phi^2)^.  The pairing weights turn
-    half-lattice sums into full-lattice pairings: the grid's column weights
-    (1 on the columns k2 = 0 and ny/2, 2 on the others), and 0 on the
-    constrained row xi1 = 0, xi2 != 0.  Those modes carry no mass, and
-    their regularized D (~ -2 xi2^2/lambda^2) would amplify the transform
-    roundoff of a realized field into an order-one error of M.
+    symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has no singular term: S phi
+    has the transform A phi^ - (xi1^2/2) (phi^2)^.  The constrained row
+    xi1 = 0, xi2 != 0, where D is infinite, is not part of the space: it
+    has weight 0 in the pairings of M, and the image is exactly 0 there.
+    The other pairing weights turn half-lattice sums into full-lattice
+    pairings: the grid's column weights (1 on the columns k2 = 0 and ny/2,
+    2 on the others).
     """
 
     def __init__(self, grid: SpectralGrid, params: SymbolParams) -> None:
@@ -260,6 +262,7 @@ class SteadyOperator:
     def image(self, sq_hat: np.ndarray, m: float, nu: float) -> np.ndarray:
         """Overwrite sq_hat with the Petviashvili image M^nu (phi^2)^ / D.
 
+        The constrained row xi1 = 0, xi2 != 0 of the image is set to 0.
         Raises DivergenceError if M^nu is not a finite positive number (as
         for a negative M and nu = 1.5); sq_hat is then left unchanged.
         """
@@ -270,6 +273,7 @@ class SteadyOperator:
         if not (math.isfinite(gain) and gain > 0.0):
             raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive")
         np.divide(sq_hat, self.denom, out=sq_hat)
+        sq_hat[0, 1:] = 0.0
         sq_hat *= gain
         return sq_hat
 
@@ -381,11 +385,9 @@ def project_zero_mass(phi: RealField) -> RealField:
     """Remove the x-mean of the field at every transverse wavenumber.
 
     Zeroes the modes (xi1 = 0, xi2 != 0), the discrete zero-mass
-    constraint in x.  Solutions live in this space; a seed outside it
-    would feed the regularized transverse term (~ -xi2^2/lambda^2) into
-    the stabilizing-factor sums and blow up the very first step.  The
-    iteration itself keeps the constraint: the huge denominator on that
-    row annihilates whatever the nonlinearity reinjects.
+    constraint in x.  Solutions live in this space, and every image of
+    the iteration keeps it exactly (SteadyOperator.image); the seed is
+    projected here so that the first iterate starts in it too.
     """
     phi_hat = rfft2(phi.values)
     phi_hat[0, 1:] = 0.0

@@ -2,25 +2,16 @@
 
 Four real symbols are built here: the fractional x-dispersion |xi1|^alpha
 (an (nx, 1) column) and, as read-only (nx, ny/2 + 1) arrays on the rfft2
-half-lattice (see grid), the real part of the regularized Petviashvili
-denominator 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha) and the kernel
-symbols
+half-lattice (see grid), the Petviashvili denominator
+2(c + xi2^2/xi1^2 + |xi1|^alpha) and the kernel symbols
 
     m(xi1, xi2) = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)),
     h(xi1, xi2) = xi1   / (|xi|^2 + |xi1|^(alpha+2)).
 
-The singular 1/xi1^2 transverse term is regularized by the substitution
-xi1 -> xi1 + i*lambda with lambda = 2.2e-16, applied uniformly at every
-lattice point; for |xi1| >= pi/lx the perturbation is far below roundoff.
-At the row xi1 = 0, xi2 != 0 the regularized denominator is enormous
-(~ -2*xi2^2/lambda^2), so the iteration annihilates those modes; this is
-the discrete form of the zero-mass constraint in x.
-
-Only the real part of the denominator is kept (half_lattice_denominator).
-It is real on the constrained row; elsewhere its imaginary part is at most
-2*lambda/|xi1| of the real part, about 4e-14 at the smallest |xi1| =
-pi/256 of the 2^10, lx = 256 desk grid, below the roundoff of the
-transforms.
+The transverse term xi2^2/xi1^2 is infinite on the constrained row
+xi1 = 0, xi2 != 0.  Those modes lie outside the energy space, which
+requires dx^-1 dy phi in L^2: the solver's SteadyOperator projects the row
+out exactly, so no regularization of 1/xi1^2 is needed anywhere.
 """
 
 from __future__ import annotations
@@ -31,9 +22,6 @@ import numpy as np
 
 # perfbench/selftest.py checks that fkplump.symbols._frozen_array is the grid's.
 from .grid import SpectralGrid, _frozen_array  # noqa: F401
-
-#: Default regularization shift for the singular transverse symbol.
-DEFAULT_LAMBDA = 2.2e-16
 
 #: Existence threshold: no nontrivial lumps for alpha <= 4/5.
 ALPHA_ENERGY_CRITICAL = 0.8
@@ -57,14 +45,11 @@ class SymbolParams:
     sigma : int
         -1 for the strong-surface-tension equation (the only one with lump
         solutions); +1 is rejected by every solver path.
-    lam : float
-        Regularization shift for 1/xi1^2, default 2.2e-16.
     """
 
     alpha: float
     c: float = 1.0
     sigma: int = -1
-    lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.alpha) or self.alpha <= 0:
@@ -73,8 +58,6 @@ class SymbolParams:
             raise ValueError(f"c must be positive, got {self.c!r}")
         if self.sigma not in (-1, 1):
             raise ValueError(f"sigma must be -1 or +1, got {self.sigma!r}")
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise ValueError(f"lambda must be positive, got {self.lam!r}")
 
 
 def dispersion_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
@@ -82,30 +65,27 @@ def dispersion_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
     return np.abs(grid.xi1[:, None]) ** alpha
 
 
-def _denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
-    """Regularized 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha), complex, half-lattice."""
-    if p.sigma != -1:
-        raise UnsupportedEquationError(
-            "sigma = +1 has no lump solutions; only sigma = -1 is supported"
-        )
-    xi1 = grid.xi1[:, None].astype(np.complex128)
-    xi2 = grid.xi2_half[None, :]
-    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * p.lam) ** 2 + dispersion_symbol(grid, p.alpha))
-
-
 def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
-    """Denominator 2(c + xi2^2/xi1^2 + |xi1|^alpha) of the fixed-point map.
+    """Denominator 2(c + xi2^2/xi1^2 + |xi1|^alpha) of the fixed-point map, read-only.
 
-    The real part of the regularized complex symbol on the half-lattice, a
-    contiguous read-only copy (a .real view would keep the complex array
-    alive).
+    On the constrained row xi1 = 0, xi2 != 0 the transverse term is taken
+    as 0 (the 0-where-undefined convention of the kernel symbols), so D is
+    finite there; SteadyOperator projects that row out of the iteration.
 
     Raises
     ------
     UnsupportedEquationError
         For sigma = +1 (no lump solutions exist in that regime).
     """
-    denom = _denominator(grid, p).real.copy()
+    if p.sigma != -1:
+        raise UnsupportedEquationError(
+            "sigma = +1 has no lump solutions; only sigma = -1 is supported"
+        )
+    xi1sq = grid.xi1[:, None] ** 2
+    xi2sq = grid.xi2_half[None, :] ** 2
+    shape = (grid.nx, grid.xi2_half.size)
+    transverse = np.divide(xi2sq, xi1sq, out=np.zeros(shape), where=xi1sq > 0)
+    denom = 2.0 * (p.c + transverse + dispersion_symbol(grid, p.alpha))
     denom.setflags(write=False)
     return denom
 
@@ -125,9 +105,8 @@ def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
     """Kernel symbol m = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)), read-only half-lattice.
 
     Real-valued, 0 <= m <= 1.  The row xi1 = 0 is exactly zero for
-    xi2 != 0; the 0/0 at the origin resolves to 1 under the lambda
-    regularization (the same value the Petviashvili denominator assigns
-    the mean mode at c = 1).
+    xi2 != 0; the 0/0 at the origin is set to 1, the value 2/D that the
+    Petviashvili denominator gives the mean mode at c = 1.
     """
     values = _kernel_symbol(grid, alpha, 2)
     values[0, 0] = 1.0

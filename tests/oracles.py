@@ -4,16 +4,21 @@ import numpy as np
 
 from fkplump.symbols import dispersion_symbol
 
+#: Shift of the regularized reference: xi1 -> xi1 + i*LAMBDA.
+LAMBDA = 2.2e-16
+
 
 def complex_denominator(grid, p):
     """Regularized 2(c + xi2^2/(xi1 + i*lambda)^2 + |xi1|^alpha) on the full (nx, ny) lattice.
 
-    The complex Petviashvili denominator; the solver's real half-lattice D
-    is the real part of its first ny/2 + 1 columns.
+    The reference for the solver's real half-lattice D: off the
+    constrained row xi1 = 0, D is the real part of its first ny/2 + 1
+    columns to roundoff.  On that row it is ~ -2 xi2^2/LAMBDA^2; there D
+    is finite and SteadyOperator zeroes the image instead.
     """
     xi1 = grid.xi1[:, None].astype(np.complex128)
     xi2 = grid.xi2[None, :]
-    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * p.lam) ** 2 + dispersion_symbol(grid, p.alpha))
+    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * LAMBDA) ** 2 + dispersion_symbol(grid, p.alpha))
 
 
 def _exponential_eval_matrix(xi, points, half_width, n):

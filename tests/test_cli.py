@@ -175,12 +175,21 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "accel_depth" in capsys.readouterr().err
 
-    def test_lambda_flag_accepted(self, tmp_path):
-        out = tmp_path / "run"
-        code = run(FAST_SOLVE + ["--lambda", "1e-15", "--out", out])
-        assert code == EXIT_OK
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["lambda"] == 1e-15
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            FAST_SOLVE + ["--n", "abc"],
+            FAST_SOLVE + ["--lambda", "1e-15"],
+            FAST_SOLVE + ["--bogus", "1"],
+            ["kernel-probe", "--alpha", "1", "--p", "2", "--which", "x"],
+        ],
+    )
+    def test_usage_errors_exit_config(self, tmp_path, capsys, argv):
+        # argparse's own exit status 2 would read as max-iter
+        assert run(argv + ["--out", tmp_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "manifest.json").exists()
 
 
 class TestConfigFile:
@@ -212,6 +221,13 @@ class TestConfigFile:
         code = run(["solve", "--config", config, "--out", tmp_path])
         assert code == EXIT_CONFIG
         assert "wobble" in capsys.readouterr().err
+
+    def test_lambda_key_is_unknown(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2\nlambda = 1e-15\n")
+        code = run(["solve", "--config", config, "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        assert "unknown config key 'lambda'" in capsys.readouterr().err
 
     def test_unparseable_value_names_key(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -84,6 +84,23 @@ class TestFunctionals:
         assert np.isfinite(v.sobolev_ratio)
         assert v.sobolev_ratio > 0.0
 
+    def test_nehari_identity_on_exact_lump(self):
+        # multiplying the c = 1 steady equation by phi gives L = 3N/2; the
+        # sampled exact lump misses it by its domain truncation, ~ lx^-2
+        # (measured -1.15e-3 and -2.96e-4)
+        defects = []
+        for n, lx in [(256, 64.0), (512, 128.0)]:
+            grid = SpectralGrid(nx=n, ny=n, lx=lx, ly=lx)
+            v = functionals(exact_kp1_lump(grid, ExactLumpParams(c=1.0)), 2.0)
+            defects.append(v.l_value / (1.5 * v.n_value) - 1.0)
+        assert abs(defects[0]) <= 2e-3
+        assert 3.5 <= defects[0] / defects[1] <= 4.5
+
+    def test_nehari_identity_on_converged(self, unit_solve):
+        field, _ = unit_solve
+        v = functionals(field, 2.0)
+        assert abs(v.l_value / (1.5 * v.n_value) - 1.0) <= 1e-3
+
     def test_dc_mode_fixed_point_identity(self, unit_solve):
         # on the torus the steady state forces mean(phi) = mean(phi^2)/(2c)
         field, _ = unit_solve

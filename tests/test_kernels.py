@@ -10,6 +10,7 @@ import pytest
 from fkplump.grid import GridMismatchError, RealField, SpectralGrid
 from fkplump.kernels import (
     InvalidExponentError,
+    _separated_increment,
     build_kernel,
     convolve,
     integrability_probe,
@@ -133,6 +134,27 @@ class TestIntegrabilityProbe:
         )
         assert out.stdout.strip() == "False"
 
+    def test_last_increment_matches_extended_precision(self):
+        # m, alpha = 2, p = 3: the final doubling adds 1.3e-8 of the norm,
+        # so the difference of the last two double-precision norms would
+        # keep only half the digits.  Reference: the same increments,
+        # summed and rooted with 50 digits.
+        mpmath = pytest.importorskip("mpmath")
+        alpha, p = 2.0, 3.0
+        probe = integrability_probe(alpha, p, "m")
+        radii = probe.truncation_radii
+        cutoffs = radii**-3.0
+        starts = [(2.0 * cutoffs[0], 2.0 * cutoffs[0])] + list(zip(radii[:-1], cutoffs[:-1]))
+        with mpmath.workdps(50):
+            sums = [mpmath.mpf(0)]
+            for (r_prev, d_prev), r_new, d_new in zip(starts, radii, cutoffs):
+                inc = _separated_increment("m", alpha, p, r_prev, r_new, d_prev, d_new)
+                sums.append(sums[-1] + mpmath.mpf(inc))
+            last, prev = sums[-1] ** (1 / mpmath.mpf(p)), sums[-2] ** (1 / mpmath.mpf(p))
+            expected = float((last - prev) / last)
+        assert probe.last_increment == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert probe.last_increment == pytest.approx(1.28e-8, rel=0.01)
+
     def test_norms_nondecreasing(self):
         probe = integrability_probe(1.0, 3.0, "m")
         assert np.all(np.diff(probe.truncated_norms) >= 0.0)
@@ -182,3 +204,10 @@ class TestKernelNormProbe:
     def test_rejects_r_below_one(self, wide_kernel):
         with pytest.raises(InvalidExponentError):
             kernel_norm_probe(wide_kernel, 0.8)
+
+    @pytest.mark.parametrize("r", [np.nan, np.inf])
+    def test_rejects_non_finite_r(self, r):
+        # nan < 1 is false, so a bare "r < 1" check lets it through
+        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        with pytest.raises(InvalidExponentError, match="finite"):
+            kernel_norm_probe(build_kernel(grid, 2.0, "K"), r)

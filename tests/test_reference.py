@@ -131,3 +131,14 @@ class TestRescale:
         tgt = SpectralGrid(nx=64, ny=64, lx=8.0, ly=8.0)
         with pytest.raises(DomainRangeError):
             rescale_solution(psi, alpha=2.0, c=4.0, target_grid=tgt)
+
+    @pytest.mark.parametrize(
+        "alpha, c",
+        [(np.nan, 1.0), (np.inf, 1.0), (0.0, 1.0), (2.0, np.nan), (2.0, np.inf), (2.0, -1.0)],
+    )
+    def test_rejects_non_finite_or_non_positive_parameters(self, alpha, c):
+        # nan compares false with 0, so a bare "<= 0" check lets it through
+        grid = SpectralGrid(nx=32, ny=32, lx=8.0, ly=8.0)
+        psi = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
+        with pytest.raises(ValueError, match="finite and positive"):
+            rescale_solution(psi, alpha=alpha, c=c, target_grid=grid)

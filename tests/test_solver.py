@@ -272,6 +272,28 @@ class TestStabilizingFactor:
         assert accepted == [True, True, False, False]
 
 
+class TestConstrainedRow:
+    """The row xi1 = 0, xi2 != 0 lies outside the space: weight 0 in M, 0 in the image."""
+
+    def test_image_is_zero_on_constrained_row(self, small_grid):
+        op = SteadyOperator(small_grid, PARAMS)
+        seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
+        _, sq_hat = op.spectra(seed.values)
+        assert np.any(sq_hat[0, 1:] != 0.0)  # the square does not keep zero x-mass
+        image = op.image(sq_hat, 1.3, 2.0)
+        assert np.all(image[0, 1:] == 0.0)
+        assert image[0, 0] != 0.0
+
+    def test_factor_ignores_constrained_row(self, small_grid):
+        op = SteadyOperator(small_grid, PARAMS)
+        seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
+        phi_hat, sq_hat = op.spectra(seed.values)
+        m = op.stabilizing_factor(phi_hat, sq_hat)
+        perturbed = phi_hat.copy()
+        perturbed[0, 1:] += 1e3 * (1.0 + 1.0j)
+        assert op.stabilizing_factor(perturbed, sq_hat) == m
+
+
 class TestStep:
     def test_fixed_point(self, unit_solve):
         field, _, config = unit_solve

@@ -5,6 +5,7 @@ import pytest
 
 from fkplump.grid import SpectralGrid, irfft2, rfft2
 from fkplump.kernels import build_kernel
+from fkplump.solver import SteadyOperator
 from fkplump.symbols import (
     SymbolParams,
     UnsupportedEquationError,
@@ -50,7 +51,7 @@ class TestDenominator:
         assert np.min(np.abs(d)) >= 2.0 * p.c * (1.0 - 1e-12)
 
     def test_imaginary_part_small(self):
-        # the imaginary part that the real half-lattice D drops
+        # the imaginary part of the complex reference off its constrained row
         grid = SpectralGrid(nx=64, ny=64, lx=100.0, ly=100.0)
         p = SymbolParams(alpha=1.0, c=1.0)
         dropped = complex_denominator(grid, p)[:, : grid.ny // 2 + 1].imag
@@ -58,9 +59,10 @@ class TestDenominator:
         interior = np.abs(dropped)[1:, :]  # the regularized zero row is huge by design
         assert np.max(interior) <= 1e-12 * np.max(np.abs(d[1:, :]))
 
-    def test_half_lattice_is_real_part(self):
-        # the solver's real half-lattice D is the real part of the complex
-        # one; the dropped imaginary part is at most 2 lambda/|xi1| of it
+    def test_matches_complex_reference_off_constrained_row(self):
+        # off the row xi1 = 0 the real D is the regularized complex one's
+        # real part to roundoff; on that row the transverse term is taken
+        # as 0, leaving the finite 2c (the operator projects the row out)
         grid = SpectralGrid(nx=64, ny=32, lx=100.0, ly=40.0)
         p = SymbolParams(alpha=1.5, c=1.0)
         full = complex_denominator(grid, p)[:, : grid.ny // 2 + 1]
@@ -68,14 +70,8 @@ class TestDenominator:
         assert half.dtype == np.float64
         assert half.shape == (grid.nx, grid.ny // 2 + 1)
         assert not half.flags.writeable
-        assert np.array_equal(half, full.real)
-        xi1 = np.abs(grid.xi1[1:, None])
-        assert np.all(np.abs(full.imag[1:]) <= 2.0 * p.lam / xi1 * np.abs(full.real[1:]))
-        assert np.all(full.imag[0] == 0.0)
-
-    def test_zero_row_is_huge(self, grid_pi):
-        d = half_lattice_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0))
-        assert np.min(np.abs(d[0, 1:])) > 1e20  # annihilates non-zero-mass modes
+        assert np.max(np.abs(half[1:] / full.real[1:] - 1.0)) <= 1e-15
+        assert np.all(half[0] == 2.0 * p.c)
 
     def test_rejects_weak_surface_tension(self, grid_pi):
         with pytest.raises(UnsupportedEquationError):
@@ -160,11 +156,12 @@ class TestApplyMultiplier:
         assert np.max(np.abs(apply_multiplier(f, sym) - f)) <= 1e-12
 
     def test_impulse_response_matches_kernel(self):
-        # reciprocal denominator applied to a delta impulse samples K/2
+        # the Petviashvili image at M = 1 (1/D, constrained row zeroed)
+        # applied to a delta impulse samples K/2
         grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
         delta = np.zeros(grid.shape)
         delta[grid.nx // 2, grid.ny // 2] = 1.0 / grid.cell_area
-        denom = half_lattice_denominator(grid, SymbolParams(alpha=2.0, c=1.0))
-        out = apply_multiplier(delta, 1.0 / denom)
+        op = SteadyOperator(grid, SymbolParams(alpha=2.0, c=1.0))
+        out = irfft2(op.image(rfft2(delta), 1.0, 2.0), grid.shape)
         kernel = build_kernel(grid, 2.0, "K")
         assert np.max(np.abs(out - 0.5 * kernel.values)) <= 1e-12
