@@ -32,9 +32,8 @@ from .solver import (
     SeedSpec,
     SolveStatus,
     SolverConfig,
-    petviashvili_step,
+    SteadyOperator,
     solve,
-    stabilizing_factor,
 )
 from .symbols import SymbolParams, symbol_h, symbol_m
 
@@ -50,6 +49,7 @@ __all__ = [
     "SolveStatus",
     "SolverConfig",
     "SpectralGrid",
+    "SteadyOperator",
     "SymbolParams",
     "SymmetryReport",
     "build_kernel",
@@ -64,12 +64,10 @@ __all__ = [
     "kernel_decay",
     "load_field",
     "peakedness",
-    "petviashvili_step",
     "rescale_solution",
     "residual",
     "save_field",
     "solve",
-    "stabilizing_factor",
     "symbol_h",
     "symbol_m",
     "symmetry_report",

@@ -16,9 +16,9 @@ convergence-study
     Solve over a sweep of domain half-widths and tabulate errors vs lx.
 
 Exit codes: 0 converged / success, 1 invalid configuration, a usage
-error or a file that cannot be read or written, 2 stopped at max-iter, 3
-diverged or an iterate whose stabilizing factor is undefined (a
-collapsed or odd seed).
+error, a file that cannot be read or written or a run that does not fit
+in memory, 2 stopped at max-iter, 3 diverged or an iterate whose
+stabilizing factor is undefined (a collapsed or odd seed).
 Configuration can come from a flat "key = value" file (keys equal to
 flag names) with flags taking precedence.  CSV output uses 17
 significant digits so doubles round-trip exactly.
@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -82,23 +84,6 @@ def _write_keyvalues(path: Path, items: dict[str, float | str]) -> None:
 
 # --- option resolution ------------------------------------------------------
 
-_SOLVE_DEFAULTS: dict[str, object] = {
-    "alpha": None,  # required
-    "c": 1.0,
-    "sigma": -1,
-    "nu": 2.0,
-    "n": 1024,
-    "l": 256.0,
-    "tol": 1e-5,
-    "max-iter": 200,
-    "seed": "gaussian",
-    "seed-amplitude": None,
-    "seed-width": 2.0,
-    "allow-supercritical": False,
-    "accel-depth": 1,
-    "out": ".",
-}
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -110,21 +95,30 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError(f"not a boolean: {raw!r}") from None
 
 
-_CASTS = {
-    "alpha": float,
-    "c": float,
-    "sigma": int,
-    "nu": float,
-    "n": int,
-    "l": float,
-    "tol": float,
-    "max-iter": int,
-    "seed": str,
-    "seed-amplitude": float,
-    "seed-width": float,
-    "allow-supercritical": _parse_bool,
-    "accel-depth": int,
-    "out": str,
+#: Every solve option, flag name = config key -> (type, default).  The table
+#: makes the argparse flags and casts the config file; alpha has no default.
+_SOLVE_OPTIONS: dict[str, tuple[Callable[[str], object], object]] = {
+    "alpha": (float, None),
+    "c": (float, 1.0),
+    "sigma": (int, -1),
+    "nu": (float, 2.0),
+    "n": (int, 1024),
+    "l": (float, 256.0),
+    "tol": (float, 1e-5),
+    "max-iter": (int, 200),
+    "seed": (str, "gaussian"),
+    "seed-amplitude": (float, None),
+    "seed-width": (float, 2.0),
+    "allow-supercritical": (_parse_bool, False),
+    "accel-depth": (int, 1),
+    "out": (str, "."),
+}
+
+_SOLVE_HELP = {
+    "tol": "absolute bound on all three monitors; at speed c the step error "
+    "scales like c, the residual like c^(2+2/alpha)",
+    "seed": "gaussian | exact-kp1 | file:PATH",
+    "accel-depth": "Anderson mixing depth; 0 is the plain map",
 }
 
 
@@ -138,7 +132,7 @@ def _read_config_file(path: str) -> dict[str, str]:
             raise ConfigError(f"config line {lineno} is not 'key = value': {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _SOLVE_DEFAULTS:
+        if key not in _SOLVE_OPTIONS:
             raise ConfigError(f"unknown config key {key!r} (line {lineno})")
         values[key] = value.strip()
     return values
@@ -146,14 +140,14 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
     """Merge defaults, config file and flags (flags win)."""
-    resolved = dict(_SOLVE_DEFAULTS)
+    resolved = {key: default for key, (_, default) in _SOLVE_OPTIONS.items()}
     if args.config:
         for key, raw in _read_config_file(args.config).items():
             try:
-                resolved[key] = _CASTS[key](raw)
+                resolved[key] = _SOLVE_OPTIONS[key][0](raw)
             except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from exc
-    for key in _SOLVE_DEFAULTS:
+    for key in _SOLVE_OPTIONS:
         flag_attr = key.replace("-", "_")
         value = getattr(args, flag_attr, None)
         if value is not None and value is not False:
@@ -164,9 +158,7 @@ def _resolve_options(args: argparse.Namespace) -> dict[str, object]:
 
 
 def _seed_spec(resolved: dict[str, object]) -> SeedSpec:
-    seed = str(resolved["seed"])
-    amplitude = resolved["seed-amplitude"]
-    width = float(resolved["seed-width"])
+    seed, amplitude, width = resolved["seed"], resolved["seed-amplitude"], resolved["seed-width"]
     if seed.startswith("file:"):
         return SeedSpec(kind="file", amplitude=amplitude, width=width, path=seed[5:])
     return SeedSpec(kind=seed, amplitude=amplitude, width=width)
@@ -174,24 +166,17 @@ def _seed_spec(resolved: dict[str, object]) -> SeedSpec:
 
 def _solver_config(resolved: dict[str, object]) -> SolverConfig:
     try:
-        params = SymbolParams(
-            alpha=float(resolved["alpha"]),
-            c=float(resolved["c"]),
-            sigma=int(resolved["sigma"]),
-        )
-        grid = SpectralGrid(
-            nx=int(resolved["n"]), ny=int(resolved["n"]),
-            lx=float(resolved["l"]), ly=float(resolved["l"]),
-        )
+        params = SymbolParams(alpha=resolved["alpha"], c=resolved["c"], sigma=resolved["sigma"])
+        n, l = resolved["n"], resolved["l"]
         return SolverConfig(
             params=params,
-            grid=grid,
-            nu=float(resolved["nu"]),
-            tol=float(resolved["tol"]),
-            max_iter=int(resolved["max-iter"]),
+            grid=SpectralGrid(nx=n, ny=n, lx=l, ly=l),
+            nu=resolved["nu"],
+            tol=resolved["tol"],
+            max_iter=resolved["max-iter"],
             seed=_seed_spec(resolved),
-            allow_supercritical=bool(resolved["allow-supercritical"]),
-            accel_depth=int(resolved["accel-depth"]),
+            allow_supercritical=resolved["allow-supercritical"],
+            accel_depth=resolved["accel-depth"],
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -371,6 +356,8 @@ def run_convergence_study(args: argparse.Namespace) -> int:
         l_values = [float(v) for v in args.l.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse --l list {args.l!r}") from exc
+    if not all(math.isfinite(v) and v > 0 for v in l_values):
+        raise ConfigError(f"--l values must be finite and positive, got {args.l!r}")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_l = l_values[0]
@@ -428,21 +415,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("solve", help="run the Petviashvili iteration")
-    ps.add_argument("--alpha", type=float)
-    ps.add_argument("--c", type=float)
-    ps.add_argument("--sigma", type=int)
-    ps.add_argument("--nu", type=float)
-    ps.add_argument("--n", type=int)
-    ps.add_argument("--l", type=float)
-    ps.add_argument("--tol", type=float, help="absolute bound on all three monitors; at "
-                    "speed c the step error scales like c, the residual like c^(2+2/alpha)")
-    ps.add_argument("--max-iter", type=int)
-    ps.add_argument("--seed", type=str, help="gaussian | exact-kp1 | file:PATH")
-    ps.add_argument("--seed-amplitude", type=float)
-    ps.add_argument("--seed-width", type=float)
-    ps.add_argument("--allow-supercritical", action="store_true", default=False)
-    ps.add_argument("--accel-depth", type=int, help="Anderson mixing depth; 0 is the plain map")
-    ps.add_argument("--out", type=str)
+    for key, (cast, _) in _SOLVE_OPTIONS.items():
+        if cast is _parse_bool:
+            ps.add_argument(f"--{key}", action="store_true", help=_SOLVE_HELP.get(key))
+        else:
+            ps.add_argument(f"--{key}", type=cast, help=_SOLVE_HELP.get(key))
     ps.add_argument("--config", type=str, help="flat key = value configuration file")
     ps.set_defaults(func=run_solve)
 
@@ -484,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ConfigError, FieldFileError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except DegenerateIterateError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -260,6 +260,9 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     ------
     InvalidExponentError
         For p <= 1/2, where the transverse integral diverges identically.
+    ValueError
+        If the running sum of |symbol|^p or the box norm is not finite and
+        positive: p is too large for float64 (as p = 1e300, or p = 50 for h).
     """
     if not (np.isfinite(alpha) and np.isfinite(p)):
         raise ValueError(f"alpha and p must be finite, got alpha={alpha!r}, p={p!r}")
@@ -278,18 +281,22 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     running = 0.0
     r_prev = cutoffs[0] * 2.0  # degenerate start: first increment covers all
     d_prev = r_prev
-    for r_new, d_new in zip(radii, cutoffs):
-        increment = _separated_increment(which, alpha, p, r_prev, r_new, d_prev, d_new)
-        running += increment
-        powers.append(running)
-        r_prev, d_prev = r_new, d_new
+    with np.errstate(over="ignore", invalid="ignore"):  # the results are checked below
+        for r_new, d_new in zip(radii, cutoffs):
+            increment = _separated_increment(which, alpha, p, r_prev, r_new, d_prev, d_new)
+            running += increment
+            powers.append(running)
+            r_prev, d_prev = r_new, d_new
+        box = _box_quadrature(which, alpha, p, radii[-1], cutoffs[-1]) ** (1.0 / p)
+    for name, value in (("running sum", running), ("box norm", box)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"the {name} of |{which}|^p at p = {p!r} is {value!r}, not "
+                             "finite and positive: outside the float64 range")
 
     norms = np.array(powers) ** (1.0 / p)
     # 1 - (1 - increment/running)^(1/p), without the cancellation of the
     # difference of the last two norms
     last_increment = float(-np.expm1(np.log1p(-increment / running) / p))
-
-    box = _box_quadrature(which, alpha, p, radii[-1], cutoffs[-1]) ** (1.0 / p)
     return IntegrabilityProbe(
         alpha=alpha,
         p=p,

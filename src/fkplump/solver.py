@@ -145,8 +145,8 @@ class SolverConfig:
             )
         if not np.isfinite(self.tol) or self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
         if not np.isfinite(self.nu):
             raise ValueError(f"nu must be finite, got {self.nu!r}")
         if not self.allow_supercritical and self.params.alpha <= ALPHA_ENERGY_CRITICAL:
@@ -206,16 +206,16 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 class SteadyOperator:
-    """The Petviashvili step and the steady residual on the rfft2 half-lattice.
+    """M, the Petviashvili image and the steady residual on one (grid, params).
 
-    Built once per (grid, params); its arrays are real.  The residual
-    symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has no singular term: S phi
-    has the transform A phi^ - (xi1^2/2) (phi^2)^.  The constrained row
-    xi1 = 0, xi2 != 0, where D is infinite, is not part of the space: it
-    has weight 0 in the pairings of M, and the image is exactly 0 there.
-    The other pairing weights turn half-lattice sums into full-lattice
-    pairings: the grid's column weights (1 on the columns k2 = 0 and ny/2,
-    2 on the others).
+    Build it once and pass it the half-spectra of spectra(); its arrays
+    are real.  The residual symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has
+    no singular term: S phi has the transform A phi^ - (xi1^2/2) (phi^2)^.
+    The constrained row xi1 = 0, xi2 != 0, where D is infinite, is not
+    part of the space: it has weight 0 in the pairings of M, and the image
+    is exactly 0 there.  The other pairing weights turn half-lattice sums
+    into full-lattice pairings: the grid's column weights (1 on the
+    columns k2 = 0 and ny/2, 2 on the others).
     """
 
     def __init__(self, grid: SpectralGrid, params: SymbolParams) -> None:
@@ -237,10 +237,19 @@ class SteadyOperator:
         return rfft2(values), rfft2(values * values)
 
     def stabilizing_factor(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
-        """M from the spectra of phi and phi^2, as the function of that name.
+        """Stabilizing factor M from the spectra of phi and phi^2.
 
-        The sums run in row blocks.  M may come out negative or
-        non-finite; image() rejects those.
+        The ratio of the D-weighted quadratic pairing of phi^ with itself
+        to the cubic pairing of (phi^2)^ with phi^.  It equals 1 at a true
+        solution and scales as 1/s when phi is replaced by s phi.  The sums
+        run in row blocks.  M may come out negative or non-finite; image()
+        rejects those.
+
+        Raises
+        ------
+        DegenerateIterateError
+            If the cubic pairing is below 1e-14 of its natural scale, as
+            for a zero or odd-in-x iterate.
         """
         num = den = scale = 0.0
         for rows in self.blocks:
@@ -263,8 +272,12 @@ class SteadyOperator:
         """Overwrite sq_hat with the Petviashvili image M^nu (phi^2)^ / D.
 
         The constrained row xi1 = 0, xi2 != 0 of the image is set to 0.
-        Raises DivergenceError if M^nu is not a finite positive number (as
-        for a negative M and nu = 1.5); sq_hat is then left unchanged.
+
+        Raises
+        ------
+        DivergenceError
+            If M^nu is not a finite positive number, as for a negative M
+            and nu = 1.5; sq_hat is then left unchanged.
         """
         try:
             gain = math.pow(m, nu)
@@ -280,22 +293,16 @@ class SteadyOperator:
     def realize(self, next_hat: np.ndarray) -> tuple[np.ndarray, float]:
         """The iterate of a half-spectrum and its sup norm.
 
-        Raises DivergenceError if the iterate is not finite.
+        Raises
+        ------
+        DivergenceError
+            If the iterate is not finite.
         """
         values = irfft2(next_hat, self.grid.shape)
         peak = _sup(values)
         if not math.isfinite(peak):
             raise DivergenceError("iteration produced non-finite values")
         return values, peak
-
-    def step(self, sq_hat: np.ndarray, m: float, nu: float) -> tuple[np.ndarray, np.ndarray]:
-        """The next iterate M^nu (phi^2)^ / D, as (transform, values).
-
-        The transform is computed in place in sq_hat.  Raises
-        DivergenceError as image() and realize() do.
-        """
-        next_hat = self.image(sq_hat, m, nu)
-        return next_hat, self.realize(next_hat)[0]
 
     def residual(
         self, phi_hat: np.ndarray, sq_hat: np.ndarray, out: np.ndarray | None = None
@@ -342,43 +349,6 @@ class _AndersonMixer:
                 dg += g
                 return dg, df
         return g.copy(), None  # the plain step; g stays in the history
-
-
-def stabilizing_factor(phi: RealField, p: SymbolParams) -> float:
-    """Stabilizing factor M of an iterate.
-
-    Ratio of the denominator-weighted quadratic pairing of fft(phi) with
-    itself to the cubic pairing of fft(phi^2) with fft(phi).  Equals 1 at a
-    true solution; scales as 1/s when phi is replaced by s*phi.
-
-    Raises
-    ------
-    DegenerateIterateError
-        If the cubic pairing is below 1e-14 of its natural scale, as for
-        a zero or odd-in-x iterate.
-    """
-    op = SteadyOperator(phi.grid, p)
-    return op.stabilizing_factor(*op.spectra(phi.values))
-
-
-def petviashvili_step(
-    phi: RealField, p: SymbolParams, nu: float = 2.0
-) -> tuple[RealField, float]:
-    """Apply one Petviashvili update; returns the next iterate and M used.
-
-    Raises
-    ------
-    DivergenceError
-        If M^nu is not a finite positive number, or the update produces
-        non-finite values.
-    DegenerateIterateError
-        If the stabilizing factor is undefined for this iterate.
-    """
-    op = SteadyOperator(phi.grid, p)
-    phi_hat, sq_hat = op.spectra(phi.values)
-    m = op.stabilizing_factor(phi_hat, sq_hat)
-    _, next_phi = op.step(sq_hat, m, nu)
-    return RealField(phi.grid, next_phi), m
 
 
 def project_zero_mass(phi: RealField) -> RealField:

@@ -9,12 +9,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fkplump.cli import (
-    _SOLVE_DEFAULTS,
+    _SOLVE_OPTIONS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
     ConfigError,
     _parse_bool,
+    _read_config_file,
     _resolve_options,
     _solver_config,
     build_parser,
@@ -175,6 +176,15 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "accel_depth" in capsys.readouterr().err
 
+    def test_out_of_memory_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def allocation_fails(config):
+            raise MemoryError("Unable to allocate 16.0 GiB")
+
+        monkeypatch.setattr("fkplump.cli.solve", allocation_fails)
+        assert run(FAST_SOLVE + ["--out", tmp_path]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "16.0 GiB" in err[0]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -215,6 +225,18 @@ class TestConfigFile:
         assert manifest["run"]["accel_depth"] == 0
         assert manifest["run"]["mixed_steps"] == 0
 
+    def test_table_flags_and_config_keys_agree(self, tmp_path):
+        solve_parser = build_parser()._subparsers._group_actions[0].choices["solve"]
+        flags = {
+            option[2:]
+            for action in solve_parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option not in ("--config", "--help")
+        }
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = 1\n" for key in sorted(flags)))
+        assert set(_SOLVE_OPTIONS) == flags == set(_read_config_file(str(config)))
+
     def test_unknown_key_names_offender(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("alpha = 2\nwobble = 3\n")
@@ -253,7 +275,7 @@ class TestConfigFile:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
-        key=st.sampled_from(sorted(_SOLVE_DEFAULTS)),
+        key=st.sampled_from(sorted(_SOLVE_OPTIONS)),
         value=st.one_of(
             st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
             st.floats().map(repr),
@@ -344,7 +366,9 @@ class TestKernelProbe:
         code = run(["kernel-probe", "--alpha", "1", "--p", "0.7", "--out", tmp_path])
         assert code == EXIT_CONFIG
 
-    @pytest.mark.parametrize("alpha, p", [("1", "nan"), ("nan", "2"), ("inf", "2")])
+    @pytest.mark.parametrize(
+        "alpha, p", [("1", "nan"), ("nan", "2"), ("inf", "2"), ("1", "1e300")]
+    )
     def test_rejects_non_finite_parameters(self, tmp_path, capsys, alpha, p):
         code = run(["kernel-probe", "--alpha", alpha, "--p", p, "--out", tmp_path])
         assert code == EXIT_CONFIG
@@ -376,3 +400,11 @@ class TestConvergenceStudy:
         assert all(r[3] == "converged" for r in rows)
         errors = [float(r[7]) for r in rows]
         assert errors[1] < errors[0]  # larger domain, smaller truncation error
+
+    @pytest.mark.parametrize("l_list", ["8,inf", "8,nan", "8,0", "-8,16"])
+    def test_rejects_bad_half_widths(self, tmp_path, capsys, l_list):
+        code = run(["convergence-study", "--alpha", "2", "--n", "16", "--l", l_list,
+                    "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--l" in err[0]

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from fkplump import kernels
 from fkplump.grid import GridMismatchError, RealField, SpectralGrid
 from fkplump.kernels import (
     InvalidExponentError,
@@ -111,11 +112,22 @@ class TestIntegrabilityProbe:
         with pytest.raises(ValueError, match="finite"):
             integrability_probe(alpha, p, "m")
 
+    @pytest.mark.parametrize("p, which", [(1e300, "m"), (50.0, "h")])
+    def test_rejects_running_sum_outside_float64(self, p, which):
+        # p = 1e300 underflows the running sum to 0; p = 50 overflows h's to nan
+        with pytest.raises(ValueError, match="running sum"):
+            integrability_probe(1.0, p, which)
+
+    def test_rejects_box_norm_outside_float64(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_box_quadrature", lambda *args: np.inf)
+        with pytest.raises(ValueError, match="box norm"):
+            integrability_probe(1.0, 3.0, "m")
+
     @pytest.mark.parametrize("alpha, p, which, norm, last, box", PROBE_TABLE)
     def test_matches_adaptive_quadrature_table(self, alpha, p, which, norm, last, box):
         probe = integrability_probe(alpha, p, which)
         assert probe.truncated_norms[-1] == pytest.approx(norm, rel=1e-10)
-        assert probe.last_increment == pytest.approx(last, rel=1e-10)
+        assert probe.last_increment == pytest.approx(last, rel=1e-10, abs=0.0)
         assert probe.box_norm == pytest.approx(box, rel=1e-10)
 
     @pytest.mark.parametrize("which", ["m", "h"])

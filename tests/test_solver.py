@@ -21,10 +21,8 @@ from fkplump.solver import (
     SolverConfig,
     SteadyOperator,
     build_seed,
-    petviashvili_step,
     project_zero_mass,
     solve,
-    stabilizing_factor,
 )
 from fkplump.symbols import SymbolParams
 from oracles import complex_denominator
@@ -117,13 +115,28 @@ def padded_solve(config):
     sq_hat = padded_square_hat(phi_hat, shape)
     for _ in range(config.max_iter):
         m = op.stabilizing_factor(phi_hat, sq_hat)
-        next_hat, next_phi = op.step(sq_hat, m, config.nu)
+        next_hat = op.image(sq_hat, m, config.nu)
+        next_phi, _ = op.realize(next_hat)
         iter_error = np.max(np.abs(next_phi - phi))
         phi, phi_hat = next_phi, next_hat
         sq_hat = padded_square_hat(phi_hat, shape)
         if max(iter_error, abs(1.0 - m), op.residual(phi_hat, sq_hat)) <= config.tol:
             return phi
     raise AssertionError("padded iteration did not converge")
+
+
+def factor(field):
+    """M of a field, from an operator built for it."""
+    op = SteadyOperator(field.grid, PARAMS)
+    return op.stabilizing_factor(*op.spectra(field.values))
+
+
+def step(field):
+    """One Petviashvili update (nu = 2) of a field: the next iterate's values and M."""
+    op = SteadyOperator(field.grid, PARAMS)
+    phi_hat, sq_hat = op.spectra(field.values)
+    m = op.stabilizing_factor(phi_hat, sq_hat)
+    return op.realize(op.image(sq_hat, m, 2.0))[0], m
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +164,11 @@ class TestConfig:
         )
         assert config.params.alpha == 0.7
 
-    @pytest.mark.parametrize("bad", [dict(tol=0.0), dict(tol=-1e-5), dict(max_iter=0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(tol=0.0), dict(tol=-1e-5), dict(max_iter=0), dict(max_iter=2.5),
+         dict(max_iter=math.nan)],
+    )
     def test_rejects_bad_numerics(self, small_grid, bad):
         with pytest.raises(ValueError):
             SolverConfig(params=PARAMS, grid=small_grid, **bad)
@@ -220,13 +237,13 @@ class TestSeeds:
 class TestStabilizingFactor:
     def test_converged_lump_has_unit_factor(self, unit_solve):
         field, _, _ = unit_solve
-        assert stabilizing_factor(field, PARAMS) == pytest.approx(1.0, abs=1e-8)
+        assert factor(field) == pytest.approx(1.0, abs=1e-8)
 
     def test_scaling_halves_factor(self, unit_solve):
         # numerator quadratic, denominator cubic: M(s phi) = M(phi)/s
         field, _, _ = unit_solve
-        m1 = stabilizing_factor(field, PARAMS)
-        m2 = stabilizing_factor(RealField(field.grid, 2.0 * field.values), PARAMS)
+        m1 = factor(field)
+        m2 = factor(RealField(field.grid, 2.0 * field.values))
         assert m2 == pytest.approx(0.5 * m1, rel=1e-12)
 
     def test_matches_independent_summation_oracle(self, small_grid):
@@ -234,7 +251,7 @@ class TestStabilizingFactor:
         # term by term, an independent summation order
         config = SolverConfig(params=PARAMS, grid=small_grid)
         seed = build_seed(config)
-        m = stabilizing_factor(seed, PARAMS)
+        m = factor(seed)
 
         denom = complex_denominator(small_grid, PARAMS)
         phi_hat = fft2(seed.values)
@@ -250,7 +267,7 @@ class TestStabilizingFactor:
         X, Y = small_grid.meshes()
         odd = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
         with pytest.raises(DegenerateIterateError):
-            stabilizing_factor(odd, PARAMS)
+            factor(odd)
 
     def test_degenerate_threshold_on_nearly_odd_iterates(self, small_grid):
         # (x + eps) exp(-r^2): the cubic pairing grows like eps.  The blocked
@@ -297,9 +314,9 @@ class TestConstrainedRow:
 class TestStep:
     def test_fixed_point(self, unit_solve):
         field, _, config = unit_solve
-        stepped, m = petviashvili_step(field, PARAMS)
+        stepped, m = step(field)
         assert m == pytest.approx(1.0, abs=1e-8)
-        move = np.max(np.abs(stepped.values - field.values))
+        move = np.max(np.abs(stepped - field.values))
         assert move <= 2.0 * config.tol
 
     def test_exact_lump_near_fixed_point(self):
@@ -307,9 +324,9 @@ class TestStep:
         # domain-truncation floor (measured 9.2e-4 at this grid)
         grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
         exact = project_zero_mass(exact_kp1_lump(grid, ExactLumpParams(c=1.0)))
-        stepped, m = petviashvili_step(exact, PARAMS)
+        stepped, m = step(exact)
         assert m == pytest.approx(1.0, abs=1e-4)
-        assert np.max(np.abs(stepped.values - exact.values)) <= 5e-3
+        assert np.max(np.abs(stepped - exact.values)) <= 5e-3
 
     def test_truncation_floor_shrinks_quadratically(self):
         # doubling the half-width at fixed dx divides the step floor by ~4
@@ -317,8 +334,8 @@ class TestStep:
         for n, lx in [(1024, 64.0), (2048, 128.0)]:
             grid = SpectralGrid(nx=n, ny=n, lx=lx, ly=lx)
             exact = project_zero_mass(exact_kp1_lump(grid, ExactLumpParams(c=1.0)))
-            stepped, _ = petviashvili_step(exact, PARAMS)
-            diffs.append(np.max(np.abs(stepped.values - exact.values)))
+            stepped, _ = step(exact)
+            diffs.append(np.max(np.abs(stepped - exact.values)))
         ratio = diffs[0] / diffs[1]
         assert 3.0 <= ratio <= 5.0
 
@@ -326,7 +343,7 @@ class TestStep:
         X, Y = small_grid.meshes()
         odd = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
         with pytest.raises(DegenerateIterateError):
-            petviashvili_step(odd, PARAMS)
+            step(odd)
 
 
 class TestSolve:
@@ -422,7 +439,7 @@ class TestSolve:
         phi_hat, sq_hat = op.spectra(build_seed(SolverConfig(params=PARAMS, grid=small_grid)).values)
         for m, nu in [(-0.5, 1.5), (-0.5, 3.0), (math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0)]:
             with pytest.raises(DivergenceError):
-                op.step(sq_hat, m, nu)
+                op.image(sq_hat, m, nu)
 
     def test_empty_report_has_no_final(self):
         report = IterationReport(records=(), status=SolveStatus.MAX_ITER, tol=1e-5)
