@@ -261,6 +261,22 @@ def run_analyze(args: argparse.Namespace) -> int:
             raise ConfigError(f"unknown analyze task {task!r}; choose from {_ANALYZE_TASKS}")
     phi = loaded.field
 
+    # First, so that a header the functionals reject fails before any write.
+    if "functionals" in tasks:
+        vals = functionals(phi, loaded.alpha)
+        params = SymbolParams(alpha=loaded.alpha, c=loaded.c, sigma=int(loaded.sigma))
+        _write_keyvalues(
+            out_dir / "functionals.txt",
+            {
+                "l_value": vals.l_value,
+                "n_value": vals.n_value,
+                "energy_norm": vals.energy_norm,
+                "sobolev_ratio": vals.sobolev_ratio,
+                "dc_mode": vals.dc_mode,
+                "residual": residual(phi, params),
+                "fourier_tail": fourier_tail(phi),
+            },
+        )
     if "sections" in tasks:
         for axis in "xy":
             data = cross_section(phi, axis, 0.0)
@@ -287,21 +303,6 @@ def run_analyze(args: argparse.Namespace) -> int:
             summary[f"plateau_{axis}"] = prof.plateau_value
             summary[f"variation_{axis}"] = prof.plateau_rel_variation
         _write_keyvalues(out_dir / "decay.txt", summary)
-    if "functionals" in tasks:
-        vals = functionals(phi, loaded.alpha)
-        params = SymbolParams(alpha=loaded.alpha, c=loaded.c, sigma=int(loaded.sigma))
-        _write_keyvalues(
-            out_dir / "functionals.txt",
-            {
-                "l_value": vals.l_value,
-                "n_value": vals.n_value,
-                "energy_norm": vals.energy_norm,
-                "sobolev_ratio": vals.sobolev_ratio,
-                "dc_mode": vals.dc_mode,
-                "residual": residual(phi, params),
-                "fourier_tail": fourier_tail(phi),
-            },
-        )
     print(f"analyze: wrote {', '.join(tasks)} to {out_dir}")
     return EXIT_OK
 

@@ -7,8 +7,9 @@ of the outer Fourier tail.  All integrals are lattice sums times the cell
 area, which is spectrally accurate for smooth decaying integrands.
 
 The energy space requires dx^-1 dy phi in L^2, so the modes on the
-constrained row xi1 = 0, xi2 != 0 are not part of it; the dx^-1 dy
-multiplier xi2/xi1 is taken as 0 there, as the solver's iterates are.
+constrained row xi1 = 0, xi2 != 0 are not part of it.  The multipliers
+|xi1|^s and xi2/xi1 come from symbols; xi2/xi1 is 0 on that row, as the
+solver's iterates are.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .grid import RealField, irfft2, rfft2
 from .solver import SteadyOperator
-from .symbols import SymbolParams
+from .symbols import SymbolParams, dispersion_symbol, transverse_multiplier
 
 
 @dataclass(frozen=True)
@@ -61,31 +62,27 @@ def residual(phi: RealField, p: SymbolParams) -> float:
 def _antideriv_y_symbol(grid) -> np.ndarray:
     """Multiplier of dx^-1 dy on the half-lattice: xi2 / xi1, real and odd in both.
 
-    The constrained row xi1 = 0 is zero.  The unpaired Nyquist row and
-    column are zeroed too (the odd-operator convention); the self-paired
-    Nyquist modes cannot carry an odd symbol, and leaving them in breaks
-    conjugate symmetry on the lattice, which would make the real-space and
-    Parseval routes below disagree.
+    The transverse multiplier, zero on the constrained row xi1 = 0.  The
+    unpaired Nyquist row and column are zeroed too (the odd-operator
+    convention); the self-paired Nyquist modes cannot carry an odd symbol,
+    and leaving them in breaks conjugate symmetry on the lattice, which
+    would make the real-space and Parseval routes below disagree.
     """
-    xi1 = grid.xi1[:, None]
-    xi2 = grid.xi2_half[None, :]
-    shape = (grid.nx, grid.xi2_half.size)
-    sym = np.divide(xi2, xi1, out=np.zeros(shape), where=xi1 != 0)
+    sym = transverse_multiplier(grid)
     sym[grid.nx // 2, :] = 0.0
     sym[:, -1] = 0.0
     return sym
 
 
 def _energy_parts_spectral(
-    grid, phi_hat: np.ndarray, alpha: float
+    grid, phi_hat: np.ndarray, alpha: float, anti_sym: np.ndarray
 ) -> tuple[float, float, float]:
     """The three squared seminorms via Parseval on the lattice, from rfft2(phi)."""
     power = grid.column_weights * np.abs(phi_hat) ** 2
     weight = grid.cell_area / (grid.nx * grid.ny)
-    xi1 = grid.xi1[:, None]
     l2 = float(np.sum(power)) * weight
-    frac = float(np.sum(np.abs(xi1) ** alpha * power)) * weight
-    anti = float(np.sum(_antideriv_y_symbol(grid) ** 2 * power)) * weight
+    frac = float(np.sum(dispersion_symbol(grid, alpha) * power)) * weight
+    anti = float(np.sum(anti_sym**2 * power)) * weight
     return l2, frac, anti
 
 
@@ -97,22 +94,21 @@ def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     a lattice Parseval sum.  The two routes agree to roundoff, which is
     the discrete form of the identity L = ||phi||^2 / 2.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    SymbolParams(alpha)  # raises unless alpha is finite and positive
     grid = phi.grid
     cell = grid.cell_area
     phi_hat = rfft2(phi.values)
-    xi1 = grid.xi1[:, None]
+    anti_sym = _antideriv_y_symbol(grid)
 
-    frac_field = irfft2(np.abs(xi1) ** (alpha / 2.0) * phi_hat, grid.shape)
-    anti_field = irfft2(_antideriv_y_symbol(grid) * phi_hat, grid.shape)
+    frac_field = irfft2(dispersion_symbol(grid, alpha / 2.0) * phi_hat, grid.shape)
+    anti_field = irfft2(anti_sym * phi_hat, grid.shape)
 
     l2_sq = float(np.sum(phi.values**2)) * cell
     frac_sq = float(np.sum(frac_field**2)) * cell
     anti_sq = float(np.sum(anti_field**2)) * cell
     l_value = 0.5 * (l2_sq + frac_sq + anti_sq)
 
-    s_l2, s_frac, s_anti = _energy_parts_spectral(grid, phi_hat, alpha)
+    s_l2, s_frac, s_anti = _energy_parts_spectral(grid, phi_hat, alpha, anti_sym)
     energy_norm = float(np.sqrt(s_l2 + s_frac + s_anti))
 
     n_value = float(np.sum(phi.values**3)) * cell / 6.0

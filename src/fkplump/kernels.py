@@ -4,9 +4,9 @@ The steady problem at speed 1 is equivalent to the convolution identity
 phi = (1/2) K * phi^2 where fft(K) samples the symbol m, and to
 phi = (1/2) H * (phi^2)_x for the odd companion kernel with symbol h.
 This module constructs both kernels on a lattice, as real inverse
-transforms (irfft2) of their half-lattice symbols, measures their decay,
-and probes the L^p integrability of the symbols by quadrature over
-expanding domains:
+transforms (irfft2) of the half-lattice symbols symbol_m and symbol_h,
+measures their decay, and probes the L^p integrability of the symbols by
+quadrature over expanding domains:
 
   * converging exponents stabilize (truncated norms grow by < 1% on the
     final radius doubling),
@@ -15,12 +15,12 @@ expanding domains:
 
 Each truncated norm is computed two independent ways, both with one
 24-point Gauss-Legendre rule on dyadic xi1 panels: 2D quadrature of
-|symbol|^p in (xi1, xi2), and a 1D reduction in which the xi2 integral is
-an incomplete-beta factor of z = xi2 / (xi1 sqrt(1 + xi1^alpha)).  The
-domains carry a shrinking inner cutoff |xi1| >= 1/R^3 alongside the
-growing box |xi1|, |xi2| <= R, so divergence at the origin (the h symbol
-for p >= 2) is detected by the same increment criterion as divergence at
-infinity.
+|symbols.kernel_symbol|^p in (xi1, xi2), and a 1D reduction in which the
+xi2 integral is an incomplete-beta factor of the scaled variable
+z = xi2 / (xi1 sqrt(1 + xi1^alpha)).  The domains carry a shrinking inner
+cutoff |xi1| >= 1/R^3 alongside the growing box |xi1|, |xi2| <= R, so
+divergence at the origin (the h symbol for p >= 2) is detected by the
+same increment criterion as divergence at infinity.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from scipy.special import betainc
 
 from .analysis import DecayProfile, decay_profile
 from .grid import GridMismatchError, RealField, SpectralGrid, irfft2, rfft2
-from .symbols import symbol_h, symbol_m
+from .symbols import SymbolParams, kernel_symbol, symbol_h, symbol_m
 
 #: Verdict bands for the relative norm growth on the final radius doubling.
 CONVERGING_BAND = 0.01
@@ -225,13 +225,6 @@ def _box_quadrature(which: str, alpha: float, p: float, radius: float, cutoff: f
     original coordinates (times 4 by symmetry) on dyadic xi1 panels, with
     xi2 panels laid out from the local transverse scale of the symbol.
     """
-    if which == "m":
-        def symbol_pow(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-            return (x1**2 / (x1**2 + x2**2 + x1 ** (alpha + 2.0))) ** p
-    else:
-        def symbol_pow(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-            return (x1 / (x1**2 + x2**2 + x1 ** (alpha + 2.0))) ** p
-
     total = 0.0
     x1_edges = _dyadic_panels(cutoff, radius)
     for a, b in zip(x1_edges[:-1], x1_edges[1:]):
@@ -241,7 +234,7 @@ def _box_quadrature(which: str, alpha: float, p: float, radius: float, cutoff: f
         while inner_edges[-1] < radius:
             inner_edges.append(min(2.0 * inner_edges[-1], radius))
         x2_pts, x2_wts = _panel_rule(np.array(inner_edges))
-        vals = symbol_pow(x1_pts[:, None], x2_pts[None, :])
+        vals = kernel_symbol(x1_pts[:, None], x2_pts[None, :], alpha, which) ** p
         total += float(np.sum(x1_wts[:, None] * x2_wts[None, :] * vals))
     return 4.0 * total
 
@@ -261,13 +254,13 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     InvalidExponentError
         For p <= 1/2, where the transverse integral diverges identically.
     ValueError
-        If the running sum of |symbol|^p or the box norm is not finite and
-        positive: p is too large for float64 (as p = 1e300, or p = 50 for h).
+        If alpha (checked by SymbolParams) or p is not finite, or the running
+        sum of |symbol|^p or the box norm is not finite and positive: p is
+        too large for float64 (as p = 1e300, or p = 50 for h).
     """
-    if not (np.isfinite(alpha) and np.isfinite(p)):
-        raise ValueError(f"alpha and p must be finite, got alpha={alpha!r}, p={p!r}")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    SymbolParams(alpha)  # raises unless alpha is finite and positive
+    if not np.isfinite(p):
+        raise ValueError(f"p must be finite, got {p!r}")
     if p <= 0.5:
         raise InvalidExponentError(
             f"p = {p} <= 1/2: the transverse integral diverges for every alpha"

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import RealField, SpectralGrid
+from .symbols import SymbolParams
 
 
 class DomainRangeError(ValueError):
@@ -43,10 +44,10 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
 
 def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealField:
     """Radial gaussian A * exp(-(x^2 + y^2) / w^2), even in x and y."""
-    if width <= 0:
-        raise ValueError(f"width must be positive, got {width!r}")
-    if amplitude == 0:
-        raise ValueError("amplitude must be nonzero")
+    if not (np.isfinite(width) and width > 0):
+        raise ValueError(f"width must be finite and positive, got {width!r}")
+    if not (np.isfinite(amplitude) and amplitude != 0):
+        raise ValueError(f"amplitude must be finite and nonzero, got {amplitude!r}")
     X, Y = grid.meshes()
     return RealField(grid, amplitude * np.exp(-(X**2 + Y**2) / width**2))
 
@@ -92,14 +93,11 @@ def rescale_solution(
     Raises
     ------
     ValueError
-        If alpha or c is not a finite positive number.
+        If alpha or c is not a finite positive number (see SymbolParams).
     DomainRangeError
         If any stretched target coordinate falls outside the source domain.
     """
-    if not (np.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha!r}")
-    if not (np.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and positive, got {c!r}")
+    SymbolParams(alpha, c)  # raises unless alpha and c are finite and positive
     src = phi.grid
     ax = c ** (1.0 / alpha)
     ay = c ** (1.0 / alpha + 0.5)

@@ -110,10 +110,11 @@ class SeedSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "exact-kp1", "file"):
             raise ValueError(f"unknown seed kind {self.kind!r}")
-        if self.amplitude is not None and self.amplitude == 0:
-            raise ValueError("seed amplitude must be nonzero")
-        if self.width <= 0:
-            raise ValueError(f"seed width must be positive, got {self.width!r}")
+        amplitude = self.amplitude
+        if amplitude is not None and not (np.isfinite(amplitude) and amplitude != 0):
+            raise ValueError(f"seed amplitude must be finite and nonzero, got {amplitude!r}")
+        if not (np.isfinite(self.width) and self.width > 0):
+            raise ValueError(f"seed width must be finite and positive, got {self.width!r}")
         if self.kind == "file" and not self.path:
             raise ValueError("seed kind 'file' requires a path")
 

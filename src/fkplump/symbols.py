@@ -1,17 +1,18 @@
-"""Fourier multipliers on the rfft2 half-lattice of a grid.
+"""Fourier multipliers on the rfft2 half-lattice of a grid, and the rules behind them.
 
-Four real symbols are built here: the fractional x-dispersion |xi1|^alpha
-(an (nx, 1) column) and, as read-only (nx, ny/2 + 1) arrays on the rfft2
-half-lattice (see grid), the Petviashvili denominator
-2(c + xi2^2/xi1^2 + |xi1|^alpha) and the kernel symbols
+Each symbol decision is made here once.  kernel_symbol is the pointwise
 
     m(xi1, xi2) = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)),
-    h(xi1, xi2) = xi1   / (|xi|^2 + |xi1|^(alpha+2)).
+    h(xi1, xi2) = xi1   / (|xi|^2 + |xi1|^(alpha+2)),
 
-The transverse term xi2^2/xi1^2 is infinite on the constrained row
-xi1 = 0, xi2 != 0.  Those modes lie outside the energy space, which
-requires dx^-1 dy phi in L^2: the solver's SteadyOperator projects the row
-out exactly, so no regularization of 1/xi1^2 is needed anywhere.
+transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy, and
+SymbolParams checks that alpha and c are finite and positive.  On the
+half-lattice (see grid) the module builds |xi1|^alpha as an (nx, 1) column
+and, read-only, m, h and the Petviashvili denominator
+2(c + (xi2/xi1)^2 + |xi1|^alpha).  xi2/xi1 is undefined on the constrained
+row xi1 = 0, xi2 != 0.  Those modes lie outside the energy space, which
+requires dx^-1 dy phi in L^2, so the multiplier is 0 there and the
+solver's SteadyOperator projects the row out exactly.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ class SymbolParams:
     Attributes
     ----------
     alpha : float
-        Fractional dispersion order; must be positive.  Solver entry points
-        additionally require alpha > 4/5 unless explicitly overridden.
+        Fractional dispersion order; must be finite and positive.  Solver
+        entry points additionally require alpha > 4/5 unless overridden.
     c : float
-        Wave speed, positive.
+        Wave speed; must be finite and positive.
     sigma : int
         -1 for the strong-surface-tension equation (the only one with lump
         solutions); +1 is rejected by every solver path.
@@ -53,9 +54,9 @@ class SymbolParams:
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         if not np.isfinite(self.c) or self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+            raise ValueError(f"c must be finite and positive, got {self.c!r}")
         if self.sigma not in (-1, 1):
             raise ValueError(f"sigma must be -1 or +1, got {self.sigma!r}")
 
@@ -65,12 +66,27 @@ def dispersion_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
     return np.abs(grid.xi1[:, None]) ** alpha
 
 
-def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
-    """Denominator 2(c + xi2^2/xi1^2 + |xi1|^alpha) of the fixed-point map, read-only.
+def kernel_symbol(xi1: np.ndarray, xi2: np.ndarray, alpha: float, which: str) -> np.ndarray:
+    """xi1^k / (xi1^2 + xi2^2 + |xi1|^(alpha+2)), k = 2 for "m" and 1 for "h"; 0 where 0/0."""
+    if which not in ("m", "h"):
+        raise ValueError(f"which must be 'm' or 'h', got {which!r}")
+    den = xi1**2 + xi2**2 + np.abs(xi1) ** (alpha + 2.0)
+    num = xi1 ** (2 if which == "m" else 1)
+    return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
 
-    On the constrained row xi1 = 0, xi2 != 0 the transverse term is taken
-    as 0 (the 0-where-undefined convention of the kernel symbols), so D is
-    finite there; SteadyOperator projects that row out of the iteration.
+
+def transverse_multiplier(grid: SpectralGrid) -> np.ndarray:
+    """Multiplier xi2/xi1 of dx^-1 dy on the half-lattice, 0 on the constrained row xi1 = 0."""
+    xi1 = grid.xi1[:, None]
+    shape = (grid.nx, grid.xi2_half.size)
+    return np.divide(grid.xi2_half[None, :], xi1, out=np.zeros(shape), where=xi1 != 0)
+
+
+def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
+    """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, read-only.
+
+    T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
+    is finite there; SteadyOperator projects that row out of the iteration.
 
     Raises
     ------
@@ -81,24 +97,10 @@ def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
         raise UnsupportedEquationError(
             "sigma = +1 has no lump solutions; only sigma = -1 is supported"
         )
-    xi1sq = grid.xi1[:, None] ** 2
-    xi2sq = grid.xi2_half[None, :] ** 2
-    shape = (grid.nx, grid.xi2_half.size)
-    transverse = np.divide(xi2sq, xi1sq, out=np.zeros(shape), where=xi1sq > 0)
+    transverse = transverse_multiplier(grid) ** 2
     denom = 2.0 * (p.c + transverse + dispersion_symbol(grid, p.alpha))
     denom.setflags(write=False)
     return denom
-
-
-def _kernel_symbol(grid: SpectralGrid, alpha: float, xi1_power: int) -> np.ndarray:
-    """xi1^xi1_power / (|xi|^2 + |xi1|^(alpha+2)) on the half-lattice, 0 where 0/0."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    xi1 = grid.xi1[:, None]
-    xi2 = grid.xi2_half[None, :]
-    num = (xi1**xi1_power) * np.ones((1, xi2.size))
-    den = xi1**2 + xi2**2 + np.abs(xi1) ** (alpha + 2.0)
-    return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
 
 
 def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
@@ -108,7 +110,8 @@ def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
     xi2 != 0; the 0/0 at the origin is set to 1, the value 2/D that the
     Petviashvili denominator gives the mean mode at c = 1.
     """
-    values = _kernel_symbol(grid, alpha, 2)
+    SymbolParams(alpha)  # raises unless alpha is finite and positive
+    values = kernel_symbol(grid.xi1[:, None], grid.xi2_half[None, :], alpha, "m")
     values[0, 0] = 1.0
     values.setflags(write=False)
     return values
@@ -117,10 +120,10 @@ def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
 def symbol_h(grid: SpectralGrid, alpha: float) -> np.ndarray:
     """Kernel symbol h = xi1 / (|xi|^2 + |xi1|^(alpha+2)), odd in xi1, read-only half-lattice.
 
-    The whole row xi1 = 0 (origin included) is set to zero, the odd-symbol
-    convention; every other lattice point is the plain quotient.
+    The whole row xi1 = 0 (origin included) is zero, the odd-symbol
+    convention that the formula gives there.
     """
-    values = _kernel_symbol(grid, alpha, 1)
-    values[0, :] = 0.0
+    SymbolParams(alpha)  # raises unless alpha is finite and positive
+    values = kernel_symbol(grid.xi1[:, None], grid.xi2_half[None, :], alpha, "h")
     values.setflags(write=False)
     return values

@@ -108,6 +108,21 @@ class TestSolve:
         assert "status=diverged" in capsys.readouterr().out
         assert len((out / "iterations.csv").read_text().splitlines()) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--seed-width", "nan"), ("--seed-width", "inf"),
+         ("--seed-amplitude", "nan"), ("--seed-amplitude", "inf")],
+    )
+    def test_non_finite_seed_parameter_is_named(self, tmp_path, capsys, flag, value):
+        # an infinite width is a constant seed, which converges to phi = 2c
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", flag, value,
+                    "--out", tmp_path / "run"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        what = flag[2:].replace("-", " ")
+        assert len(err) == 1 and err[0].startswith("error:") and what in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_seed_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.fkpl"
         code = run(FAST_SOLVE + ["--seed", f"file:{missing}", "--out", tmp_path])
@@ -341,6 +356,19 @@ class TestAnalyze:
         code = run(["analyze", tmp_path / where, "--out", tmp_path / "analysis"])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "alpha, sigma", [(np.nan, -1.0), (-1.0, -1.0), (2.0, 1.0)]
+    )
+    def test_rejected_header_writes_nothing(self, tmp_path, capsys, alpha, sigma):
+        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        X, Y = grid.meshes()
+        path = tmp_path / "field.fkpl"
+        save_field(path, RealField(grid, np.exp(-(X**2) - Y**2)), alpha, 1.0, sigma)
+        out = tmp_path / "analysis"
+        assert run(["analyze", path, "--out", out]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error:")
+        assert list(out.iterdir()) == []
 
     def test_corrupt_field_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fkpl"

@@ -56,6 +56,13 @@ class TestFunctionals:
         assert v.energy_norm == 0.0
         assert v.dc_mode == 0.0
 
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
+    def test_rejects_invalid_alpha(self, small_grid, alpha):
+        # nan and inf used to give NaN or infinite functionals
+        phi = RealField(small_grid, np.ones(small_grid.shape))
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            functionals(phi, alpha)
+
     def test_quadratic_identity_on_converged(self, unit_solve):
         field, _ = unit_solve
         v = functionals(field, 2.0)

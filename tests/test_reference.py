@@ -78,6 +78,11 @@ class TestGaussianSeed:
             gaussian_seed(lump_grid, amplitude=1.0, width=0.0)
         with pytest.raises(ValueError):
             gaussian_seed(lump_grid, amplitude=0.0, width=1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="width must be finite"):
+                gaussian_seed(lump_grid, amplitude=1.0, width=bad)
+            with pytest.raises(ValueError, match="amplitude must be finite"):
+                gaussian_seed(lump_grid, amplitude=bad, width=1.0)
 
 
 class TestRescale:

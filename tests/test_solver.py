@@ -182,6 +182,12 @@ class TestConfig:
             SeedSpec(kind="gaussian", width=-1.0)
         with pytest.raises(ValueError):
             SeedSpec(kind="file")
+        # nan compares false with 0, and an infinite width is a constant seed
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="seed width must be finite"):
+                SeedSpec(kind="gaussian", width=bad)
+            with pytest.raises(ValueError, match="seed amplitude must be finite"):
+                SeedSpec(kind="gaussian", amplitude=bad)
 
 
 class TestSeeds:

@@ -10,8 +10,10 @@ from fkplump.symbols import (
     SymbolParams,
     UnsupportedEquationError,
     half_lattice_denominator,
+    kernel_symbol,
     symbol_h,
     symbol_m,
+    transverse_multiplier,
 )
 from oracles import complex_denominator
 
@@ -142,6 +144,39 @@ class TestSymbolH:
         for k1 in range(1, grid_pi.nx // 2):  # Nyquist row excluded (unpaired)
             for k2 in (0, 1, 3, 8):
                 assert lattice_value(grid_pi, h, -k1, k2) == -lattice_value(grid_pi, h, k1, k2)
+
+
+class TestSymbolDecisions:
+    """kernel_symbol, transverse_multiplier and the alpha rule they share."""
+
+    def test_kernel_symbol_pointwise(self):
+        xi1 = np.array([0.0, 0.0, 1.0, -2.0])
+        xi2 = np.array([0.0, 3.0, 1.0, 0.0])
+        # 0/0 at the origin is 0; elsewhere the plain quotient with |xi1|
+        assert np.array_equal(kernel_symbol(xi1, xi2, 2.0, "m"), [0.0, 0.0, 1 / 3, 4 / 20])
+        assert np.array_equal(kernel_symbol(xi1, xi2, 2.0, "h"), [0.0, 0.0, 1 / 3, -2 / 20])
+
+    def test_kernel_symbol_rejects_unknown_symbol(self):
+        with pytest.raises(ValueError, match="which"):
+            kernel_symbol(np.ones(2), np.ones(2), 1.5, "k")
+
+    def test_transverse_multiplier(self, grid_pi):
+        t = transverse_multiplier(grid_pi)
+        assert t.shape == (grid_pi.nx, grid_pi.ny // 2 + 1)
+        assert np.all(t[0, :] == 0.0)  # the constrained row
+        assert lattice_value(grid_pi, t, 2, 3) == pytest.approx(1.5, rel=1e-12)
+        assert lattice_value(grid_pi, t, -2, 3) == -lattice_value(grid_pi, t, 2, 3)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("symbol", [symbol_m, symbol_h])
+    def test_lattice_symbols_reject_invalid_alpha(self, grid_pi, symbol, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            symbol(grid_pi, alpha)
+
+    @pytest.mark.parametrize("which", ["K", "H"])
+    def test_build_kernel_rejects_nan_alpha(self, grid_pi, which):
+        with pytest.raises(ValueError, match="alpha must be finite and positive"):
+            build_kernel(grid_pi, np.nan, which)
 
 
 class TestApplyMultiplier:
