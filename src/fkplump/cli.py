@@ -47,7 +47,6 @@ from .grid import SpectralGrid, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
 from .solver import (
-    TRANSFORM,
     DegenerateIterateError,
     SeedSpec,
     SolveStatus,
@@ -228,7 +227,7 @@ def run_solve(args: argparse.Namespace) -> int:
             {"path": str(log_path), "role": "iteration-log"},
         ],
         timings={"solve": solve_seconds, "write": time.perf_counter() - t1},
-        environment={"fft_workers": fft_workers(), "transform": TRANSFORM,
+        environment={"fft_workers": fft_workers(), "transform": report.transform,
                      "numpy": np.__version__, "scipy": scipy.__version__},
         run={"status": report.status.value, "reason": report.reason,
              "iterations": report.iterations, "accel_depth": config.accel_depth,

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .grid import RealField, SpectralGrid
+from .symbols import SymbolParams
 
 MAGIC = b"FKPL"
 VERSION = 1
@@ -57,7 +58,15 @@ class LoadedField:
 def save_field(
     path: str | Path, field: RealField, alpha: float, c: float, sigma: float = -1.0
 ) -> None:
-    """Write a field and its parameters; see the module docstring for layout."""
+    """Write a field and its parameters; see the module docstring for layout.
+
+    Raises
+    ------
+    ValueError
+        Unless alpha and c are finite and positive and sigma is -1 or +1
+        (SymbolParams); nothing is written then.
+    """
+    SymbolParams(alpha=alpha, c=c, sigma=sigma)
     grid = field.grid
     header = _HEADER.pack(
         MAGIC, VERSION, grid.nx, grid.ny, grid.lx, grid.ly, alpha, c, float(sigma)

@@ -12,6 +12,12 @@ Every field is real, so every spectrum is stored on the rfft2 half-lattice
 SpectralGrid.xi2_half.  The other columns are conjugates of stored modes,
 so a sum over the full lattice is a half-lattice sum with the column
 weights SpectralGrid.column_weights: 1 on k2 = 0 and ny/2, 2 elsewhere.
+
+A field that is even in x and in y is held by its quarter, the nodes
+x, y >= 0 (indices n/2, ..., n - 1 and then 0, the node x = lx = -lx):
+(nx/2 + 1, ny/2 + 1) values.  Its type-1 cosine transform dct1 is the
+rfft2 of the whole field on the rows k1 = 0, ..., nx/2, up to the sign
+(-1)^(k1 + k2) of the shift to x = 0; the other rows repeat these.
 """
 
 from __future__ import annotations
@@ -71,6 +77,23 @@ def irfft2(
     """
     half = _sfft.ifft(coeffs, n=shape[0], axis=0, overwrite_x=overwrite_x, workers=fft_workers())
     return _sfft.irfft(half, n=shape[1], axis=1, workers=fft_workers())
+
+
+def dct1(values: np.ndarray) -> np.ndarray:
+    """Unnormalized type-1 DCT along both axes of an even-even quarter."""
+    return _sfft.dctn(values, type=1, workers=fft_workers())
+
+
+def idct1(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse of dct1.  With overwrite_x, coeffs may be used as scratch."""
+    return _sfft.idctn(coeffs, type=1, overwrite_x=overwrite_x, workers=fft_workers())
+
+
+def multiplicities(n: int) -> np.ndarray:
+    """How often each of the modes k = 0, ..., n/2 occurs among the n signed ones: 1, 2, ..., 2, 1."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[[0, -1]] = 1.0
+    return w
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -155,8 +178,7 @@ class SpectralGrid:
     @cached_property
     def column_weights(self) -> np.ndarray:
         """Multiplicity of each half-lattice column in the full lattice: 1, 2, ..., 2, 1."""
-        w = np.full(self.ny // 2 + 1, 2.0)
-        w[[0, -1]] = 1.0
+        w = multiplicities(self.ny)
         w.setflags(write=False)
         return w
 

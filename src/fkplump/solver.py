@@ -17,13 +17,21 @@ means all three fall below the configured tolerance simultaneously.
 
 On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
 outside the energy space (zero mass in x), and the image is set to
-exactly 0 there.  The step runs on rfft2 half-spectra (SteadyOperator),
-so D and the pairings are real by construction.  A step whose M^nu is
-not a finite positive number ends the run as DIVERGED.
+exactly 0 there.  D and the pairings are real by construction.  A step
+whose M^nu is not a finite positive number ends the run as DIVERGED, and
+so does a run that converges to the constant steady state phi = 2c.
+
+The loop runs on one of two layouts of SteadyOperator, chosen by the
+seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
+even-even: when the projected seed's reflection defects are at most
+EVEN_EVEN_TOL, the iterates are the (nx/2+1, ny/2+1) quarters x, y >= 0
+and the spectra their DCT-I coefficients (dct1/idct1), and the final
+field is mirrored back to the whole grid.  Every other seed runs on the
+whole grid with rfft2 half-spectra.
 
 By default the map is accelerated by type-II Anderson mixing (Walker & Ni,
 SIAM J. Numer. Anal. 2011; for Petviashvili maps see Alvarez & Duran,
-Math. Comput. Simul. 2016) on the half-spectrum.  With g_n the image above
+Math. Comput. Simul. 2016) on the spectra.  With g_n the image above
 and f_n = g_n - fft(phi_n), depth 1 takes
 
     fft(phi_{n+1}) = g_n - gamma (g_n - g_{n-1}),
@@ -31,21 +39,35 @@ and f_n = g_n - fft(phi_n), depth 1 takes
 
 with <,> the real dot product of the float64 views.  Mixing runs only
 while |1 - M_n| <= ACCEL_GATE; elsewhere the plain step is taken and the
-history is cleared.  accel_depth = 0 is the paper's plain map.  Either
-way one iteration costs one rfft2 and two irfft2, and the three monitors
-are those of the accepted iterate.
+history is cleared.  accel_depth = 0 is the paper's plain map.  The dot
+product counts each quarter row as often as the half-lattice holds it, so
+both layouts mix alike.  Either way one iteration costs one forward and
+two inverse transforms of the layout (one rfft2 and two irfft2, or one
+dct1 and two idct1), and the three monitors are those of the accepted
+iterate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .analysis import symmetry_report
 # fft2 is unused here; perfbench/selftest.py checks fkplump.solver.fft2.
-from .grid import RealField, SpectralGrid, fft2, irfft2, rfft2  # noqa: F401
+from .grid import (  # noqa: F401
+    RealField,
+    SpectralGrid,
+    dct1,
+    fft2,
+    idct1,
+    irfft2,
+    multiplicities,
+    rfft2,
+)
 from .reference import ExactLumpParams, exact_kp1_lump, gaussian_seed
 from .symbols import (
     ALPHA_ENERGY_CRITICAL,
@@ -57,8 +79,10 @@ from .symbols import (
 #: Sup-norm blow-up guard, in units of the wave speed.
 DIVERGENCE_AMPLITUDE = 1e6
 
-#: The transform the iteration runs on, recorded in run manifests.
-TRANSFORM = "rfft2"
+#: The quarter layout is taken when both reflection defects of the
+#: projected seed are at most this, relative to its peak.  The gaussian and
+#: exact seeds measure at most 1.9e-15 on grids from 8^2 to 2048^2.
+EVEN_EVEN_TOL = 1e-13
 
 #: The Anderson mixing depths: 0 is the plain map, 1 the mixed one.  Depth
 #: 2 would need two more half-spectra (16 B/node) and a least-squares
@@ -173,7 +197,9 @@ class IterationRecord:
 class IterationReport:
     """Per-iteration monitor records, the final status and why the run stopped.
 
-    mixed_steps counts the iterations whose step was Anderson-mixed.
+    mixed_steps counts the iterations whose step was Anderson-mixed, and
+    transform names the layout the loop ran on: "rfft2" (the half-lattice)
+    or "dct1" (the even-even quarter).
     """
 
     records: tuple[IterationRecord, ...]
@@ -181,6 +207,7 @@ class IterationReport:
     tol: float
     reason: str = ""
     mixed_steps: int = 0
+    transform: str = "rfft2"
 
     @property
     def iterations(self) -> int:
@@ -202,40 +229,103 @@ def _sup(values: np.ndarray) -> float:
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Real dot product of two half-spectra, as float64 views."""
+    """Real dot product of two spectra, as float64 views."""
     return float(np.vdot(a.view(np.float64), b.view(np.float64)))
+
+
+def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re(a conj(b)) pointwise, as a new real array."""
+    out = a.real * b.real
+    if np.iscomplexobj(a):
+        out += a.imag * b.imag
+    return out
 
 
 class SteadyOperator:
     """M, the Petviashvili image and the steady residual on one (grid, params).
 
-    Build it once and pass it the half-spectra of spectra(); its arrays
-    are real.  The residual symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has
-    no singular term: S phi has the transform A phi^ - (xi1^2/2) (phi^2)^.
+    Build it once and pass it the spectra of spectra(); its arrays are
+    real.  The residual symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has no
+    singular term: S phi has the transform A phi^ - (xi1^2/2) (phi^2)^.
     The constrained row xi1 = 0, xi2 != 0, where D is infinite, is not
     part of the space: it has weight 0 in the pairings of M, and the image
-    is exactly 0 there.  The other pairing weights turn half-lattice sums
-    into full-lattice pairings: the grid's column weights (1 on the
-    columns k2 = 0 and ny/2, 2 on the others).
+    is exactly 0 there.  The other pairing weights turn the stored sums
+    into full-lattice pairings.
+
+    Two layouts share every formula.  By default the iterates are n^2
+    fields and the spectra rfft2 half-lattices; the weights are the
+    grid's column weights (1 on the columns k2 = 0 and ny/2, 2 on the
+    others).  With quarter=True the iterates are even-even quarters (see
+    grid) and the spectra their real dct1 coefficients.  D, A and xi1^2/2
+    are then the first nx/2 + 1 rows of the half-lattice arrays, and the
+    weights carry the row multiplicities (1 at k1 = 0 and nx/2, 2
+    elsewhere) as well.
     """
 
-    def __init__(self, grid: SpectralGrid, params: SymbolParams) -> None:
+    def __init__(self, grid: SpectralGrid, params: SymbolParams, quarter: bool = False) -> None:
         self.grid = grid
-        self.denom = half_lattice_denominator(grid, params)
-        xi1sq = grid.xi1[:, None] ** 2
+        self.quarter = quarter
+        rows = grid.nx // 2 + 1 if quarter else grid.nx
+        xi1sq = grid.xi1[:rows, None] ** 2
+        denom = half_lattice_denominator(grid, params)
+        # The quarter keeps a copy of its rows, so that the half-lattice D is freed.
+        self.denom = denom[:rows].copy() if quarter else denom
         self.half_xi1sq = 0.5 * xi1sq
         self.residual_symbol = (
-            xi1sq * (params.c + dispersion_symbol(grid, params.alpha))
+            xi1sq * (params.c + dispersion_symbol(grid, params.alpha)[:rows])
             + grid.xi2_half[None, :] ** 2
         )
-        self.weights = np.tile(grid.column_weights, (grid.nx, 1))
+        row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
+        self.weights = row_weights * grid.column_weights
         self.weights[0, 1:] = 0.0
-        rows = max(1, BLOCK_BYTES // (16 * self.denom.shape[1]))  # complex rows
-        self.blocks = [slice(i, i + rows) for i in range(0, grid.nx, rows)]
+        block = max(1, BLOCK_BYTES // (16 * self.denom.shape[1]))  # complex rows
+        self.blocks = [slice(i, i + block) for i in range(0, rows, block)]
+
+    @property
+    def transform(self) -> str:
+        """The forward transform of the layout, as recorded in run reports."""
+        return "dct1" if self.quarter else "rfft2"
+
+    def fold(self, values: np.ndarray) -> np.ndarray:
+        """A new array of the layout's iterate from n^2 values (the quarter x, y >= 0)."""
+        if not self.quarter:
+            return values.copy()
+        nx, ny = self.grid.shape
+        rows = (nx // 2 + np.arange(nx // 2 + 1)) % nx
+        cols = (ny // 2 + np.arange(ny // 2 + 1)) % ny
+        return values[np.ix_(rows, cols)]
+
+    def unfold(self, values: np.ndarray) -> np.ndarray:
+        """The n^2 values of an iterate of the layout, mirrored from the quarter."""
+        if not self.quarter:
+            return values
+        nx, ny = self.grid.shape
+        return values[np.ix_(np.abs(np.arange(nx) - nx // 2), np.abs(np.arange(ny) - ny // 2))]
+
+    def forward(self, values: np.ndarray) -> np.ndarray:
+        """The spectrum of an iterate of the layout."""
+        return dct1(values) if self.quarter else rfft2(values)
+
+    def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        """The iterate of a spectrum; with overwrite_x, coeffs are left undefined."""
+        if self.quarter:
+            return idct1(coeffs, overwrite_x=overwrite_x)
+        return irfft2(coeffs, self.grid.shape, overwrite_x=overwrite_x)
 
     def spectra(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half-lattice transforms of an iterate and of its square."""
-        return rfft2(values), rfft2(values * values)
+        """Transforms of an iterate and of its square."""
+        return self.forward(values), self.forward(values * values)
+
+    def dot(self, a: np.ndarray, b: np.ndarray) -> float:
+        """Real dot product of two spectra, each row counted as often as the half-lattice holds it.
+
+        The half-lattice holds the rows k1 and nx - k1 of an even-even
+        field apart, so a quarter row other than k1 = 0 and nx/2 counts
+        twice; both layouts then give Anderson mixing the same numbers.
+        """
+        if not self.quarter:
+            return _real_dot(a, b)
+        return 2.0 * _real_dot(a, b) - _real_dot(a[0], b[0]) - _real_dot(a[-1], b[-1])
 
     def stabilizing_factor(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
         """Stabilizing factor M from the spectra of phi and phi^2.
@@ -255,14 +345,11 @@ class SteadyOperator:
         num = den = scale = 0.0
         for rows in self.blocks:
             p, s, w = phi_hat[rows], sq_hat[rows], self.weights[rows]
-            power = p.real * p.real
-            power += p.imag * p.imag
+            power = _real_product(p, p)
             scale += float(np.vdot(w, np.abs(s) * np.sqrt(power)))
             power *= self.denom[rows]
-            cross = s.real * p.real
-            cross += s.imag * p.imag
             num += float(np.vdot(w, power))
-            den += float(np.vdot(w, cross))
+            den += float(np.vdot(w, _real_product(s, p)))
         if abs(den) <= 1e-14 * scale:
             raise DegenerateIterateError(
                 "cubic pairing vanished; the iterate has collapsed (or has odd parity)"
@@ -292,14 +379,14 @@ class SteadyOperator:
         return sq_hat
 
     def realize(self, next_hat: np.ndarray) -> tuple[np.ndarray, float]:
-        """The iterate of a half-spectrum and its sup norm.
+        """The iterate of a spectrum and its sup norm.
 
         Raises
         ------
         DivergenceError
             If the iterate is not finite.
         """
-        values = irfft2(next_hat, self.grid.shape)
+        values = self.inverse(next_hat)
         peak = _sup(values)
         if not math.isfinite(peak):
             raise DivergenceError("iteration produced non-finite values")
@@ -310,23 +397,24 @@ class SteadyOperator:
     ) -> float:
         """Sup norm of S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy.
 
-        out, a half-spectrum the caller no longer needs, is used as scratch.
+        out, a spectrum the caller no longer needs, is used as scratch.
         """
         s_hat = np.multiply(self.residual_symbol, phi_hat, out=out)
         for rows in self.blocks:
             s_hat[rows] -= self.half_xi1sq[rows] * sq_hat[rows]
-        return _sup(irfft2(s_hat, self.grid.shape, overwrite_x=True))
+        return _sup(self.inverse(s_hat, overwrite_x=True))
 
 
 class _AndersonMixer:
-    """Depth-1 type-II Anderson mixing of the Petviashvili map on half-spectra.
+    """Depth-1 type-II Anderson mixing of the Petviashvili map on spectra.
 
     The history is the previous f and g.  The differences overwrite them,
     and the mixed spectrum is built in the difference of g, which leaves
-    the difference of f free.
+    the difference of f free.  dot is the operator's inner product.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, dot: Callable[[np.ndarray, np.ndarray], float]) -> None:
+        self.dot = dot
         self.last: tuple[np.ndarray, np.ndarray] | None = None  # f, g of the last step
         self.mixed_steps = 0
 
@@ -336,14 +424,14 @@ class _AndersonMixer:
     def mix(self, phi_hat: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """The next spectrum from phi_hat (overwritten with f) and its image g.
 
-        Returns it with a half-spectrum buffer that this step left free, or None.
+        Returns it with a spectrum buffer that this step left free, or None.
         """
         f = np.subtract(g, phi_hat, out=phi_hat)
         last, self.last = self.last, (f, g)
         if last is not None:
             df = np.subtract(f, last[0], out=last[0])
             dg = np.subtract(g, last[1], out=last[1])
-            df_df, df_f = _real_dot(df, df), _real_dot(df, f)
+            df_df, df_f = self.dot(df, df), self.dot(df, f)
             if math.isfinite(df_df) and math.isfinite(df_f) and df_df > 0.0:
                 self.mixed_steps += 1
                 dg *= -(df_f / df_df)
@@ -386,6 +474,12 @@ def build_seed(config: SolverConfig) -> RealField:
     return project_zero_mass(seed)
 
 
+def _is_even_even(seed: RealField) -> bool:
+    """Whether the seed's reflection defects in x and y are at roundoff."""
+    defects = symmetry_report(seed)
+    return max(defects.x_defect, defects.y_defect) <= EVEN_EVEN_TOL
+
+
 def _stalled(record: IterationRecord, tol: float) -> str:
     """The monitors of a record that are still above tol, as text."""
     above = [
@@ -415,12 +509,14 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     """
     p = config.params
     grid = config.grid
-    op = SteadyOperator(grid, p)
+    seed = build_seed(config)
+    op = SteadyOperator(grid, p, quarter=_is_even_even(seed))
     # A writable copy of the seed: each iteration reuses the old iterate's
     # buffer for the step difference and then for the square.
-    phi = build_seed(config).values.copy()
+    phi = op.fold(seed.values)
+    del seed
     phi_hat, sq_hat = op.spectra(phi)
-    mixer = _AndersonMixer()
+    mixer = _AndersonMixer(op.dot)
     records: list[IterationRecord] = []
 
     for n in range(1, config.max_iter + 1):
@@ -442,7 +538,7 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         np.subtract(phi, next_phi, out=phi)
         iter_error = _sup(phi)
         np.multiply(next_phi, next_phi, out=phi)
-        sq_hat = rfft2(phi)
+        sq_hat = op.forward(phi)
         phi, phi_hat = next_phi, next_hat
         residual = op.residual(phi_hat, sq_hat, out=spare)
         records.append(IterationRecord(n, iter_error, m, factor_error, residual))
@@ -452,8 +548,16 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
             reason = f"sup|phi| = {peak:.3e} exceeds the blow-up guard {DIVERGENCE_AMPLITUDE:g} c"
             break
         if max(iter_error, factor_error, residual) <= config.tol:
-            status = SolveStatus.CONVERGED
-            reason = f"all three monitors at or below tol {config.tol:.3e}"
+            variation = float(phi.max() - phi.min())
+            if variation <= config.tol:
+                status = SolveStatus.DIVERGED
+                reason = (
+                    f"constant state phi = 2c = {2.0 * p.c:g} reached, not a lump: "
+                    f"variation {variation:.3e} within tol {config.tol:.3e}"
+                )
+            else:
+                status = SolveStatus.CONVERGED
+                reason = f"all three monitors at or below tol {config.tol:.3e}"
             break
     else:
         status = SolveStatus.MAX_ITER
@@ -462,6 +566,6 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     mixer.reset()  # the history is not needed for the copy below
     report = IterationReport(
         records=tuple(records), status=status, tol=config.tol,
-        reason=reason, mixed_steps=mixer.mixed_steps,
+        reason=reason, mixed_steps=mixer.mixed_steps, transform=op.transform,
     )
-    return RealField(grid, phi), report
+    return RealField(grid, op.unfold(phi)), report

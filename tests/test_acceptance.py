@@ -15,7 +15,7 @@ from fkplump.fieldio import load_field, save_field
 from fkplump.grid import RealField, SpectralGrid, irfft2, rfft2
 from fkplump.kernels import build_kernel, convolve, integrability_probe, kernel_decay
 from fkplump.reference import ExactLumpParams, exact_kp1_lump, rescale_solution
-from fkplump.solver import SolverConfig, solve
+from fkplump.solver import SeedSpec, SolverConfig, solve
 from fkplump.symbols import SymbolParams
 
 
@@ -55,11 +55,27 @@ def test_monitor_contract(desk_alpha2, desk_alpha17, desk_alpha15):
 
 
 @pytest.mark.criterion(3, "reflection symmetry of converged lumps")
-def test_symmetry(desk_alpha2, desk_alpha17, desk_alpha135):
-    for alpha, (field, _, _, _) in (
-        (2.0, desk_alpha2),
-        (1.7, desk_alpha17),
-        (1.35, desk_alpha135),
+def test_symmetry(desk_alpha2, desk_alpha17, desk_alpha135, tmp_path, rng):
+    # The desk fixtures start from the even-even gaussian, so they run on
+    # the DCT-I quarter and are unfolded from it: their defects are 0 by
+    # construction.  The witness below runs on the rfft2 half-lattice, from
+    # a seed that is not even-even, so there symmetry has to emerge.
+    grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
+    X, Y = grid.meshes()
+    noise = 1e-9 * rng.standard_normal(grid.shape) * np.exp(-(X**2 + Y**2) / 16.0)
+    path = tmp_path / "noisy_seed.fkpl"
+    save_field(path, RealField(grid, 3.0 * np.exp(-(X**2 + Y**2) / 4.0) + noise), 2.0, 1.0)
+    config = SolverConfig(
+        params=SymbolParams(alpha=2.0, c=1.0), grid=grid, seed=SeedSpec(kind="file", path=str(path))
+    )
+    witness, report = solve(config)
+    assert report.converged() and report.transform == "rfft2"
+
+    for alpha, field in (
+        (2.0, desk_alpha2[0]),
+        (1.7, desk_alpha17[0]),
+        (1.35, desk_alpha135[0]),
+        ("2 (noisy seed, rfft2)", witness),
     ):
         rep = symmetry_report(field)
         print(

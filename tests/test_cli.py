@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -41,7 +42,8 @@ class TestSolve:
         assert manifest["config"]["alpha"] == 2.0
         assert manifest["software_version"]
         assert set(manifest["timings"]) == {"solve", "write"}
-        assert manifest["environment"]["transform"] == "rfft2"
+        # the gaussian seed is even-even, so the run takes the DCT-I quarter
+        assert manifest["environment"]["transform"] == "dct1"
         assert manifest["environment"]["numpy"] == np.__version__
         assert manifest["environment"]["scipy"] == scipy.__version__
         from pathlib import Path
@@ -142,6 +144,31 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "cubic pairing" in err
         assert len(err.splitlines()) == 1
+
+    def test_non_even_seed_runs_on_the_half_lattice(self, tmp_path):
+        # a gaussian off x = 0 is not even in x: the run keeps the rfft2 layout
+        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        X, Y = grid.meshes()
+        seed = tmp_path / "shifted.fkpl"
+        save_field(seed, RealField(grid, 3.0 * np.exp(-((X - 0.5) ** 2 + Y**2) / 4.0)), 2.0, 1.0)
+        out = tmp_path / "run"
+        code = run(["solve", "--alpha", "2", "--n", "64", "--l", "16",
+                    "--seed", f"file:{seed}", "--out", out])
+        assert code == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["environment"]["transform"] == "rfft2"
+
+    def test_constant_state_is_not_a_lump(self, tmp_path, capsys):
+        # a very wide gaussian is nearly constant, and the map takes it to
+        # the constant steady state phi = 2c in two iterations
+        out = tmp_path / "run"
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8",
+                    "--seed-width", "1e6", "--out", out])
+        assert code == EXIT_DIVERGED
+        assert "status=diverged" in capsys.readouterr().out
+        record = json.loads((out / "manifest.json").read_text())["run"]
+        assert record["status"] == "diverged"
+        assert "constant state phi = 2c = 2" in record["reason"]
 
     def test_missing_alpha(self, tmp_path, capsys):
         code = run(["solve", "--n", "64", "--l", "16", "--out", tmp_path])
@@ -361,10 +388,12 @@ class TestAnalyze:
         "alpha, sigma", [(np.nan, -1.0), (-1.0, -1.0), (2.0, 1.0)]
     )
     def test_rejected_header_writes_nothing(self, tmp_path, capsys, alpha, sigma):
+        # save_field refuses these headers, so the file is written as raw bytes
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
         X, Y = grid.meshes()
         path = tmp_path / "field.fkpl"
-        save_field(path, RealField(grid, np.exp(-(X**2) - Y**2)), alpha, 1.0, sigma)
+        header = struct.pack("<4sIII5d", b"FKPL", 1, 64, 64, 16.0, 16.0, alpha, 1.0, sigma)
+        path.write_bytes(header + np.exp(-(X**2) - Y**2).astype("<f8").tobytes())
         out = tmp_path / "analysis"
         assert run(["analyze", path, "--out", out]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")

@@ -49,6 +49,25 @@ def sample(tmp_path, rng, small_grid):
     return path, field
 
 
+class TestSave:
+    @pytest.mark.parametrize(
+        "alpha, c, sigma",
+        [(np.nan, 1.0, -1.0), (-1.0, 1.0, -1.0), (0.0, 1.0, -1.0), (2.0, np.inf, -1.0),
+         (2.0, 0.0, -1.0), (2.0, 1.0, 0.5), (2.0, 1.0, np.nan)],
+    )
+    def test_rejects_bad_parameters(self, tmp_path, alpha, c, sigma):
+        path = tmp_path / "field.fkpl"
+        with pytest.raises(ValueError, match="alpha|c must|sigma"):
+            save_field(path, _FIELD_16, alpha=alpha, c=c, sigma=sigma)
+        assert not path.exists()
+
+    def test_weak_surface_tension_header_is_written(self, tmp_path):
+        # sigma = +1 is an equation, not a malformed value; analyze rejects it later
+        path = tmp_path / "field.fkpl"
+        save_field(path, _FIELD_16, alpha=2.0, c=1.0, sigma=1.0)
+        assert load_field(path).sigma == 1.0
+
+
 class TestRoundTrip:
     def test_values_bit_exact(self, sample):
         path, field = sample

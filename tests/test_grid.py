@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fkplump.grid import InvalidFieldError, RealField, SpectralGrid, irfft2, rfft2
+from fkplump.grid import (
+    InvalidFieldError,
+    RealField,
+    SpectralGrid,
+    dct1,
+    idct1,
+    irfft2,
+    rfft2,
+)
 
 
 class TestSpectralGrid:
@@ -160,6 +168,23 @@ class TestTransforms:
         expected = irfft2(half, grid.shape)
         scratch = half.copy()
         assert np.array_equal(irfft2(scratch, grid.shape, overwrite_x=True), expected)
+
+    def test_dct1_is_the_half_spectrum_of_an_even_even_field(self):
+        # the quarter x, y >= 0 holds the field; its DCT-I is the rfft2 on
+        # the rows k1 <= nx/2, up to the sign (-1)^(k1 + k2) of the shift
+        grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
+        X, Y = grid.meshes()
+        values = np.exp(-(X**2) - 0.5 * Y**4) * np.cos(X)
+        rows = (16 + np.arange(17)) % 32
+        cols = (8 + np.arange(9)) % 16
+        quarter = values[np.ix_(rows, cols)]
+        coeffs = dct1(quarter)
+        sign = (-1.0) ** np.add.outer(np.arange(17), np.arange(9))
+        half = rfft2(values)[:17]
+        assert np.max(np.abs(sign * coeffs - half)) <= 1e-13 * np.max(np.abs(half))
+        back = idct1(coeffs)
+        assert np.max(np.abs(back - quarter)) <= 1e-14 * np.max(np.abs(quarter))
+        assert np.array_equal(idct1(coeffs.copy(), overwrite_x=True), back)
 
     def test_exact_lump_round_trip(self):
         from fkplump.reference import ExactLumpParams, exact_kp1_lump

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fkplump import solver
 from fkplump.diagnostics import residual
 from fkplump.grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
@@ -33,7 +34,9 @@ PARAMS = SymbolParams(alpha=2.0, c=1.0)
 REASON_PREFIXES = {
     SolveStatus.CONVERGED: ("all three monitors",),
     SolveStatus.MAX_ITER: ("max-iter",),
-    SolveStatus.DIVERGED: ("step factor M^nu", "iteration produced non-finite", "sup|phi|"),
+    SolveStatus.DIVERGED: (
+        "step factor M^nu", "iteration produced non-finite", "sup|phi|", "constant state",
+    ),
 }
 
 
@@ -516,6 +519,89 @@ class TestAcceleration:
         assert report.reason.startswith(REASON_PREFIXES[report.status])
         assert 1 <= report.iterations <= config.max_iter
         assert report.mixed_steps <= report.iterations
+
+
+def half_lattice_only(monkeypatch):
+    """Make solve keep the rfft2 half-lattice for every seed, even-even or not."""
+    monkeypatch.setattr("fkplump.solver._is_even_even", lambda seed: False)
+
+
+class TestLayouts:
+    """The DCT-I quarter against the rfft2 half-lattice on even-even seeds."""
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("alpha", [2.0, 1.5])
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_layouts_agree(self, monkeypatch, n, alpha, depth):
+        grid = SpectralGrid(nx=n, ny=n, lx=n / 4, ly=n / 4)
+        config = SolverConfig(
+            params=SymbolParams(alpha=alpha, c=1.0), grid=grid, accel_depth=depth
+        )
+        field, report = solve(config)
+        with monkeypatch.context() as patch:
+            half_lattice_only(patch)
+            ref_field, ref = solve(config)
+        assert (report.transform, ref.transform) == ("dct1", "rfft2")
+        assert report.converged() and ref.converged()
+        assert report.iterations == ref.iterations
+        assert report.mixed_steps == ref.mixed_steps
+        for rec, old in zip(report.records, ref.records):
+            assert rec.m_factor == pytest.approx(old.m_factor, rel=1e-12, abs=0.0)
+            assert rec.iter_error == pytest.approx(old.iter_error, rel=1e-6, abs=0.0)
+            assert rec.residual == pytest.approx(old.residual, rel=1e-6, abs=0.0)
+            assert rec.factor_error == pytest.approx(old.factor_error, rel=1e-6, abs=1e-12)
+        assert np.max(np.abs(field.values - ref_field.values)) <= 1e-13 * ref_field.max_abs()
+
+    def test_seeds_choose_layout(self, small_grid):
+        X, Y = small_grid.meshes()
+        even = RealField(small_grid, np.exp(-(X**2) - 2.0 * Y**2))
+        assert solver._is_even_even(project_zero_mass(even))
+        shifted = RealField(small_grid, np.exp(-((X - 1e-3) ** 2) - Y**2))
+        assert not solver._is_even_even(project_zero_mass(shifted))
+
+    def test_fold_unfold_round_trip(self, small_grid):
+        X, Y = small_grid.meshes()
+        values = np.exp(-(X**2) - 2.0 * Y**2)
+        op = SteadyOperator(small_grid, PARAMS, quarter=True)
+        quarter = op.fold(values)
+        assert quarter.shape == (33, 33) and quarter[0, 0] == values[32, 32]
+        assert np.array_equal(op.unfold(quarter), values)
+
+    def test_quarter_operator_matches_half_lattice(self, small_grid):
+        # M, the image and the residual of an even-even iterate in both layouts
+        seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
+        half = SteadyOperator(small_grid, PARAMS)
+        quarter = SteadyOperator(small_grid, PARAMS, quarter=True)
+        phi_hat, sq_hat = half.spectra(seed.values)
+        q_hat, q_sq_hat = quarter.spectra(quarter.fold(seed.values))
+        m = half.stabilizing_factor(phi_hat, sq_hat)
+        assert quarter.stabilizing_factor(q_hat, q_sq_hat) == pytest.approx(m, rel=1e-13)
+        assert quarter.residual(q_hat, q_sq_hat) == pytest.approx(
+            half.residual(phi_hat, sq_hat), rel=1e-10
+        )
+        assert quarter.dot(q_hat, q_sq_hat) == pytest.approx(
+            half.dot(phi_hat, sq_hat), rel=1e-13
+        )
+        image, _ = half.realize(half.image(sq_hat, m, 2.0))
+        q_image, _ = quarter.realize(quarter.image(q_sq_hat, m, 2.0))
+        assert np.max(np.abs(quarter.unfold(q_image) - image)) <= 1e-13 * np.max(np.abs(image))
+
+
+class TestConstantState:
+    @pytest.mark.parametrize("layout", ["dct1", "rfft2"])
+    def test_constant_state_is_diverged(self, monkeypatch, layout):
+        # a very wide gaussian is nearly constant; the map takes it to the
+        # constant steady state phi = 2c, which is not a lump
+        if layout == "rfft2":
+            half_lattice_only(monkeypatch)
+        grid = SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0)
+        params = SymbolParams(alpha=2.0, c=1.5)
+        seed = SeedSpec(kind="gaussian", width=1e6)
+        field, report = solve(SolverConfig(params=params, grid=grid, seed=seed))
+        assert report.transform == layout
+        assert report.status is SolveStatus.DIVERGED
+        assert report.reason.startswith("constant state phi = 2c = 3 ")
+        assert np.max(np.abs(field.values - 3.0)) <= 1e-5
 
 
 class TestComplexReference:
