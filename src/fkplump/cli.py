@@ -32,7 +32,6 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NoReturn
 
@@ -181,22 +180,6 @@ def _solver_config(resolved: dict[str, object]) -> SolverConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass
-class RunManifest:
-    """Resolved configuration, produced files, per-phase timings, FFT settings,
-    and how the run ended."""
-
-    config: dict[str, object]
-    outputs: list[dict[str, str]]
-    timings: dict[str, float]
-    environment: dict[str, object]
-    run: dict[str, object]
-    software_version: str = __version__
-
-    def write(self, path: Path) -> None:
-        path.write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
-
-
 def _write_iteration_log(path: Path, report) -> None:
     rows = [
         [r.iteration, r.iter_error, r.m_factor, r.factor_error, r.residual]
@@ -220,20 +203,21 @@ def run_solve(args: argparse.Namespace) -> int:
     log_path = out_dir / "iterations.csv"
     save_field(field_path, field, config.params.alpha, config.params.c, config.params.sigma)
     _write_iteration_log(log_path, report)
-    manifest = RunManifest(
-        config={k: resolved[k] for k in sorted(resolved, key=str)},
-        outputs=[
+    manifest = {
+        "config": {k: resolved[k] for k in sorted(resolved, key=str)},
+        "outputs": [
             {"path": str(field_path), "role": "field"},
             {"path": str(log_path), "role": "iteration-log"},
         ],
-        timings={"solve": solve_seconds, "write": time.perf_counter() - t1},
-        environment={"fft_workers": fft_workers(), "transform": report.transform,
-                     "numpy": np.__version__, "scipy": scipy.__version__},
-        run={"status": report.status.value, "reason": report.reason,
-             "iterations": report.iterations, "accel_depth": config.accel_depth,
-             "mixed_steps": report.mixed_steps},
-    )
-    manifest.write(out_dir / "manifest.json")
+        "timings": {"solve": solve_seconds, "write": time.perf_counter() - t1},
+        "environment": {"fft_workers": fft_workers(), "transform": report.transform,
+                        "numpy": np.__version__, "scipy": scipy.__version__},
+        "run": {"status": report.status.value, "reason": report.reason,
+                "iterations": report.iterations, "accel_depth": config.accel_depth,
+                "mixed_steps": report.mixed_steps},
+        "software_version": __version__,
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
     final = report.final if report.records else None
     print(

@@ -42,6 +42,9 @@ DIVERGING_BAND = 0.05
 #: Dyadic truncation radii 2^2 .. 2^16; inner cutoff is radius**-3.
 PROBE_EXPONENTS = range(2, 17)
 
+#: kernel_norm_probe's square boxes: half-widths lx/2^4 .. lx, doubling.
+NORM_PROBE_RADII = 5
+
 #: The 24-point Gauss-Legendre rule on [-1, 1] that both routes use.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -302,7 +305,7 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     )
 
 
-def kernel_norm_probe(kernel: RealField, r: float, n_radii: int = 5) -> KernelNormProbe:
+def kernel_norm_probe(kernel: RealField, r: float) -> KernelNormProbe:
     """Truncated lattice L^r norms of a kernel over growing square boxes.
 
     Qualitative only: the lattice resolves neither the kernel's origin
@@ -312,7 +315,7 @@ def kernel_norm_probe(kernel: RealField, r: float, n_radii: int = 5) -> KernelNo
     if not (np.isfinite(r) and r >= 1):
         raise InvalidExponentError(f"r must be finite and >= 1, got {r!r}")
     grid = kernel.grid
-    radii = np.array([grid.lx / 2.0**k for k in range(n_radii - 1, -1, -1)])
+    radii = np.array([grid.lx / 2.0**k for k in range(NORM_PROBE_RADII - 1, -1, -1)])
     X, Y = grid.meshes()
     box = np.maximum(np.abs(X), np.abs(Y))
     mass = np.abs(kernel.values) ** r * grid.cell_area

@@ -97,9 +97,12 @@ ACCEL_DEPTHS = (0, 1)
 #: (DegenerateIterateError) where the plain map reports divergence.
 ACCEL_GATE = 0.1
 
-#: Size of the row blocks in which the stabilizing factor and the residual
-#: are summed, so that their temporaries stay in cache instead of taking
-#: full half-spectra.
+#: Size of the row blocks in which M's pairings are summed, so that their
+#: temporaries stay in cache instead of taking full half-spectra.  Whole-
+#: array sums are slower on the half-lattice (9.6 ms per call against 7.8
+#: ms at 1024^2), and they change the summation order, to which the layout
+#: comparison test is sensitive: its 256^2, alpha = 1.5 iter_error then
+#: moves by 1.8e-6 relative, past its 1e-6 bound.
 BLOCK_BYTES = 1 << 19
 
 
@@ -351,8 +354,10 @@ class SteadyOperator:
             num += float(np.vdot(w, power))
             den += float(np.vdot(w, _real_product(s, p)))
         if abs(den) <= 1e-14 * scale:
+            # A quarter iterate is even-even by construction: parity is no cause there.
+            cause = "" if self.quarter else " (or has odd parity)"
             raise DegenerateIterateError(
-                "cubic pairing vanished; the iterate has collapsed (or has odd parity)"
+                f"cubic pairing vanished; the iterate has collapsed{cause}"
             )
         return num / den
 
@@ -392,16 +397,12 @@ class SteadyOperator:
             raise DivergenceError("iteration produced non-finite values")
         return values, peak
 
-    def residual(
-        self, phi_hat: np.ndarray, sq_hat: np.ndarray, out: np.ndarray | None = None
-    ) -> float:
+    def residual(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
         """Sup norm of S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy.
 
-        out, a spectrum the caller no longer needs, is used as scratch.
+        Leaves phi_hat and sq_hat unchanged.
         """
-        s_hat = np.multiply(self.residual_symbol, phi_hat, out=out)
-        for rows in self.blocks:
-            s_hat[rows] -= self.half_xi1sq[rows] * sq_hat[rows]
+        s_hat = self.residual_symbol * phi_hat - self.half_xi1sq * sq_hat
         return _sup(self.inverse(s_hat, overwrite_x=True))
 
 
@@ -409,8 +410,8 @@ class _AndersonMixer:
     """Depth-1 type-II Anderson mixing of the Petviashvili map on spectra.
 
     The history is the previous f and g.  The differences overwrite them,
-    and the mixed spectrum is built in the difference of g, which leaves
-    the difference of f free.  dot is the operator's inner product.
+    and the mixed spectrum is built in the difference of g.  dot is the
+    operator's inner product.
     """
 
     def __init__(self, dot: Callable[[np.ndarray, np.ndarray], float]) -> None:
@@ -421,11 +422,8 @@ class _AndersonMixer:
     def reset(self) -> None:
         self.last = None
 
-    def mix(self, phi_hat: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The next spectrum from phi_hat (overwritten with f) and its image g.
-
-        Returns it with a spectrum buffer that this step left free, or None.
-        """
+    def mix(self, phi_hat: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The next spectrum from phi_hat (overwritten with f) and its image g."""
         f = np.subtract(g, phi_hat, out=phi_hat)
         last, self.last = self.last, (f, g)
         if last is not None:
@@ -436,8 +434,8 @@ class _AndersonMixer:
                 self.mixed_steps += 1
                 dg *= -(df_f / df_df)
                 dg += g
-                return dg, df
-        return g.copy(), None  # the plain step; g stays in the history
+                return dg
+        return g.copy()  # the plain step; g stays in the history
 
 
 def project_zero_mass(phi: RealField) -> RealField:
@@ -525,10 +523,10 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         try:
             op.image(sq_hat, m, config.nu)  # sq_hat now holds the image g
             if config.accel_depth and factor_error <= ACCEL_GATE:
-                next_hat, spare = mixer.mix(phi_hat, sq_hat)
+                next_hat = mixer.mix(phi_hat, sq_hat)
             else:
                 mixer.reset()
-                next_hat, spare = sq_hat, phi_hat
+                next_hat = sq_hat
             next_phi, peak = op.realize(next_hat)
         except DivergenceError as exc:
             records.append(IterationRecord(n, math.inf, m, factor_error, math.inf))
@@ -540,7 +538,7 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         np.multiply(next_phi, next_phi, out=phi)
         sq_hat = op.forward(phi)
         phi, phi_hat = next_phi, next_hat
-        residual = op.residual(phi_hat, sq_hat, out=spare)
+        residual = op.residual(phi_hat, sq_hat)
         records.append(IterationRecord(n, iter_error, m, factor_error, residual))
 
         if peak > DIVERGENCE_AMPLITUDE * p.c:

@@ -145,6 +145,15 @@ class TestSolve:
         assert err.startswith("error:") and "cubic pairing" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("nu", ["0", "-1"])
+    def test_quarter_collapse_does_not_blame_parity(self, tmp_path, capsys, nu):
+        # the unstabilized map collapses the even seed; parity is no cause
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", "--nu", nu,
+                    "--out", tmp_path / "run"])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        assert "cubic pairing vanished" in err and "parity" not in err
+
     def test_non_even_seed_runs_on_the_half_lattice(self, tmp_path):
         # a gaussian off x = 0 is not even in x: the run keeps the rfft2 layout
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)

@@ -278,6 +278,17 @@ class TestStabilizingFactor:
         with pytest.raises(DegenerateIterateError):
             factor(odd)
 
+    def test_only_the_half_lattice_blames_parity(self, small_grid):
+        # a quarter iterate is even-even, so its collapse is never parity
+        X, Y = small_grid.meshes()
+        odd = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
+        with pytest.raises(DegenerateIterateError, match="odd parity"):
+            factor(odd)
+        quarter = SteadyOperator(small_grid, PARAMS, quarter=True)
+        with pytest.raises(DegenerateIterateError) as caught:
+            quarter.stabilizing_factor(*quarter.spectra(np.zeros((33, 33))))
+        assert "collapsed" in str(caught.value) and "parity" not in str(caught.value)
+
     def test_degenerate_threshold_on_nearly_odd_iterates(self, small_grid):
         # (x + eps) exp(-r^2): the cubic pairing grows like eps.  The blocked
         # check must decide as the full-array one, 1e-14 of sum w |sq^| |phi^|;
@@ -566,6 +577,17 @@ class TestLayouts:
         quarter = op.fold(values)
         assert quarter.shape == (33, 33) and quarter[0, 0] == values[32, 32]
         assert np.array_equal(op.unfold(quarter), values)
+
+    @pytest.mark.parametrize("quarter", [False, True])
+    def test_residual_leaves_its_inputs(self, small_grid, quarter):
+        # the residual transforms its own scratch, never phi_hat or sq_hat
+        op = SteadyOperator(small_grid, PARAMS, quarter=quarter)
+        seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
+        phi_hat, sq_hat = op.spectra(op.fold(seed.values))
+        phi_copy, sq_copy = phi_hat.copy(), sq_hat.copy()
+        first = op.residual(phi_hat, sq_hat)
+        assert np.array_equal(phi_hat, phi_copy) and np.array_equal(sq_hat, sq_copy)
+        assert op.residual(phi_hat, sq_hat) == first
 
     def test_quarter_operator_matches_half_lattice(self, small_grid):
         # M, the image and the residual of an even-even iterate in both layouts
