@@ -68,7 +68,7 @@ def _antideriv_y_symbol(grid) -> np.ndarray:
     and leaving them in breaks conjugate symmetry on the lattice, which
     would make the real-space and Parseval routes below disagree.
     """
-    sym = transverse_multiplier(grid)
+    sym = transverse_multiplier(grid.xi1[:, None], grid.xi2_half[None, :])
     sym[grid.nx // 2, :] = 0.0
     sym[:, -1] = 0.0
     return sym
@@ -81,7 +81,7 @@ def _energy_parts_spectral(
     power = grid.column_weights * np.abs(phi_hat) ** 2
     weight = grid.cell_area / (grid.nx * grid.ny)
     l2 = float(np.sum(power)) * weight
-    frac = float(np.sum(dispersion_symbol(grid, alpha) * power)) * weight
+    frac = float(np.sum(dispersion_symbol(grid.xi1[:, None], alpha) * power)) * weight
     anti = float(np.sum(anti_sym**2 * power)) * weight
     return l2, frac, anti
 
@@ -100,7 +100,7 @@ def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     phi_hat = rfft2(phi.values)
     anti_sym = _antideriv_y_symbol(grid)
 
-    frac_field = irfft2(dispersion_symbol(grid, alpha / 2.0) * phi_hat, grid.shape)
+    frac_field = irfft2(dispersion_symbol(grid.xi1[:, None], alpha / 2.0) * phi_hat, grid.shape)
     anti_field = irfft2(anti_sym * phi_hat, grid.shape)
 
     l2_sq = float(np.sum(phi.values**2)) * cell

@@ -22,6 +22,7 @@ rfft2 of the whole field on the rows k1 = 0, ..., nx/2, up to the sign
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property
@@ -125,8 +126,9 @@ class SpectralGrid:
             if not isinstance(n, (int, np.integer)) or n < 8 or not _is_power_of_two(int(n)):
                 raise ValueError(f"{name} must be a power of two >= 8, got {n!r}")
         for name, l in (("lx", self.lx), ("ly", self.ly)):
-            if not np.isfinite(l) or l <= 0:
-                raise ValueError(f"{name} must be positive and finite, got {l!r}")
+            # the node spacing 2*l/n must not overflow; a Python float does so silently
+            if not (l > 0 and math.isfinite(2.0 * float(l))):
+                raise ValueError(f"{name} must be positive and 2*{name} finite, got {l!r}")
 
     @property
     def dx(self) -> float:

@@ -42,9 +42,6 @@ DIVERGING_BAND = 0.05
 #: Dyadic truncation radii 2^2 .. 2^16; inner cutoff is radius**-3.
 PROBE_EXPONENTS = range(2, 17)
 
-#: kernel_norm_probe's square boxes: half-widths lx/2^4 .. lx, doubling.
-NORM_PROBE_RADII = 5
-
 #: The 24-point Gauss-Legendre rule on [-1, 1] that both routes use.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -65,17 +62,6 @@ class IntegrabilityProbe:
     verdict: str
     last_increment: float
     box_norm: float  # independent 2D quadrature at the final radius
-
-
-@dataclass(frozen=True)
-class KernelNormProbe:
-    """Truncated lattice L^r norms of a constructed kernel (qualitative)."""
-
-    r: float
-    radii: np.ndarray
-    norms: np.ndarray
-    last_increment: float
-    verdict: str
 
 
 def _verdict(last_increment: float) -> str:
@@ -302,26 +288,4 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
         verdict=_verdict(last_increment),
         last_increment=last_increment,
         box_norm=box,
-    )
-
-
-def kernel_norm_probe(kernel: RealField, r: float) -> KernelNormProbe:
-    """Truncated lattice L^r norms of a kernel over growing square boxes.
-
-    Qualitative only: the lattice resolves neither the kernel's origin
-    singularity nor radii beyond the half domain, so this supports the
-    integrable side of the L^r window but cannot certify divergence.
-    """
-    if not (np.isfinite(r) and r >= 1):
-        raise InvalidExponentError(f"r must be finite and >= 1, got {r!r}")
-    grid = kernel.grid
-    radii = np.array([grid.lx / 2.0**k for k in range(NORM_PROBE_RADII - 1, -1, -1)])
-    X, Y = grid.meshes()
-    box = np.maximum(np.abs(X), np.abs(Y))
-    mass = np.abs(kernel.values) ** r * grid.cell_area
-    norms = np.array([float(np.sum(mass[box <= rad])) ** (1.0 / r) for rad in radii])
-    last_increment = float((norms[-1] - norms[-2]) / norms[-1])
-    return KernelNormProbe(
-        r=r, radii=radii, norms=norms, last_increment=last_increment,
-        verdict=_verdict(last_increment),
     )

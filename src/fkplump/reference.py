@@ -48,8 +48,8 @@ def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealFie
         raise ValueError(f"width must be finite and positive, got {width!r}")
     if not (np.isfinite(amplitude) and amplitude != 0):
         raise ValueError(f"amplitude must be finite and nonzero, got {amplitude!r}")
-    X, Y = grid.meshes()
-    return RealField(grid, amplitude * np.exp(-(X**2 + Y**2) / width**2))
+    x, y = grid.x[:, None], grid.y[None, :]
+    return RealField(grid, amplitude * np.exp(-(x**2 + y**2) / width**2))
 
 
 def _periodic_sinc_matrix(points: np.ndarray, half_width: float, n: int) -> np.ndarray:

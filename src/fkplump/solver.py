@@ -19,7 +19,8 @@ On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
 outside the energy space (zero mass in x), and the image is set to
 exactly 0 there.  D and the pairings are real by construction.  A step
 whose M^nu is not a finite positive number ends the run as DIVERGED, and
-so does a run that converges to the constant steady state phi = 2c.
+so does a run that converges to within c of the constant steady state
+phi = 2c, where a lump, about 0 at the domain edge, never comes.
 
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
@@ -73,7 +74,7 @@ from .symbols import (
     ALPHA_ENERGY_CRITICAL,
     SymbolParams,
     dispersion_symbol,
-    half_lattice_denominator,
+    petviashvili_denominator,
 )
 
 #: Sup-norm blow-up guard, in units of the wave speed.
@@ -260,24 +261,18 @@ class SteadyOperator:
     grid's column weights (1 on the columns k2 = 0 and ny/2, 2 on the
     others).  With quarter=True the iterates are even-even quarters (see
     grid) and the spectra their real dct1 coefficients.  D, A and xi1^2/2
-    are then the first nx/2 + 1 rows of the half-lattice arrays, and the
-    weights carry the row multiplicities (1 at k1 = 0 and nx/2, 2
-    elsewhere) as well.
+    are then built on the rows k1 = 0, ..., nx/2 only, and the weights
+    also carry the row multiplicities (1 at k1 = 0 and nx/2, 2 elsewhere).
     """
 
     def __init__(self, grid: SpectralGrid, params: SymbolParams, quarter: bool = False) -> None:
         self.grid = grid
         self.quarter = quarter
         rows = grid.nx // 2 + 1 if quarter else grid.nx
-        xi1sq = grid.xi1[:rows, None] ** 2
-        denom = half_lattice_denominator(grid, params)
-        # The quarter keeps a copy of its rows, so that the half-lattice D is freed.
-        self.denom = denom[:rows].copy() if quarter else denom
-        self.half_xi1sq = 0.5 * xi1sq
-        self.residual_symbol = (
-            xi1sq * (params.c + dispersion_symbol(grid, params.alpha)[:rows])
-            + grid.xi2_half[None, :] ** 2
-        )
+        xi1, xi2 = grid.xi1[:rows, None], grid.xi2_half[None, :]
+        self.denom = petviashvili_denominator(xi1, xi2, params)
+        self.half_xi1sq = 0.5 * xi1**2
+        self.residual_symbol = xi1**2 * (params.c + dispersion_symbol(xi1, params.alpha)) + xi2**2
         row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
         self.weights = row_weights * grid.column_weights
         self.weights[0, 1:] = 0.0
@@ -448,7 +443,9 @@ def project_zero_mass(phi: RealField) -> RealField:
     """
     phi_hat = rfft2(phi.values)
     phi_hat[0, 1:] = 0.0
-    return RealField(phi.grid, irfft2(phi_hat, phi.grid.shape))
+    values = irfft2(phi_hat, phi.grid.shape, overwrite_x=True)
+    del phi_hat  # freed before RealField copies the values
+    return RealField(phi.grid, values)
 
 
 def build_seed(config: SolverConfig) -> RealField:
@@ -546,12 +543,12 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
             reason = f"sup|phi| = {peak:.3e} exceeds the blow-up guard {DIVERGENCE_AMPLITUDE:g} c"
             break
         if max(iter_error, factor_error, residual) <= config.tol:
-            variation = float(phi.max() - phi.min())
-            if variation <= config.tol:
+            offset = max(float(phi.max()) - 2.0 * p.c, 2.0 * p.c - float(phi.min()))
+            if offset < p.c:
                 status = SolveStatus.DIVERGED
                 reason = (
                     f"constant state phi = 2c = {2.0 * p.c:g} reached, not a lump: "
-                    f"variation {variation:.3e} within tol {config.tol:.3e}"
+                    f"sup|phi - 2c| = {offset:.3e} below c"
                 )
             else:
                 status = SolveStatus.CONVERGED

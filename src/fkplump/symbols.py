@@ -1,18 +1,18 @@
-"""Fourier multipliers on the rfft2 half-lattice of a grid, and the rules behind them.
+"""Fourier multipliers of the steady-wave problem, and the rules behind them.
 
-Each symbol decision is made here once.  kernel_symbol is the pointwise
+Each symbol decision is made here once, as a pointwise formula of
+wavenumber arrays that broadcast, so that each layout (see grid) builds
+it on its own rows.  kernel_symbol is
 
     m(xi1, xi2) = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)),
     h(xi1, xi2) = xi1   / (|xi|^2 + |xi1|^(alpha+2)),
 
-transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy, and
-SymbolParams checks that alpha and c are finite and positive.  On the
-half-lattice (see grid) the module builds |xi1|^alpha as an (nx, 1) column
-and, read-only, m, h and the Petviashvili denominator
-2(c + (xi2/xi1)^2 + |xi1|^alpha).  xi2/xi1 is undefined on the constrained
-row xi1 = 0, xi2 != 0.  Those modes lie outside the energy space, which
-requires dx^-1 dy phi in L^2, so the multiplier is 0 there and the
-solver's SteadyOperator projects the row out exactly.
+and symbol_m/symbol_h sample it, read-only, on the rfft2 half-lattice.
+transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy.  It is
+undefined on the constrained row xi1 = 0, xi2 != 0, whose modes lie
+outside the energy space (dx^-1 dy phi in L^2), so it is 0 there and the
+solver's SteadyOperator projects the row out.  SymbolParams checks that
+alpha and c are finite and positive.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ class SymbolParams:
             raise ValueError(f"sigma must be -1 or +1, got {self.sigma!r}")
 
 
-def dispersion_symbol(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    """|xi1|^alpha as an (nx, 1) column, constant along the y-axis."""
-    return np.abs(grid.xi1[:, None]) ** alpha
+def dispersion_symbol(xi1: np.ndarray, alpha: float) -> np.ndarray:
+    """|xi1|^alpha, pointwise."""
+    return np.abs(xi1) ** alpha
 
 
 def kernel_symbol(xi1: np.ndarray, xi2: np.ndarray, alpha: float, which: str) -> np.ndarray:
@@ -75,15 +75,14 @@ def kernel_symbol(xi1: np.ndarray, xi2: np.ndarray, alpha: float, which: str) ->
     return np.divide(num, den, out=np.zeros(den.shape), where=den > 0)
 
 
-def transverse_multiplier(grid: SpectralGrid) -> np.ndarray:
-    """Multiplier xi2/xi1 of dx^-1 dy on the half-lattice, 0 on the constrained row xi1 = 0."""
-    xi1 = grid.xi1[:, None]
-    shape = (grid.nx, grid.xi2_half.size)
-    return np.divide(grid.xi2_half[None, :], xi1, out=np.zeros(shape), where=xi1 != 0)
+def transverse_multiplier(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
+    """Multiplier xi2/xi1 of dx^-1 dy, pointwise, 0 where xi1 = 0 (the constrained row)."""
+    shape = np.broadcast_shapes(np.shape(xi1), np.shape(xi2))
+    return np.divide(xi2, xi1, out=np.zeros(shape), where=xi1 != 0)
 
 
-def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
-    """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, read-only.
+def petviashvili_denominator(xi1: np.ndarray, xi2: np.ndarray, p: SymbolParams) -> np.ndarray:
+    """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, pointwise and read-only.
 
     T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
     is finite there; SteadyOperator projects that row out of the iteration.
@@ -97,8 +96,8 @@ def half_lattice_denominator(grid: SpectralGrid, p: SymbolParams) -> np.ndarray:
         raise UnsupportedEquationError(
             "sigma = +1 has no lump solutions; only sigma = -1 is supported"
         )
-    transverse = transverse_multiplier(grid) ** 2
-    denom = 2.0 * (p.c + transverse + dispersion_symbol(grid, p.alpha))
+    transverse = transverse_multiplier(xi1, xi2) ** 2
+    denom = 2.0 * (p.c + transverse + dispersion_symbol(xi1, p.alpha))
     denom.setflags(write=False)
     return denom
 

@@ -18,7 +18,8 @@ def complex_denominator(grid, p):
     """
     xi1 = grid.xi1[:, None].astype(np.complex128)
     xi2 = grid.xi2[None, :]
-    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * LAMBDA) ** 2 + dispersion_symbol(grid, p.alpha))
+    dispersion = dispersion_symbol(grid.xi1[:, None], p.alpha)
+    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * LAMBDA) ** 2 + dispersion)
 
 
 def _exponential_eval_matrix(xi, points, half_width, n):

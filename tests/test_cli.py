@@ -179,6 +179,23 @@ class TestSolve:
         assert record["status"] == "diverged"
         assert "constant state phi = 2c = 2" in record["reason"]
 
+    def test_lump_at_loose_tol_is_not_the_constant_state(self, tmp_path, capsys):
+        # every monitor passes tol 1e300 at once; the field peaks near 12.5,
+        # far from phi = 2c, so the run is converged, not a constant state
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", "--tol", "1e300",
+                    "--out", tmp_path / "run"])
+        assert code == EXIT_OK
+        assert "status=converged" in capsys.readouterr().out
+
+    def test_overflowing_half_width_is_named(self, tmp_path, capsys):
+        # 2 * 1e308 overflows the node spacing
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "1e308",
+                    "--out", tmp_path / "run"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: lx must be positive and 2*lx finite, got 1e+308"]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_alpha(self, tmp_path, capsys):
         code = run(["solve", "--n", "64", "--l", "16", "--out", tmp_path])
         assert code == EXIT_CONFIG

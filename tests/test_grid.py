@@ -26,7 +26,11 @@ class TestSpectralGrid:
         assert grid.x[-1] == 8.0 - grid.dx
         np.testing.assert_allclose(np.diff(grid.x), grid.dx)
 
-    @pytest.mark.parametrize("bad", [dict(nx=12), dict(nx=4), dict(ny=0), dict(lx=-1.0), dict(ly=0.0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(nx=12), dict(nx=4), dict(ny=0), dict(lx=-1.0), dict(ly=0.0),
+         dict(lx=1e308), dict(ly=np.float64(1e308))],
+    )
     def test_rejects_bad_parameters(self, bad):
         kwargs = dict(nx=16, ny=16, lx=1.0, ly=1.0)
         kwargs.update(bad)

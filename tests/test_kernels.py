@@ -16,7 +16,6 @@ from fkplump.kernels import (
     convolve,
     integrability_probe,
     kernel_decay,
-    kernel_norm_probe,
 )
 
 
@@ -192,34 +191,3 @@ class TestIntegrabilityProbe:
             assert probe.box_norm == pytest.approx(
                 probe.truncated_norms[-1], rel=1e-3
             )
-
-
-@pytest.fixture(scope="module")
-def wide_kernel():
-    # the truncated norms need domain extent before they stabilize
-    grid = SpectralGrid(nx=2048, ny=2048, lx=128.0, ly=128.0)
-    return build_kernel(grid, 2.0, "K")
-
-
-class TestKernelNormProbe:
-    def test_inside_window_converges(self, wide_kernel):
-        # qualitative check: r = 1.5 lies inside the (1, 2) window at alpha=2
-        probe = kernel_norm_probe(wide_kernel, 1.5)
-        assert probe.verdict == "converging"
-        assert np.all(np.diff(probe.norms) >= 0.0)
-
-    def test_at_l1_grows(self, wide_kernel):
-        # r = 1 sits outside the window; the lattice norms keep growing
-        probe = kernel_norm_probe(wide_kernel, 1.0)
-        assert probe.verdict == "diverging"
-
-    def test_rejects_r_below_one(self, wide_kernel):
-        with pytest.raises(InvalidExponentError):
-            kernel_norm_probe(wide_kernel, 0.8)
-
-    @pytest.mark.parametrize("r", [np.nan, np.inf])
-    def test_rejects_non_finite_r(self, r):
-        # nan < 1 is false, so a bare "r < 1" check lets it through
-        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
-        with pytest.raises(InvalidExponentError, match="finite"):
-            kernel_norm_probe(build_kernel(grid, 2.0, "K"), r)

@@ -1,6 +1,7 @@
 """Petviashvili iteration: configuration, stabilizing factor, convergence."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -607,6 +608,30 @@ class TestLayouts:
         image, _ = half.realize(half.image(sq_hat, m, 2.0))
         q_image, _ = quarter.realize(quarter.image(q_sq_hat, m, 2.0))
         assert np.max(np.abs(quarter.unfold(q_image) - image)) <= 1e-13 * np.max(np.abs(image))
+
+
+    def test_quarter_rows_are_half_lattice_rows(self):
+        # each layout builds D, A and xi1^2/2 on its own rows, to the same bits
+        grid = SpectralGrid(nx=64, ny=32, lx=20.0, ly=10.0)
+        params = SymbolParams(alpha=1.7, c=1.3)
+        half = SteadyOperator(grid, params)
+        quarter = SteadyOperator(grid, params, quarter=True)
+        rows = grid.nx // 2 + 1
+        for name in ("denom", "residual_symbol", "half_xi1sq"):
+            assert np.array_equal(getattr(quarter, name), getattr(half, name)[:rows])
+
+    def test_quarter_build_holds_no_half_lattice(self):
+        # D, A and the weights are quarter arrays of 0.25 n^2 each; a
+        # half-lattice temporary would push the peak past 1.5 n^2
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        grid.xi1, grid.xi2_half, grid.column_weights  # cached before tracing
+        tracemalloc.start()
+        try:
+            SteadyOperator(grid, PARAMS, quarter=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * grid.nx * grid.ny * 8
 
 
 class TestConstantState:

@@ -9,8 +9,8 @@ from fkplump.solver import SteadyOperator
 from fkplump.symbols import (
     SymbolParams,
     UnsupportedEquationError,
-    half_lattice_denominator,
     kernel_symbol,
+    petviashvili_denominator,
     symbol_h,
     symbol_m,
     transverse_multiplier,
@@ -21,6 +21,11 @@ from oracles import complex_denominator
 def lattice_value(grid, values, k1, k2):
     """Value at signed mode index k1 and column k2 (0 <= k2 <= ny/2)."""
     return values[k1 % grid.nx, k2]
+
+
+def half_lattice(grid):
+    """The wavenumbers (xi1 column, xi2 row) of the rfft2 half-lattice."""
+    return grid.xi1[:, None], grid.xi2_half[None, :]
 
 
 def apply_multiplier(values, sym):
@@ -36,20 +41,20 @@ def grid_pi():
 
 class TestDenominator:
     def test_spot_values(self, grid_pi):
-        d2 = half_lattice_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0))
+        d2 = petviashvili_denominator(*half_lattice(grid_pi), SymbolParams(alpha=2.0, c=1.0))
         assert lattice_value(grid_pi, d2, 1, 0) == pytest.approx(4.0, rel=1e-12)
         assert lattice_value(grid_pi, d2, 0, 0) == pytest.approx(2.0, rel=1e-12)
-        d1 = half_lattice_denominator(grid_pi, SymbolParams(alpha=1.0, c=1.0))
+        d1 = petviashvili_denominator(*half_lattice(grid_pi), SymbolParams(alpha=1.0, c=1.0))
         assert lattice_value(grid_pi, d1, 1, 2) == pytest.approx(12.0, rel=1e-12)
 
     def test_origin_is_2c(self, grid_pi):
         for c in (0.5, 1.0, 3.0):
-            d = half_lattice_denominator(grid_pi, SymbolParams(alpha=1.3, c=c))
+            d = petviashvili_denominator(*half_lattice(grid_pi), SymbolParams(alpha=1.3, c=c))
             assert d[0, 0] == pytest.approx(2.0 * c, rel=1e-12)
 
     def test_modulus_floor(self, grid_pi):
         p = SymbolParams(alpha=1.5, c=0.7)
-        d = half_lattice_denominator(grid_pi, p)
+        d = petviashvili_denominator(*half_lattice(grid_pi), p)
         assert np.min(np.abs(d)) >= 2.0 * p.c * (1.0 - 1e-12)
 
     def test_imaginary_part_small(self):
@@ -57,7 +62,7 @@ class TestDenominator:
         grid = SpectralGrid(nx=64, ny=64, lx=100.0, ly=100.0)
         p = SymbolParams(alpha=1.0, c=1.0)
         dropped = complex_denominator(grid, p)[:, : grid.ny // 2 + 1].imag
-        d = half_lattice_denominator(grid, p)
+        d = petviashvili_denominator(*half_lattice(grid), p)
         interior = np.abs(dropped)[1:, :]  # the regularized zero row is huge by design
         assert np.max(interior) <= 1e-12 * np.max(np.abs(d[1:, :]))
 
@@ -68,7 +73,7 @@ class TestDenominator:
         grid = SpectralGrid(nx=64, ny=32, lx=100.0, ly=40.0)
         p = SymbolParams(alpha=1.5, c=1.0)
         full = complex_denominator(grid, p)[:, : grid.ny // 2 + 1]
-        half = half_lattice_denominator(grid, p)
+        half = petviashvili_denominator(*half_lattice(grid), p)
         assert half.dtype == np.float64
         assert half.shape == (grid.nx, grid.ny // 2 + 1)
         assert not half.flags.writeable
@@ -77,13 +82,15 @@ class TestDenominator:
 
     def test_rejects_weak_surface_tension(self, grid_pi):
         with pytest.raises(UnsupportedEquationError):
-            half_lattice_denominator(grid_pi, SymbolParams(alpha=2.0, c=1.0, sigma=1))
+            petviashvili_denominator(
+                *half_lattice(grid_pi), SymbolParams(alpha=2.0, c=1.0, sigma=1)
+            )
 
     def test_even_in_both_variables(self, grid_pi):
         # even in xi1 on the stored columns, and each stored column k2 also
         # holds the oracle's value at the conjugate column -k2
         p = SymbolParams(alpha=1.7, c=1.0)
-        d = half_lattice_denominator(grid_pi, p)
+        d = petviashvili_denominator(*half_lattice(grid_pi), p)
         full = complex_denominator(grid_pi, p).real
         for k1, k2 in [(1, 2), (3, 5), (2, 0), (4, 8)]:
             assert lattice_value(grid_pi, d, -k1, k2) == pytest.approx(
@@ -161,7 +168,7 @@ class TestSymbolDecisions:
             kernel_symbol(np.ones(2), np.ones(2), 1.5, "k")
 
     def test_transverse_multiplier(self, grid_pi):
-        t = transverse_multiplier(grid_pi)
+        t = transverse_multiplier(*half_lattice(grid_pi))
         assert t.shape == (grid_pi.nx, grid_pi.ny // 2 + 1)
         assert np.all(t[0, :] == 0.0)  # the constrained row
         assert lattice_value(grid_pi, t, 2, 3) == pytest.approx(1.5, rel=1e-12)
