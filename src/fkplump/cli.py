@@ -247,7 +247,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     # First, so that a header the functionals reject fails before any write.
     if "functionals" in tasks:
         vals = functionals(phi, loaded.alpha)
-        params = SymbolParams(alpha=loaded.alpha, c=loaded.c, sigma=int(loaded.sigma))
+        params = SymbolParams(alpha=loaded.alpha, c=loaded.c, sigma=loaded.sigma)
         _write_keyvalues(
             out_dir / "functionals.txt",
             {

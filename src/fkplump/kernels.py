@@ -71,13 +71,6 @@ def _verdict(last_increment: float) -> str:
     return "diverging" if last_increment > DIVERGING_BAND else "inconclusive"
 
 
-def _alternating_phase(grid: SpectralGrid) -> np.ndarray:
-    """(-1)^(k1 + k2) on the half-lattice: moves the kernel's origin to the centre node."""
-    sx = np.where(np.arange(grid.nx) % 2 == 0, 1.0, -1.0)
-    sy = np.where(np.arange(grid.xi2_half.size) % 2 == 0, 1.0, -1.0)
-    return sx[:, None] * sy[None, :]
-
-
 def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
     """Construct K or H by inverse transform of its symbol samples.
 
@@ -87,21 +80,22 @@ def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
     odd symbol h is purely imaginary, so H is the inverse transform of
     -i*h: the real odd-in-x kernel that satisfies phi = (1/2) H * (phi^2)_x.
     Both are real inverse transforms of half-lattice symbols, real by
-    construction.
+    construction, and fftshift moves the kernel's origin from node 0 to
+    the centre node (nx/2, ny/2), where convolve expects it.
     """
     kind = which.upper()
     if kind not in ("K", "H"):
         raise ValueError(f"which must be 'K' or 'H', got {which!r}")
     if kind == "K":
-        sym_values = symbol_m(grid, alpha) * _alternating_phase(grid)
+        sym_values = symbol_m(grid, alpha)
     else:
         # The odd symbol's Nyquist row has no positive partner on the
         # lattice; zero it (the first-derivative convention) so that -i*h
         # is the spectrum of a real field.
-        sym_values = -1j * symbol_h(grid, alpha) * _alternating_phase(grid)
+        sym_values = -1j * symbol_h(grid, alpha)
         sym_values[grid.nx // 2, :] = 0.0
     scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
-    return RealField(grid, scale * irfft2(sym_values, grid.shape))
+    return RealField(grid, scale * np.fft.fftshift(irfft2(sym_values, grid.shape)))
 
 
 def convolve(kernel: RealField, g: RealField) -> RealField:

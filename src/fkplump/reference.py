@@ -34,10 +34,10 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
     with X = x - c t.  Peak value 8c at the origin, zeros on the ridge
     X^2 = 3/c + y^2 c, quadratic decay along both axes.
     """
-    X, Y = grid.meshes()
+    x, y = grid.x[:, None], grid.y[None, :]
     c = p.c
-    xs2 = (c / 3.0) * (X - c * p.t) ** 2
-    ys2 = (c**2 / 3.0) * Y**2
+    xs2 = (c / 3.0) * (x - c * p.t) ** 2
+    ys2 = (c**2 / 3.0) * y**2
     values = 8.0 * c * (1.0 - xs2 + ys2) / (1.0 + xs2 + ys2) ** 2
     return RealField(grid, values)
 

@@ -86,9 +86,9 @@ DIVERGENCE_AMPLITUDE = 1e6
 EVEN_EVEN_TOL = 1e-13
 
 #: The Anderson mixing depths: 0 is the plain map, 1 the mixed one.  Depth
-#: 2 would need two more half-spectra (16 B/node) and a least-squares
-#: solve; at 128^2 it takes 20 and 30 iterations against depth 1's 24 and
-#: 42 (alpha = 2 and 1.5).
+#: 2 would need two more spectra (16 B/node on the half-lattice, 4 on the
+#: quarter) and a least-squares solve; at 128^2 it takes 20 and 30
+#: iterations against depth 1's 24 and 42 (alpha = 2 and 1.5).
 ACCEL_DEPTHS = (0, 1)
 
 #: Anderson mixing runs only while |1 - M| is at most this.  Farther from
@@ -99,7 +99,9 @@ ACCEL_DEPTHS = (0, 1)
 ACCEL_GATE = 0.1
 
 #: Size of the row blocks in which M's pairings are summed, so that their
-#: temporaries stay in cache instead of taking full half-spectra.  Whole-
+#: temporaries stay in cache instead of taking full spectra.  Blocks are
+#: counted in complex rows on both layouts, so a quarter block, whose rows
+#: are real, holds 256 KiB.  Whole-
 #: array sums are slower on the half-lattice (9.6 ms per call against 7.8
 #: ms at 1024^2), and they change the summation order, to which the layout
 #: comparison test is sensitive: its 256^2, alpha = 1.5 iter_error then
@@ -558,9 +560,9 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         status = SolveStatus.MAX_ITER
         reason = f"max-iter {config.max_iter} reached; " + _stalled(records[-1], config.tol)
 
-    mixer.reset()  # the history is not needed for the copy below
     report = IterationReport(
         records=tuple(records), status=status, tol=config.tol,
         reason=reason, mixed_steps=mixer.mixed_steps, transform=op.transform,
     )
+    mixer = phi_hat = sq_hat = next_hat = None  # the spectra are freed before the copy below
     return RealField(grid, op.unfold(phi)), report

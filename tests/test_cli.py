@@ -411,7 +411,7 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "alpha, sigma", [(np.nan, -1.0), (-1.0, -1.0), (2.0, 1.0)]
+        "alpha, sigma", [(np.nan, -1.0), (-1.0, -1.0), (2.0, 1.0), (2.0, -1.5), (2.0, 0.5)]
     )
     def test_rejected_header_writes_nothing(self, tmp_path, capsys, alpha, sigma):
         # save_field refuses these headers, so the file is written as raw bytes

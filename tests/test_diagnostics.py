@@ -10,6 +10,7 @@ from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import SolverConfig, solve
 from fkplump.symbols import SymbolParams
+from oracles import cube_functionals, mask_fourier_tail, non_square_grids
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 
@@ -108,6 +109,20 @@ class TestFunctionals:
         v = functionals(field, 2.0)
         assert abs(v.l_value / (1.5 * v.n_value) - 1.0) <= 1e-3
 
+    @pytest.mark.parametrize("t", [0.0, 10.0])
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
+    def test_matches_cube_formula(self, grid, alpha, c, t):
+        # one shared square against the separate powers phi^3 and |phi|^3
+        phi = exact_kp1_lump(grid, ExactLumpParams(c=c, t=t))
+        got, ref = functionals(phi, alpha), cube_functionals(phi, alpha)
+        assert (got.l_value, got.energy_norm, got.dc_mode) == (
+            ref.l_value, ref.energy_norm, ref.dc_mode
+        )
+        assert got.n_value == pytest.approx(ref.n_value, rel=1e-13, abs=0.0)
+        assert got.sobolev_ratio == pytest.approx(ref.sobolev_ratio, rel=1e-13, abs=0.0)
+
     def test_dc_mode_fixed_point_identity(self, unit_solve):
         # on the torus the steady state forces mean(phi) = mean(phi^2)/(2c)
         field, _ = unit_solve
@@ -134,3 +149,12 @@ class TestFourierTail:
     def test_converged_solution_is_resolved(self, unit_solve):
         field, _ = unit_solve
         assert fourier_tail(field) < 0.05
+
+    @pytest.mark.parametrize("t", [0.0, 10.0])
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
+    def test_matches_mask_formula(self, grid, c, t):
+        lump = exact_kp1_lump(grid, ExactLumpParams(c=c, t=t))
+        noise = RealField(grid, np.random.default_rng(7).standard_normal(grid.shape))
+        for phi in (lump, noise):
+            assert fourier_tail(phi) == mask_fourier_tail(phi)

@@ -17,6 +17,7 @@ from fkplump.kernels import (
     integrability_probe,
     kernel_decay,
 )
+from oracles import non_square_grids, phase_kernel
 
 
 M_THRESHOLD = 2.0 / (4.0 / 3.0) + 0.5  # m's L^p threshold at alpha = 4/3
@@ -57,6 +58,14 @@ class TestBuildKernel:
         scale = np.max(np.abs(H))
         assert np.max(np.abs(H + np.roll(H[::-1, :], 1, axis=0))) <= 1e-10 * scale
         assert np.max(np.abs(H - np.roll(H[:, ::-1], 1, axis=1))) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("which", ["K", "H"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
+    def test_matches_phase_modulated_formula(self, grid, alpha, which):
+        # the centre shift in real space equals the (-1)^(k1 + k2) phase on the spectrum
+        got = build_kernel(grid, alpha, which).values
+        assert np.array_equal(got, phase_kernel(grid, alpha, which))
 
     def test_invalid_kind(self, kernel_grid):
         with pytest.raises(ValueError):

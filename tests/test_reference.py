@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import complex_rescale
+from oracles import complex_rescale, meshgrid_exact_lump, non_square_grids
 
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import (
@@ -56,6 +56,13 @@ class TestExactLump:
     def test_rejects_nonpositive_speed(self):
         with pytest.raises(ValueError):
             ExactLumpParams(c=0.0)
+
+    @pytest.mark.parametrize("t", [0.0, 10.0])
+    @pytest.mark.parametrize("c", [1.0, 2.5])
+    @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
+    def test_matches_meshgrid_formula(self, grid, c, t):
+        p = ExactLumpParams(c=c, t=t)
+        assert np.array_equal(exact_kp1_lump(grid, p).values, meshgrid_exact_lump(grid, p))
 
 
 class TestGaussianSeed:

@@ -633,6 +633,21 @@ class TestLayouts:
             tracemalloc.stop()
         assert peak <= 1.0 * grid.nx * grid.ny * 8
 
+    def test_solve_frees_the_spectra_before_the_result(self):
+        # the loop's spectra are released before the n^2 result is built, so
+        # the seed stage (about 3.1 n^2) sets the peak, not the final copy
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        grid.x, grid.y, grid.xi1, grid.xi2_half, grid.column_weights  # cached before tracing
+        config = SolverConfig(params=PARAMS, grid=grid)
+        tracemalloc.start()
+        try:
+            _, report = solve(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.transform == "dct1" and report.converged()
+        assert peak <= 3.3 * grid.nx * grid.ny * 8
+
 
 class TestConstantState:
     @pytest.mark.parametrize("layout", ["dct1", "rfft2"])
