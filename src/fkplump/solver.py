@@ -16,11 +16,12 @@ monitored by three errors per iteration: the sup-norm step difference,
 means all three fall below the configured tolerance simultaneously.
 
 On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
-outside the energy space (zero mass in x), and the image is set to
-exactly 0 there.  D and the pairings are real by construction.  A step
-whose M^nu is not a finite positive number ends the run as DIVERGED, and
-so does a run that converges to within c of the constant steady state
-phi = 2c, where a lump, about 0 at the domain edge, never comes.
+outside the energy space (zero mass in x); build_seed projects them out
+of the seed, and the image is exactly 0 there.  D and the pairings are
+real by construction.  A step whose M^nu is not a finite positive number
+ends the run as DIVERGED, and so does a run that converges to within c
+of the constant steady state phi = 2c, where a lump, about 0 at the
+domain edge, never comes.
 
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
@@ -435,23 +436,14 @@ class _AndersonMixer:
         return g.copy()  # the plain step; g stays in the history
 
 
-def project_zero_mass(phi: RealField) -> RealField:
-    """Remove the x-mean of the field at every transverse wavenumber.
-
-    Zeroes the modes (xi1 = 0, xi2 != 0), the discrete zero-mass
-    constraint in x.  Solutions live in this space, and every image of
-    the iteration keeps it exactly (SteadyOperator.image); the seed is
-    projected here so that the first iterate starts in it too.
-    """
-    phi_hat = rfft2(phi.values)
-    phi_hat[0, 1:] = 0.0
-    values = irfft2(phi_hat, phi.grid.shape, overwrite_x=True)
-    del phi_hat  # freed before RealField copies the values
-    return RealField(phi.grid, values)
-
-
 def build_seed(config: SolverConfig) -> RealField:
-    """Materialize the configured initial guess, projected to zero x-mass."""
+    """Materialize the configured initial guess, projected to zero x-mass.
+
+    The projection zeroes the modes (xi1 = 0, xi2 != 0), which every image
+    of the iteration keeps at 0 (SteadyOperator.image), so that the first
+    iterate starts in the space too.  The sampled field and then its
+    spectrum are dropped as soon as they are used.
+    """
     spec = config.seed
     c = config.params.c
     if spec.kind == "gaussian":
@@ -462,13 +454,15 @@ def build_seed(config: SolverConfig) -> RealField:
     else:
         from .fieldio import load_field
 
-        loaded = load_field(spec.path)
-        if loaded.field.grid != config.grid:
-            raise ValueError(
-                f"seed file grid {loaded.field.grid} does not match run grid {config.grid}"
-            )
-        seed = loaded.field
-    return project_zero_mass(seed)
+        seed = load_field(spec.path).field
+        if seed.grid != config.grid:
+            raise ValueError(f"seed file grid {seed.grid} does not match run grid {config.grid}")
+    phi_hat = rfft2(seed.values)
+    del seed
+    phi_hat[0, 1:] = 0.0
+    values = irfft2(phi_hat, config.grid.shape, overwrite_x=True)
+    del phi_hat
+    return RealField(config.grid, values)
 
 
 def _is_even_even(seed: RealField) -> bool:
@@ -564,5 +558,8 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         records=tuple(records), status=status, tol=config.tol,
         reason=reason, mixed_steps=mixer.mixed_steps, transform=op.transform,
     )
-    mixer = phi_hat = sq_hat = next_hat = None  # the spectra are freed before the copy below
-    return RealField(grid, op.unfold(phi)), report
+    # The spectra, then the operator and the quarter, are freed before the n^2 copy.
+    mixer = phi_hat = sq_hat = next_hat = None
+    values = op.unfold(phi)
+    op = phi = next_phi = None
+    return RealField(grid, values), report

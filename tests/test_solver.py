@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from fkplump import solver
 from fkplump.diagnostics import residual
+from fkplump.fieldio import save_field
 from fkplump.grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import (
@@ -23,13 +24,13 @@ from fkplump.solver import (
     SolverConfig,
     SteadyOperator,
     build_seed,
-    project_zero_mass,
     solve,
 )
 from fkplump.symbols import SymbolParams
 from oracles import complex_denominator
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
+EXACT_SEED = SeedSpec(kind="exact-kp1")
 
 #: How the stop reason of each status begins.
 REASON_PREFIXES = {
@@ -344,7 +345,7 @@ class TestStep:
         # the sampled exact solution moves by no more than the
         # domain-truncation floor (measured 9.2e-4 at this grid)
         grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
-        exact = project_zero_mass(exact_kp1_lump(grid, ExactLumpParams(c=1.0)))
+        exact = build_seed(SolverConfig(params=PARAMS, grid=grid, seed=EXACT_SEED))
         stepped, m = step(exact)
         assert m == pytest.approx(1.0, abs=1e-4)
         assert np.max(np.abs(stepped - exact.values)) <= 5e-3
@@ -354,7 +355,7 @@ class TestStep:
         diffs = []
         for n, lx in [(1024, 64.0), (2048, 128.0)]:
             grid = SpectralGrid(nx=n, ny=n, lx=lx, ly=lx)
-            exact = project_zero_mass(exact_kp1_lump(grid, ExactLumpParams(c=1.0)))
+            exact = build_seed(SolverConfig(params=PARAMS, grid=grid, seed=EXACT_SEED))
             stepped, _ = step(exact)
             diffs.append(np.max(np.abs(stepped - exact.values)))
         ratio = diffs[0] / diffs[1]
@@ -538,6 +539,21 @@ def half_lattice_only(monkeypatch):
     monkeypatch.setattr("fkplump.solver._is_even_even", lambda seed: False)
 
 
+def peak_n2(grid, call):
+    """call() and its tracemalloc peak, in float64 arrays of the grid's size (n^2).
+
+    The grid's coordinates, wavenumbers and column weights are cached first.
+    """
+    grid.x, grid.y, grid.xi1, grid.xi2_half, grid.column_weights
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / (grid.nx * grid.ny * 8)
+
+
 class TestLayouts:
     """The DCT-I quarter against the rfft2 half-lattice on even-even seeds."""
 
@@ -564,12 +580,15 @@ class TestLayouts:
             assert rec.factor_error == pytest.approx(old.factor_error, rel=1e-6, abs=1e-12)
         assert np.max(np.abs(field.values - ref_field.values)) <= 1e-13 * ref_field.max_abs()
 
-    def test_seeds_choose_layout(self, small_grid):
+    def test_seeds_choose_layout(self, small_grid, tmp_path):
         X, Y = small_grid.meshes()
-        even = RealField(small_grid, np.exp(-(X**2) - 2.0 * Y**2))
-        assert solver._is_even_even(project_zero_mass(even))
-        shifted = RealField(small_grid, np.exp(-((X - 1e-3) ** 2) - Y**2))
-        assert not solver._is_even_even(project_zero_mass(shifted))
+        path = tmp_path / "seed.fkpl"
+        seed = SeedSpec(kind="file", path=str(path))
+        config = SolverConfig(params=PARAMS, grid=small_grid, seed=seed)
+        for values, even in [(np.exp(-(X**2) - 2.0 * Y**2), True),
+                             (np.exp(-((X - 1e-3) ** 2) - Y**2), False)]:
+            save_field(path, RealField(small_grid, values), 2.0, 1.0)
+            assert solver._is_even_even(build_seed(config)) == even
 
     def test_fold_unfold_round_trip(self, small_grid):
         X, Y = small_grid.meshes()
@@ -624,29 +643,27 @@ class TestLayouts:
         # D, A and the weights are quarter arrays of 0.25 n^2 each; a
         # half-lattice temporary would push the peak past 1.5 n^2
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
-        grid.xi1, grid.xi2_half, grid.column_weights  # cached before tracing
-        tracemalloc.start()
-        try:
-            SteadyOperator(grid, PARAMS, quarter=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.0 * grid.nx * grid.ny * 8
+        _, peak = peak_n2(grid, lambda: SteadyOperator(grid, PARAMS, quarter=True))
+        assert peak <= 1.0
+
+    def test_seed_stage_holds_two_fields(self):
+        # build_seed drops the sampled field once its spectrum exists and the
+        # spectrum once it is inverted: two n^2 arrays and a finiteness mask
+        # (2.13 n^2; 3.13 while the unprojected seed outlived the projection)
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        config = SolverConfig(params=PARAMS, grid=grid)
+        even, peak = peak_n2(grid, lambda: solver._is_even_even(build_seed(config)))
+        assert even and peak <= 2.3
 
     def test_solve_frees_the_spectra_before_the_result(self):
-        # the loop's spectra are released before the n^2 result is built, so
-        # the seed stage (about 3.1 n^2) sets the peak, not the final copy
+        # the spectra, the operator and the quarter are released before the
+        # n^2 result is built, so the loop sets the peak (2.56 n^2; 3.14
+        # while the seed stage and the final copy overlapped dead arrays)
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
-        grid.x, grid.y, grid.xi1, grid.xi2_half, grid.column_weights  # cached before tracing
         config = SolverConfig(params=PARAMS, grid=grid)
-        tracemalloc.start()
-        try:
-            _, report = solve(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, report), peak = peak_n2(grid, lambda: solve(config))
         assert report.transform == "dct1" and report.converged()
-        assert peak <= 3.3 * grid.nx * grid.ny * 8
+        assert peak <= 2.7
 
 
 class TestConstantState:
