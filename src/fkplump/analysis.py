@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField
+from .grid import RealField, _sup
 from .reference import DomainRangeError
 
 
@@ -81,7 +81,7 @@ def symmetry_report(phi: RealField) -> SymmetryReport:
     with node n - j mod n), so the comparison is exact, no interpolation.
     """
     v = phi.values
-    scale = float(max(v.max(), -v.min()))
+    scale = _sup(v)
     if scale == 0.0:
         return SymmetryReport(0.0, 0.0)
     # Nodes 0 and n/2 are their own mirrors; node j pairs with n - j otherwise.

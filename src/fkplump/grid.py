@@ -97,6 +97,11 @@ def multiplicities(n: int) -> np.ndarray:
     return w
 
 
+def _sup(values: np.ndarray) -> float:
+    """max |values| without an n^2 temporary; nan if any value is nan."""
+    return float(np.maximum(values.max(), -values.min()))
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -125,10 +130,15 @@ class SpectralGrid:
         for name, n in (("nx", self.nx), ("ny", self.ny)):
             if not isinstance(n, (int, np.integer)) or n < 8 or not _is_power_of_two(int(n)):
                 raise ValueError(f"{name} must be a power of two >= 8, got {n!r}")
-        for name, l in (("lx", self.lx), ("ly", self.ly)):
+        for name, n, l in (("lx", self.nx, self.lx), ("ly", self.ny, self.ly)):
             # the node spacing 2*l/n must not overflow; a Python float does so silently
             if not (l > 0 and math.isfinite(2.0 * float(l))):
                 raise ValueError(f"{name} must be positive and 2*{name} finite, got {l!r}")
+            # x^2 + y^2 and xi1^2 + xi2^2 must be finite: the nodes reach l
+            # and the wavenumbers pi*n/(2l)
+            edge, nyquist = float(l), math.pi * int(n) / (2.0 * float(l))
+            if not math.isfinite(2.0 * max(edge * edge, nyquist * nyquist)):
+                raise ValueError(f"{name} must keep x^2 + y^2 and xi1^2 + xi2^2 finite, got {l!r}")
 
     @property
     def dx(self) -> float:
@@ -211,4 +221,4 @@ class RealField:
         object.__setattr__(self, "values", arr)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        return _sup(self.values)

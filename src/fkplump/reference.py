@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ class ExactLumpParams:
     t: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.c) or self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+        c = float(self.c)
+        # the lump squares c; a Python float power raises where c*c is inf
+        if not (math.isfinite(c) and c > 0 and math.isfinite(c * c)):
+            raise ValueError(f"c must be positive with c*c finite, got {self.c!r}")
 
 
 def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
@@ -42,14 +45,27 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
     return RealField(grid, values)
 
 
+def _check_width(width: float, name: str = "width") -> None:
+    """The gaussian's width rule: finite and positive, with a square that is not 0."""
+    w = float(width)
+    if not (math.isfinite(w) and w > 0 and w * w > 0):
+        raise ValueError(f"{name} must be finite and positive with w*w > 0, got {width!r}")
+
+
 def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealField:
-    """Radial gaussian A * exp(-(x^2 + y^2) / w^2), even in x and y."""
-    if not (np.isfinite(width) and width > 0):
-        raise ValueError(f"width must be finite and positive, got {width!r}")
+    """Radial gaussian A * exp(-(x^2 + y^2) / w^2), even in x and y.
+
+    Where w^2, x^2 + y^2 or their quotient overflows to inf, the exponential
+    gives the gaussian's own limit, 1 or 0.
+    """
+    _check_width(width)
     if not (np.isfinite(amplitude) and amplitude != 0):
         raise ValueError(f"amplitude must be finite and nonzero, got {amplitude!r}")
     x, y = grid.x[:, None], grid.y[None, :]
-    return RealField(grid, amplitude * np.exp(-(x**2 + y**2) / width**2))
+    # np.float64 ** 2 has the bits of Python's width**2 but overflows to inf, not an error
+    with np.errstate(over="ignore"):
+        values = amplitude * np.exp(-(x**2 + y**2) / np.float64(width) ** 2)
+    return RealField(grid, values)
 
 
 def _periodic_sinc_matrix(points: np.ndarray, half_width: float, n: int) -> np.ndarray:
@@ -98,17 +114,22 @@ def rescale_solution(
         If any stretched target coordinate falls outside the source domain.
     """
     SymbolParams(alpha, c)  # raises unless alpha and c are finite and positive
-    src = phi.grid
-    ax = c ** (1.0 / alpha)
-    ay = c ** (1.0 / alpha + 0.5)
-    xs = ax * target_grid.x
-    ys = ay * target_grid.y
-    if xs.min() < src.x[0] or xs.max() > src.x[-1] or ys.min() < src.y[0] or ys.max() > src.y[-1]:
+    src, tx, ty = phi.grid, target_grid.x, target_grid.y
+    c, alpha = float(c), float(alpha)  # a power that overflows raises, not warns
+    try:
+        ax = c ** (1.0 / alpha)
+        ay = c ** (1.0 / alpha + 0.5)
+    except OverflowError:
+        ax = ay = math.inf
+    # The end nodes are stretched as Python floats first, so that a stretch
+    # too large for the domain cannot overflow an array.
+    if (ax * float(tx[0]) < src.x[0] or ax * float(tx[-1]) > src.x[-1]
+            or ay * float(ty[0]) < src.y[0] or ay * float(ty[-1]) > src.y[-1]):
         raise DomainRangeError(
             "stretched target coordinates fall outside the source domain; "
             "use a larger source grid or a smaller speed ratio"
         )
-    px = _periodic_sinc_matrix(xs, src.lx, src.nx)
-    py = _periodic_sinc_matrix(ys, src.ly, src.ny)
+    px = _periodic_sinc_matrix(ax * tx, src.lx, src.nx)
+    py = _periodic_sinc_matrix(ay * ty, src.ly, src.ny)
     values = c * (px @ phi.values @ py.T)
     return RealField(target_grid, values)

@@ -63,6 +63,7 @@ from .analysis import symmetry_report
 from .grid import (  # noqa: F401
     RealField,
     SpectralGrid,
+    _sup,
     dct1,
     fft2,
     idct1,
@@ -70,7 +71,7 @@ from .grid import (  # noqa: F401
     multiplicities,
     rfft2,
 )
-from .reference import ExactLumpParams, exact_kp1_lump, gaussian_seed
+from .reference import ExactLumpParams, _check_width, exact_kp1_lump, gaussian_seed
 from .symbols import (
     ALPHA_ENERGY_CRITICAL,
     SymbolParams,
@@ -144,8 +145,7 @@ class SeedSpec:
         amplitude = self.amplitude
         if amplitude is not None and not (np.isfinite(amplitude) and amplitude != 0):
             raise ValueError(f"seed amplitude must be finite and nonzero, got {amplitude!r}")
-        if not (np.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"seed width must be finite and positive, got {self.width!r}")
+        _check_width(self.width, "seed width")
         if self.kind == "file" and not self.path:
             raise ValueError("seed kind 'file' requires a path")
 
@@ -228,11 +228,6 @@ class IterationReport:
 
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
-
-
-def _sup(values: np.ndarray) -> float:
-    """max |values| without a temporary; nan if any value is nan."""
-    return float(np.maximum(values.max(), -values.min()))
 
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -12,7 +12,8 @@ transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy.  It is
 undefined on the constrained row xi1 = 0, xi2 != 0, whose modes lie
 outside the energy space (dx^-1 dy phi in L^2), so it is 0 there and the
 solver's SteadyOperator projects the row out.  SymbolParams checks that
-alpha and c are finite and positive.
+alpha and c are finite and positive, and dispersion_symbol that |xi1|^alpha
+does not overflow on the wavenumbers it is given.
 """
 
 from __future__ import annotations
@@ -62,8 +63,12 @@ class SymbolParams:
 
 
 def dispersion_symbol(xi1: np.ndarray, alpha: float) -> np.ndarray:
-    """|xi1|^alpha, pointwise."""
-    return np.abs(xi1) ** alpha
+    """|xi1|^alpha, pointwise; ValueError if it overflows (a large alpha, |xi1| > 1)."""
+    with np.errstate(over="ignore"):
+        values = np.abs(xi1) ** alpha
+    if not np.isfinite(values).all():
+        raise ValueError(f"alpha = {alpha!r} is too large for the grid: |xi1|^alpha overflows")
+    return values
 
 
 def kernel_symbol(xi1: np.ndarray, xi2: np.ndarray, alpha: float, which: str) -> np.ndarray:

@@ -196,6 +196,34 @@ class TestSolve:
         assert err == ["error: lx must be positive and 2*lx finite, got 1e+308"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "options, named",
+        [
+            ({"--seed": "exact-kp1", "--c": "1e200"}, "c must"),  # c**2 overflowed
+            ({"--l": "1e300"}, "lx must"),  # x^2 overflowed in the seed
+            ({"--l": "1e-300"}, "lx must"),  # xi1^2 and |xi1|^alpha overflowed
+            ({"--alpha": "1e300"}, "alpha = 1e+300"),  # |xi1|^alpha overflowed
+            ({"--seed-width": "1e-300"}, "seed width must"),  # 0/0 in the seed
+        ],
+        ids=["exact-c", "large-l", "small-l", "alpha", "seed-width"],
+    )
+    def test_extreme_parameter_is_named(self, tmp_path, capsys, options, named):
+        flags = {"--alpha": "2", "--n": "16", "--l": "8", **options, "--out": tmp_path / "run"}
+        code = run(["solve", *[item for flag in flags.items() for item in flag]])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and named in err[0]
+        assert not (tmp_path / "run" / "field.fkpl").exists()
+
+    def test_infinite_squared_width_is_a_flat_seed(self, tmp_path, capsys):
+        # width**2 overflows; the seed is flat and reaches the constant state
+        out = tmp_path / "run"
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8",
+                    "--seed-width", "1e200", "--out", out])
+        assert code == EXIT_DIVERGED
+        assert "status=diverged" in capsys.readouterr().out
+        assert "constant state" in json.loads((out / "manifest.json").read_text())["run"]["reason"]
+
     def test_missing_alpha(self, tmp_path, capsys):
         code = run(["solve", "--n", "64", "--l", "16", "--out", tmp_path])
         assert code == EXIT_CONFIG
@@ -467,6 +495,14 @@ class TestReference:
         loaded = load_field(tmp_path / "exact_lump.fkpl")
         assert loaded.alpha == 2.0
         assert np.max(loaded.field.values) == pytest.approx(16.0, rel=1e-12)
+
+    def test_overflowing_speed_is_named(self, tmp_path, capsys):
+        # c**2 of the lump overflows
+        code = run(["reference", "--c", "1e300", "--n", "16", "--l", "8", "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: c must be positive with c*c finite, got 1e+300"]
+        assert not (tmp_path / "exact_lump.fkpl").exists()
 
 
 class TestConvergenceStudy:

@@ -37,6 +37,15 @@ class TestSpectralGrid:
         with pytest.raises(ValueError):
             SpectralGrid(**kwargs)
 
+    @pytest.mark.parametrize(
+        "bad", [dict(lx=1e300), dict(ly=np.float64(1e160)), dict(lx=1e-300), dict(ly=1e-160)]
+    )
+    def test_rejects_overflowing_squares(self, bad):
+        # x^2 + y^2 overflows for a large half-width, xi1^2 + xi2^2 for a small one
+        kwargs = {**dict(nx=16, ny=16, lx=1.0, ly=1.0), **bad}
+        with pytest.raises(ValueError, match="must keep x"):
+            SpectralGrid(**kwargs)
+
     def test_wavenumber_order_nx8(self):
         # nx=8, lx=pi: transform-order signed indices 0..3, -4..-1
         grid = SpectralGrid(nx=8, ny=8, lx=np.pi, ly=np.pi)

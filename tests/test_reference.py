@@ -57,6 +57,11 @@ class TestExactLump:
         with pytest.raises(ValueError):
             ExactLumpParams(c=0.0)
 
+    def test_rejects_speed_whose_square_overflows(self):
+        # a Python float power raises OverflowError on c**2
+        with pytest.raises(ValueError, match="c must be positive with c\\*c finite"):
+            ExactLumpParams(c=1e200)
+
     @pytest.mark.parametrize("t", [0.0, 10.0])
     @pytest.mark.parametrize("c", [1.0, 2.5])
     @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
@@ -90,6 +95,17 @@ class TestGaussianSeed:
                 gaussian_seed(lump_grid, amplitude=1.0, width=bad)
             with pytest.raises(ValueError, match="amplitude must be finite"):
                 gaussian_seed(lump_grid, amplitude=bad, width=1.0)
+
+
+    def test_extreme_widths(self, lump_grid):
+        # 1e200**2 overflows: a flat seed; 1e-160**2 is subnormal: the
+        # quotient overflows away from the origin and the seed is a spike
+        flat = gaussian_seed(lump_grid, amplitude=3.0, width=1e200).values
+        assert np.all(flat == 3.0)
+        spike = gaussian_seed(lump_grid, amplitude=3.0, width=1e-160).values
+        assert spike[128, 128] == 3.0 and np.count_nonzero(spike) == 1
+        with pytest.raises(ValueError, match="width must be finite and positive with w\\*w > 0"):
+            gaussian_seed(lump_grid, amplitude=1.0, width=1e-300)
 
 
 class TestRescale:
@@ -143,6 +159,13 @@ class TestRescale:
         tgt = SpectralGrid(nx=64, ny=64, lx=8.0, ly=8.0)
         with pytest.raises(DomainRangeError):
             rescale_solution(psi, alpha=2.0, c=4.0, target_grid=tgt)
+
+    def test_overflowing_stretch_raises(self):
+        # c ** (1 / alpha) = 10**1000 overflows a Python float
+        grid = SpectralGrid(nx=32, ny=32, lx=8.0, ly=8.0)
+        psi = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
+        with pytest.raises(DomainRangeError):
+            rescale_solution(psi, alpha=0.001, c=10.0, target_grid=grid)
 
     @pytest.mark.parametrize(
         "alpha, c",

@@ -9,6 +9,7 @@ from fkplump.solver import SteadyOperator
 from fkplump.symbols import (
     SymbolParams,
     UnsupportedEquationError,
+    dispersion_symbol,
     kernel_symbol,
     petviashvili_denominator,
     symbol_h,
@@ -173,6 +174,12 @@ class TestSymbolDecisions:
         assert np.all(t[0, :] == 0.0)  # the constrained row
         assert lattice_value(grid_pi, t, 2, 3) == pytest.approx(1.5, rel=1e-12)
         assert lattice_value(grid_pi, t, -2, 3) == -lattice_value(grid_pi, t, 2, 3)
+
+    def test_dispersion_symbol_rejects_overflow(self):
+        # pi**1e300 overflows; below 1 the power underflows to 0, which is harmless
+        with pytest.raises(ValueError, match="alpha = 1e\\+300 is too large"):
+            dispersion_symbol(np.array([0.0, 0.5, np.pi]), 1e300)
+        assert np.array_equal(dispersion_symbol(np.array([0.0, 0.5]), 1e300), [0.0, 0.0])
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0, -1.0])
     @pytest.mark.parametrize("symbol", [symbol_m, symbol_h])
