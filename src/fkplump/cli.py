@@ -108,7 +108,7 @@ _SOLVE_OPTIONS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed-amplitude": (float, None),
     "seed-width": (float, 2.0),
     "allow-supercritical": (_parse_bool, False),
-    "accel-depth": (int, 1),
+    "accel-depth": (int, 2),
     "out": (str, "."),
 }
 

@@ -80,9 +80,12 @@ def irfft2(
     return _sfft.irfft(half, n=shape[1], axis=1, workers=fft_workers())
 
 
-def dct1(values: np.ndarray) -> np.ndarray:
-    """Unnormalized type-1 DCT along both axes of an even-even quarter."""
-    return _sfft.dctn(values, type=1, workers=fft_workers())
+def dct1(values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Unnormalized type-1 DCT along both axes of an even-even quarter.
+
+    With overwrite_x it runs in place in values, to the same bits.
+    """
+    return _sfft.dctn(values, type=1, overwrite_x=overwrite_x, workers=fft_workers())
 
 
 def idct1(coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:

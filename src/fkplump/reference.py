@@ -36,11 +36,25 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
 
     with X = x - c t.  Peak value 8c at the origin, zeros on the ridge
     X^2 = 3/c + y^2 c, quadratic decay along both axes.
+
+    Raises
+    ------
+    ValueError
+        If c is too large for the grid: (c^2/3) y^2, the squared
+        denominator or the numerator overflows at the grid's edge.
     """
     x, y = grid.x[:, None], grid.y[None, :]
     c = p.c
-    xs2 = (c / 3.0) * (x - c * p.t) ** 2
-    ys2 = (c**2 / 3.0) * y**2
+    with np.errstate(over="ignore"):
+        xs2 = (c / 3.0) * (x - c * p.t) ** 2
+        ys2 = (c**2 / 3.0) * y**2
+    # both terms are >= 0, so the edge of the grid holds their largest sum
+    edge = 1.0 + float(xs2.max()) + float(ys2.max())
+    if not (math.isfinite(8.0 * c * edge) and math.isfinite(edge * edge)):
+        raise ValueError(
+            f"c = {c!r} is too large for the grid: the lump's (c^2/3) y^2 or its "
+            "squared denominator overflows at the grid's edge"
+        )
     values = 8.0 * c * (1.0 - xs2 + ys2) / (1.0 + xs2 + ys2) ** 2
     return RealField(grid, values)
 

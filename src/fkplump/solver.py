@@ -33,26 +33,30 @@ whole grid with rfft2 half-spectra.
 
 By default the map is accelerated by type-II Anderson mixing (Walker & Ni,
 SIAM J. Numer. Anal. 2011; for Petviashvili maps see Alvarez & Duran,
-Math. Comput. Simul. 2016) on the spectra.  With g_n the image above
-and f_n = g_n - fft(phi_n), depth 1 takes
+Math. Comput. Simul. 2016) on the spectra.  With g_n the image above,
+f_n = g_n - fft(phi_n) and df_j = f_{j+1} - f_j, dg_j likewise, depth m
+takes
 
-    fft(phi_{n+1}) = g_n - gamma (g_n - g_{n-1}),
-    gamma = <df, f_n> / <df, df>,  df = f_n - f_{n-1},
+    fft(phi_{n+1}) = g_n - sum_j gamma_j dg_j,
+    (<df_i, df_j>) gamma = (<df_i, f_n>),
 
-with <,> the real dot product of the float64 views.  Mixing runs only
-while |1 - M_n| <= ACCEL_GATE; elsewhere the plain step is taken and the
-history is cleared.  accel_depth = 0 is the paper's plain map.  The dot
-product counts each quarter row as often as the half-lattice holds it, so
-both layouts mix alike.  Either way one iteration costs one forward and
-two inverse transforms of the layout (one rfft2 and two irfft2, or one
-dct1 and two idct1), and the three monitors are those of the accepted
-iterate.
+over the last m differences (fewer while the history fills), with <,>
+the real dot product of the float64 views.  At depth 1 this is
+gamma = <df, f_n> / <df, df>.  A Gram matrix that is not finite or whose
+1-norm condition number exceeds ACCEL_COND_MAX takes the plain step and
+restarts the history.  Mixing runs only while |1 - M_n| <= ACCEL_GATE;
+elsewhere the plain step is taken and the history is cleared.
+accel_depth = 0 is the paper's plain map; the default is 2.  The dot
+product counts each quarter row as often as the half-lattice holds it,
+so both layouts mix alike.  Either way one iteration costs one forward
+and two inverse transforms of the layout (one rfft2 and two irfft2, or
+one dct1 and two idct1), and the three monitors are those of the
+accepted iterate.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -87,11 +91,17 @@ DIVERGENCE_AMPLITUDE = 1e6
 #: exact seeds measure at most 1.9e-15 on grids from 8^2 to 2048^2.
 EVEN_EVEN_TOL = 1e-13
 
-#: The Anderson mixing depths: 0 is the plain map, 1 the mixed one.  Depth
-#: 2 would need two more spectra (16 B/node on the half-lattice, 4 on the
-#: quarter) and a least-squares solve; at 128^2 it takes 20 and 30
-#: iterations against depth 1's 24 and 42 (alpha = 2 and 1.5).
-ACCEL_DEPTHS = (0, 1)
+#: The Anderson mixing depths: 0 is the plain map, m >= 1 mixes with the
+#: last m difference pairs.  Each level above 1 keeps two more spectra:
+#: 0.5 n^2 float64 arrays on the quarter (4 B per node), 2 n^2 on the
+#: half-lattice (16 B per node).  Iterations at depths 1, 2 and 3: 25, 24
+#: and 19 on the 1024^2, alpha = 2 desk grid; 42, 28 and 24 on 512^2,
+#: alpha = 1.5; 68, 76 and 53 on 2048^2, L = 32, alpha = 0.9.
+ACCEL_DEPTHS = tuple(range(6))
+
+#: A mixing system whose Gram matrix has a 1-norm condition number above
+#: this takes the plain step and restarts the history.
+ACCEL_COND_MAX = 1e12
 
 #: Anderson mixing runs only while |1 - M| is at most this.  Farther from
 #: the fixed point a mixed step can overshoot: without the gate, depth 2 at
@@ -100,7 +110,8 @@ ACCEL_DEPTHS = (0, 1)
 #: (DegenerateIterateError) where the plain map reports divergence.
 ACCEL_GATE = 0.1
 
-#: Size of the row blocks in which M's pairings are summed, so that their
+#: Size of the row blocks in which M's pairings are summed, the residual's
+#: spectrum is formed and the mixed spectrum is updated, so that their
 #: temporaries stay in cache instead of taking full spectra.  Blocks are
 #: counted in complex rows on both layouts, so a quarter block, whose rows
 #: are real, holds 256 KiB.  Whole-
@@ -167,13 +178,14 @@ class SolverConfig:
     max_iter: int = 200
     seed: SeedSpec = field(default_factory=SeedSpec)
     allow_supercritical: bool = False
-    accel_depth: int = 1
+    accel_depth: int = 2
 
     def __post_init__(self) -> None:
         depth = self.accel_depth
         if not isinstance(depth, (int, np.integer)) or depth not in ACCEL_DEPTHS:
             raise ValueError(
-                f"accel_depth must be 0 (plain map) or 1 (Anderson mixing), got {depth!r}"
+                f"accel_depth must be an integer from 0 (plain map) to {ACCEL_DEPTHS[-1]}, "
+                f"got {depth!r}"
             )
         if not np.isfinite(self.tol) or self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
@@ -235,9 +247,9 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a.view(np.float64), b.view(np.float64)))
 
 
-def _real_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re(a conj(b)) pointwise, as a new real array."""
-    out = a.real * b.real
+def _real_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Re(a conj(b)) pointwise, in out or a new real array."""
+    out = np.multiply(a.real, b.real, out=out)
     if np.iscomplexobj(a):
         out += a.imag * b.imag
     return out
@@ -258,9 +270,21 @@ class SteadyOperator:
     fields and the spectra rfft2 half-lattices; the weights are the
     grid's column weights (1 on the columns k2 = 0 and ny/2, 2 on the
     others).  With quarter=True the iterates are even-even quarters (see
-    grid) and the spectra their real dct1 coefficients.  D, A and xi1^2/2
-    are then built on the rows k1 = 0, ..., nx/2 only, and the weights
-    also carry the row multiplicities (1 at k1 = 0 and nx/2, 2 elsewhere).
+    grid) and the spectra their real dct1 coefficients.  D, xi1^2/2 and
+    the row term of A are then built on the rows k1 = 0, ..., nx/2 only,
+    and the weights also carry the row multiplicities (1 at k1 = 0 and
+    nx/2, 2 elsewhere).
+
+    D is the one 2-D array held.  A is held as its row term
+    xi1^2 (c + |xi1|^alpha) and its column term xi2^2, and the weights as
+    row and column factors; both are formed per row block where they are
+    used, to the bits of 2-D arrays (a sum, and exact products of 1 and 2).
+
+    Raises
+    ------
+    ValueError
+        If A overflows: a half-width lx so small that xi1^2 (c + |xi1|^alpha)
+        is not finite for the given alpha.
     """
 
     def __init__(self, grid: SpectralGrid, params: SymbolParams, quarter: bool = False) -> None:
@@ -270,10 +294,17 @@ class SteadyOperator:
         xi1, xi2 = grid.xi1[:rows, None], grid.xi2_half[None, :]
         self.denom = petviashvili_denominator(xi1, xi2, params)
         self.half_xi1sq = 0.5 * xi1**2
-        self.residual_symbol = xi1**2 * (params.c + dispersion_symbol(xi1, params.alpha)) + xi2**2
-        row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
-        self.weights = row_weights * grid.column_weights
-        self.weights[0, 1:] = 0.0
+        with np.errstate(over="ignore"):
+            self.residual_rows = xi1**2 * (params.c + dispersion_symbol(xi1, params.alpha))
+        self.residual_columns = xi2**2
+        # both terms are >= 0, so A's largest value is the sum of theirs
+        if not math.isfinite(float(self.residual_rows.max()) + float(self.residual_columns.max())):
+            raise ValueError(
+                f"half-width lx = {grid.lx!r} is too small for alpha = {params.alpha!r}: "
+                "the residual symbol xi1^2 (c + |xi1|^alpha) overflows"
+            )
+        self.row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
+        self.column_weights = grid.column_weights
         block = max(1, BLOCK_BYTES // (16 * self.denom.shape[1]))  # complex rows
         self.blocks = [slice(i, i + block) for i in range(0, rows, block)]
 
@@ -298,9 +329,13 @@ class SteadyOperator:
         nx, ny = self.grid.shape
         return values[np.ix_(np.abs(np.arange(nx) - nx // 2), np.abs(np.arange(ny) - ny // 2))]
 
-    def forward(self, values: np.ndarray) -> np.ndarray:
-        """The spectrum of an iterate of the layout."""
-        return dct1(values) if self.quarter else rfft2(values)
+    def forward(self, values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+        """The spectrum of an iterate of the layout.
+
+        With overwrite_x, values are left undefined: on the quarter the
+        spectrum is built in them, which spares a new array.
+        """
+        return dct1(values, overwrite_x=overwrite_x) if self.quarter else rfft2(values)
 
     def inverse(self, coeffs: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """The iterate of a spectrum; with overwrite_x, coeffs are left undefined."""
@@ -310,7 +345,7 @@ class SteadyOperator:
 
     def spectra(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Transforms of an iterate and of its square."""
-        return self.forward(values), self.forward(values * values)
+        return self.forward(values), self.forward(values * values, overwrite_x=True)
 
     def dot(self, a: np.ndarray, b: np.ndarray) -> float:
         """Real dot product of two spectra, each row counted as often as the half-lattice holds it.
@@ -338,14 +373,25 @@ class SteadyOperator:
             If the cubic pairing is below 1e-14 of its natural scale, as
             for a zero or odd-in-x iterate.
         """
+        # block tiles for the weights, |phi^|^2 and a product, reused by every block
+        tiles = np.empty((3, *phi_hat[self.blocks[0]].shape))
+        shared = None  # the row weights in the weight tile, if the next block may reuse it
         num = den = scale = 0.0
         for rows in self.blocks:
-            p, s, w = phi_hat[rows], sq_hat[rows], self.weights[rows]
-            power = _real_product(p, p)
-            scale += float(np.vdot(w, np.abs(s) * np.sqrt(power)))
+            p, s, r = phi_hat[rows], sq_hat[rows], self.row_weights[rows]
+            w, power, work = tiles[:, : len(r)]
+            if shared is None or not np.array_equal(r, shared[: len(r)]):
+                np.multiply(r, self.column_weights, out=w)
+                if rows.start == 0:
+                    w[0, 1:] = 0.0  # the constrained row
+                shared = None if rows.start == 0 else r
+            _real_product(p, p, out=power)
+            np.sqrt(power, out=work)
             power *= self.denom[rows]
             num += float(np.vdot(w, power))
-            den += float(np.vdot(w, _real_product(s, p)))
+            work *= np.abs(s, out=power)
+            scale += float(np.vdot(w, work))
+            den += float(np.vdot(w, _real_product(s, p, out=work)))
         if abs(den) <= 1e-14 * scale:
             # A quarter iterate is even-even by construction: parity is no cause there.
             cause = "" if self.quarter else " (or has odd parity)"
@@ -393,42 +439,96 @@ class SteadyOperator:
     def residual(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
         """Sup norm of S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy.
 
-        Leaves phi_hat and sq_hat unchanged.
+        Leaves phi_hat and sq_hat unchanged.  The spectrum of S phi is
+        written row block by row block into one new array.
         """
-        s_hat = self.residual_symbol * phi_hat - self.half_xi1sq * sq_hat
+        s_hat = np.empty_like(phi_hat)
+        scratch = np.empty_like(phi_hat[self.blocks[0]])
+        for rows in self.blocks:
+            out = s_hat[rows]
+            np.add(self.residual_rows[rows], self.residual_columns, out=out)  # A
+            out *= phi_hat[rows]
+            out -= np.multiply(self.half_xi1sq[rows], sq_hat[rows], out=scratch[: len(out)])
         return _sup(self.inverse(s_hat, overwrite_x=True))
 
 
 class _AndersonMixer:
-    """Depth-1 type-II Anderson mixing of the Petviashvili map on spectra.
+    """Type-II Anderson mixing of depth m of the Petviashvili map on spectra.
 
-    The history is the previous f and g.  The differences overwrite them,
-    and the mixed spectrum is built in the difference of g.  dot is the
-    operator's inner product.
+    The history is the last f and g and a ring of at most m - 1 difference
+    pairs (df, dg), oldest first, with the Gram matrix <df_i, df_j> of the
+    operator's dot product.  A step turns the last f and g into a new pair
+    in place, adds its row to the Gram matrix and solves the normal
+    equations for gamma.  The mixed spectrum g - sum gamma_i dg_i is built
+    in the dg of the oldest pair, which then leaves the ring, or in a new
+    array while the ring is not yet full.
     """
 
-    def __init__(self, dot: Callable[[np.ndarray, np.ndarray], float]) -> None:
-        self.dot = dot
+    def __init__(self, op: SteadyOperator, depth: int) -> None:
+        self.dot = op.dot
+        self.blocks = op.blocks
+        self.depth = depth
         self.last: tuple[np.ndarray, np.ndarray] | None = None  # f, g of the last step
+        self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.gram = np.zeros((depth, depth))
         self.mixed_steps = 0
 
     def reset(self) -> None:
         self.last = None
+        self.pairs.clear()
 
     def mix(self, phi_hat: np.ndarray, g: np.ndarray) -> np.ndarray:
         """The next spectrum from phi_hat (overwritten with f) and its image g."""
         f = np.subtract(g, phi_hat, out=phi_hat)
         last, self.last = self.last, (f, g)
-        if last is not None:
-            df = np.subtract(f, last[0], out=last[0])
-            dg = np.subtract(g, last[1], out=last[1])
-            df_df, df_f = self.dot(df, df), self.dot(df, f)
-            if math.isfinite(df_df) and math.isfinite(df_f) and df_df > 0.0:
-                self.mixed_steps += 1
-                dg *= -(df_f / df_df)
-                dg += g
-                return dg
-        return g.copy()  # the plain step; g stays in the history
+        if last is None:
+            return g.copy()
+        df = np.subtract(f, last[0], out=last[0])
+        dg = np.subtract(g, last[1], out=last[1])
+        pairs = self.pairs
+        pairs.append((df, dg))
+        k = len(pairs)
+        gram = self.gram[:k, :k]
+        for i, (df_i, _) in enumerate(pairs):
+            gram[i, -1] = gram[-1, i] = self.dot(df, df_i)
+        gamma = _mixing_coefficients(gram, np.array([self.dot(df_i, f) for df_i, _ in pairs]))
+        if gamma is None:
+            pairs.clear()
+            return g.copy()  # the plain step; f and g stay in the history
+        self.mixed_steps += 1
+        dgs, coefs = [dg_i for _, dg_i in pairs], -gamma
+        if k == self.depth:  # the oldest pair leaves the ring; its dg takes the mixed spectrum
+            del pairs[0]
+            self.gram[: k - 1, : k - 1] = self.gram[1:k, 1:k]
+            out = dgs[0]
+            out *= coefs[0]
+        else:
+            out = dgs[0] * coefs[0]
+        for dg_i, coef in zip(dgs[1:], coefs[1:]):
+            for rows in self.blocks:
+                out[rows] += dg_i[rows] * coef
+        out += g
+        return out
+
+
+def _mixing_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    """gamma from gram gamma = rhs, or None if gram is not finite, singular or ill-conditioned.
+
+    The condition number is that of the 1-norm, from the inverse that the
+    same LAPACK solver gives; an SVD (np.linalg.cond) would map about 1 MiB
+    more of LAPACK into the process on its first call.
+    """
+    if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
+        return None
+    try:
+        inverse = np.linalg.solve(gram, np.eye(len(rhs)))
+        gamma = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:  # exactly singular, as a zero gram
+        return None
+    cond = np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1)
+    if not (cond <= ACCEL_COND_MAX and np.isfinite(gamma).all()):
+        return None
+    return gamma
 
 
 def build_seed(config: SolverConfig) -> RealField:
@@ -498,11 +598,12 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     seed = build_seed(config)
     op = SteadyOperator(grid, p, quarter=_is_even_even(seed))
     # A writable copy of the seed: each iteration reuses the old iterate's
-    # buffer for the step difference and then for the square.
+    # buffer for the step difference, then for the square and, on the
+    # quarter, for the square's spectrum.
     phi = op.fold(seed.values)
     del seed
     phi_hat, sq_hat = op.spectra(phi)
-    mixer = _AndersonMixer(op.dot)
+    mixer = _AndersonMixer(op, config.accel_depth)
     records: list[IterationRecord] = []
 
     for n in range(1, config.max_iter + 1):
@@ -524,7 +625,7 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         np.subtract(phi, next_phi, out=phi)
         iter_error = _sup(phi)
         np.multiply(next_phi, next_phi, out=phi)
-        sq_hat = op.forward(phi)
+        sq_hat = op.forward(phi, overwrite_x=True)
         phi, phi_hat = next_phi, next_hat
         residual = op.residual(phi_hat, sq_hat)
         records.append(IterationRecord(n, iter_error, m, factor_error, residual))

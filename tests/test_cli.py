@@ -2,6 +2,8 @@
 
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -204,8 +206,10 @@ class TestSolve:
             ({"--l": "1e-300"}, "lx must"),  # xi1^2 and |xi1|^alpha overflowed
             ({"--alpha": "1e300"}, "alpha = 1e+300"),  # |xi1|^alpha overflowed
             ({"--seed-width": "1e-300"}, "seed width must"),  # 0/0 in the seed
+            # xi1^2 (c + |xi1|^alpha) overflowed in the residual symbol
+            ({"--l": "1e-100"}, "half-width lx = 1e-100 is too small for alpha = 2.0"),
         ],
-        ids=["exact-c", "large-l", "small-l", "alpha", "seed-width"],
+        ids=["exact-c", "large-l", "small-l", "alpha", "seed-width", "residual-symbol"],
     )
     def test_extreme_parameter_is_named(self, tmp_path, capsys, options, named):
         flags = {"--alpha": "2", "--n": "16", "--l": "8", **options, "--out": tmp_path / "run"}
@@ -255,7 +259,7 @@ class TestSolve:
         assert record["status"] == "converged"
         assert record["reason"].startswith("all three monitors")
         assert record["iterations"] == len(rows)
-        assert record["accel_depth"] == manifest["config"]["accel-depth"] == 1
+        assert record["accel_depth"] == manifest["config"]["accel-depth"] == 2
         assert 0 < record["mixed_steps"] < record["iterations"]
 
     def test_accel_depth_zero_is_plain_map(self, tmp_path):
@@ -266,7 +270,7 @@ class TestSolve:
         assert record["mixed_steps"] == 0
         assert record["iterations"] == 57
 
-    @pytest.mark.parametrize("depth", ["-1", "2"])
+    @pytest.mark.parametrize("depth", ["-1", "6"])
     def test_bad_accel_depth_rejected(self, tmp_path, capsys, depth):
         code = run(FAST_SOLVE + ["--accel-depth", depth, "--out", tmp_path])
         assert code == EXIT_CONFIG
@@ -296,6 +300,13 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "manifest.json").exists()
+
+
+def test_import_leaves_out_scipy_linalg():
+    # scipy.linalg adds about 6 MiB of resident memory to every run
+    code = "import sys, fkplump.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestConfigFile:
@@ -502,6 +513,14 @@ class TestReference:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: c must be positive with c*c finite, got 1e+300"]
+        assert not (tmp_path / "exact_lump.fkpl").exists()
+
+    def test_speed_too_large_for_the_grid_is_named(self, tmp_path, capsys):
+        # c*c is finite, but (c^2/3) y^2 overflows at the grid's edge
+        code = run(["reference", "--c", "1e150", "--n", "16", "--l", "8", "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: c = 1e+150 is too large for the grid")
         assert not (tmp_path / "exact_lump.fkpl").exists()
 
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -297,11 +298,13 @@ class TestStabilizingFactor:
         # at eps = 2e-15 the ratio is 1.35e-14, so that iterate is accepted.
         X, Y = small_grid.meshes()
         op = SteadyOperator(small_grid, PARAMS)
+        weights = op.row_weights * op.column_weights
+        weights[0, 1:] = 0.0
         accepted = []
         for eps in (1e-12, 2e-15, 1e-15, 0.0):
             phi_hat, sq_hat = op.spectra((X + eps) * np.exp(-(X**2) - Y**2))
-            den = np.vdot(op.weights, (sq_hat * np.conj(phi_hat)).real)
-            scale = np.vdot(op.weights, np.abs(sq_hat) * np.abs(phi_hat))
+            den = np.vdot(weights, (sq_hat * np.conj(phi_hat)).real)
+            scale = np.vdot(weights, np.abs(sq_hat) * np.abs(phi_hat))
             try:
                 op.stabilizing_factor(phi_hat, sq_hat)
                 accepted.append(True)
@@ -485,12 +488,61 @@ class TestAcceleration:
         gated = sum(r.factor_error <= ACCEL_GATE for r in mixed.records)
         assert plain.mixed_steps == 0 < mixed.mixed_steps < gated
 
+    def test_default_depth_beats_depth_1(self):
+        # 30 iterations against 42, to the same lump
+        grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
+        params = SymbolParams(alpha=1.5, c=1.0)
+        field, report = solve(SolverConfig(params=params, grid=grid))
+        one_field, one = solve(SolverConfig(params=params, grid=grid, accel_depth=1))
+        assert report.converged() and one.converged()
+        assert report.iterations < one.iterations
+        assert np.max(np.abs(field.values - one_field.values)) <= 1e-5
+        gated = sum(r.factor_error <= ACCEL_GATE for r in report.records)
+        assert 0 < report.mixed_steps < gated
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_mixer_matches_least_squares(self, depth):
+        # each step is g - dG gamma, gamma the least-squares fit of f by the
+        # last `depth` differences dF (fewer while the history fills)
+        rng = np.random.default_rng(depth)
+        op = SimpleNamespace(dot=solver._real_dot, blocks=[slice(0, 3), slice(3, 6), slice(6, 9)])
+        mixer = solver._AndersonMixer(op, depth)
+        fs, gs = [], []
+        for step in range(7):
+            phi_hat, g = rng.standard_normal((2, 8, 5))
+            fs.append(g - phi_hat)
+            gs.append(g.copy())
+            mixed = mixer.mix(phi_hat, g)
+            expected = g
+            if step:
+                first = max(0, step - depth)
+                df = np.stack([(fs[i + 1] - fs[i]).ravel() for i in range(first, step)], axis=1)
+                dg = np.stack([(gs[i + 1] - gs[i]).ravel() for i in range(first, step)], axis=1)
+                gamma = np.linalg.lstsq(df, fs[-1].ravel(), rcond=None)[0]
+                expected = gs[-1] - (dg @ gamma).reshape(g.shape)
+            assert np.allclose(mixed, expected, rtol=1e-10, atol=1e-12)
+        assert mixer.mixed_steps == 6
+
+    def test_mixing_coefficients(self):
+        # a 1 x 1 system gives depth 1's division to the bit; a singular,
+        # ill-conditioned or non-finite one gives None, the plain step
+        rng = np.random.default_rng(0)
+        for a, b in rng.uniform(1e-3, 1e3, (200, 2)):
+            assert solver._mixing_coefficients(np.array([[a]]), np.array([-b]))[0] == -b / a
+        for gram, rhs in [
+            (np.zeros((1, 1)), np.ones(1)),
+            (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]), np.ones(2)),
+            (np.array([[math.nan]]), np.ones(1)),
+            (np.eye(2), np.array([1.0, math.inf])),
+        ]:
+            assert solver._mixing_coefficients(gram, rhs) is None
+
     def test_default_converges_at_nu_2_5(self):
         grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
         _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=2.5))
         assert report.converged()
 
-    @pytest.mark.parametrize("depth", [-1, 1.5, 2])
+    @pytest.mark.parametrize("depth", [-1, 1.5, 6])
     def test_rejects_bad_depth(self, small_grid, depth):
         with pytest.raises(ValueError, match="accel_depth"):
             SolverConfig(params=PARAMS, grid=small_grid, accel_depth=depth)
@@ -511,7 +563,7 @@ class TestAcceleration:
     @settings(max_examples=30, deadline=None)
     @given(
         nu=st.floats(1.2, 2.8),
-        depth=st.sampled_from([0, 1]),
+        depth=st.sampled_from([0, 1, 2, 3]),
         amplitude=st.floats(0.01, 100.0),
         sign=st.sampled_from([-1.0, 1.0]),
     )
@@ -557,7 +609,7 @@ def peak_n2(grid, call):
 class TestLayouts:
     """The DCT-I quarter against the rfft2 half-lattice on even-even seeds."""
 
-    @pytest.mark.parametrize("depth", [0, 1])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
     @pytest.mark.parametrize("n", [128, 256])
     def test_layouts_agree(self, monkeypatch, n, alpha, depth):
@@ -630,18 +682,23 @@ class TestLayouts:
 
 
     def test_quarter_rows_are_half_lattice_rows(self):
-        # each layout builds D, A and xi1^2/2 on its own rows, to the same bits
+        # each layout builds D, A's row term and xi1^2/2 on its own rows, to the same bits
         grid = SpectralGrid(nx=64, ny=32, lx=20.0, ly=10.0)
         params = SymbolParams(alpha=1.7, c=1.3)
         half = SteadyOperator(grid, params)
         quarter = SteadyOperator(grid, params, quarter=True)
         rows = grid.nx // 2 + 1
-        for name in ("denom", "residual_symbol", "half_xi1sq"):
+        for name in ("denom", "half_xi1sq", "residual_rows"):
             assert np.array_equal(getattr(quarter, name), getattr(half, name)[:rows])
+        assert np.array_equal(quarter.residual_columns, half.residual_columns)
+        # A is the sum of its row and column terms, as the 2-D symbol was built
+        xi1, xi2 = grid.xi1[:, None], grid.xi2_half[None, :]
+        symbol = xi1**2 * (params.c + np.abs(xi1) ** params.alpha) + xi2**2
+        assert np.array_equal(half.residual_rows + half.residual_columns, symbol)
 
     def test_quarter_build_holds_no_half_lattice(self):
-        # D, A and the weights are quarter arrays of 0.25 n^2 each; a
-        # half-lattice temporary would push the peak past 1.5 n^2
+        # D is a quarter array of 0.25 n^2, A and the weights are 1-D
+        # factors; a half-lattice temporary would push the peak past 1.5 n^2
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         _, peak = peak_n2(grid, lambda: SteadyOperator(grid, PARAMS, quarter=True))
         assert peak <= 1.0
@@ -655,10 +712,19 @@ class TestLayouts:
         even, peak = peak_n2(grid, lambda: solver._is_even_even(build_seed(config)))
         assert even and peak <= 2.3
 
+    def test_default_solve_peak_at_1024(self):
+        # the default depth keeps two more quarter spectra than depth 1 (2.31 n^2)
+        grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
+        config = SolverConfig(params=PARAMS, grid=grid)
+        (_, report), peak = peak_n2(grid, lambda: solve(config))
+        assert report.transform == "dct1" and report.converged()
+        assert peak <= 3.0
+
     def test_solve_frees_the_spectra_before_the_result(self):
         # the spectra, the operator and the quarter are released before the
-        # n^2 result is built, so the loop sets the peak (2.56 n^2; 3.14
-        # while the seed stage and the final copy overlapped dead arrays)
+        # n^2 result is built, so the loop sets the peak (2.47 n^2 at the
+        # default depth 2; 3.14 while the seed stage and the final copy
+        # overlapped dead arrays)
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         config = SolverConfig(params=PARAMS, grid=grid)
         (_, report), peak = peak_n2(grid, lambda: solve(config))
