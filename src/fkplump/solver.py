@@ -46,7 +46,8 @@ gamma = <df, f_n> / <df, df>.  A Gram matrix that is not finite or whose
 1-norm condition number exceeds ACCEL_COND_MAX takes the plain step and
 restarts the history.  Mixing runs only while |1 - M_n| <= ACCEL_GATE;
 elsewhere the plain step is taken and the history is cleared.
-accel_depth = 0 is the paper's plain map; the default is 2.  The dot
+accel_depth = 0 is the paper's plain map, 1 mixes with one pair and the
+default is 2.  The dot
 product counts each quarter row as often as the half-lattice holds it,
 so both layouts mix alike.  Either way one iteration costs one forward
 and two inverse transforms of the layout (one rfft2 and two irfft2, or
@@ -92,12 +93,13 @@ DIVERGENCE_AMPLITUDE = 1e6
 EVEN_EVEN_TOL = 1e-13
 
 #: The Anderson mixing depths: 0 is the plain map, m >= 1 mixes with the
-#: last m difference pairs.  Each level above 1 keeps two more spectra:
+#: last m difference pairs.  Depth 2 keeps two more spectra than depth 1:
 #: 0.5 n^2 float64 arrays on the quarter (4 B per node), 2 n^2 on the
-#: half-lattice (16 B per node).  Iterations at depths 1, 2 and 3: 25, 24
-#: and 19 on the 1024^2, alpha = 2 desk grid; 42, 28 and 24 on 512^2,
-#: alpha = 1.5; 68, 76 and 53 on 2048^2, L = 32, alpha = 0.9.
-ACCEL_DEPTHS = tuple(range(6))
+#: half-lattice (16 B per node).  Iterations at depths 1 and 2: 25 and 24
+#: on the 1024^2, alpha = 2 desk grid; 42 and 28 on 512^2, alpha = 1.5;
+#: 68 and 76 on 2048^2, L = 32, alpha = 0.9.  The mixer takes any depth;
+#: deeper ones wait for a rule that picks the depth from the run.
+ACCEL_DEPTHS = (0, 1, 2)
 
 #: A mixing system whose Gram matrix has a 1-norm condition number above
 #: this takes the plain step and restarts the history.
@@ -284,7 +286,8 @@ class SteadyOperator:
     ------
     ValueError
         If A overflows: a half-width lx so small that xi1^2 (c + |xi1|^alpha)
-        is not finite for the given alpha.
+        is not finite for the given alpha, or half-widths lx and ly whose
+        terms are finite but whose sum is not.
     """
 
     def __init__(self, grid: SpectralGrid, params: SymbolParams, quarter: bool = False) -> None:
@@ -298,10 +301,17 @@ class SteadyOperator:
             self.residual_rows = xi1**2 * (params.c + dispersion_symbol(xi1, params.alpha))
         self.residual_columns = xi2**2
         # both terms are >= 0, so A's largest value is the sum of theirs
-        if not math.isfinite(float(self.residual_rows.max()) + float(self.residual_columns.max())):
+        row_max = float(self.residual_rows.max())
+        if not math.isfinite(row_max):
             raise ValueError(
                 f"half-width lx = {grid.lx!r} is too small for alpha = {params.alpha!r}: "
                 "the residual symbol xi1^2 (c + |xi1|^alpha) overflows"
+            )
+        if not math.isfinite(row_max + float(self.residual_columns.max())):
+            raise ValueError(
+                f"half-widths lx = {grid.lx!r} and ly = {grid.ly!r} are too small for "
+                f"alpha = {params.alpha!r}: the residual symbol "
+                "xi1^2 (c + |xi1|^alpha) + xi2^2 overflows"
             )
         self.row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
         self.column_weights = grid.column_weights

@@ -270,7 +270,7 @@ class TestSolve:
         assert record["mixed_steps"] == 0
         assert record["iterations"] == 57
 
-    @pytest.mark.parametrize("depth", ["-1", "6"])
+    @pytest.mark.parametrize("depth", ["-1", "3", "6"])
     def test_bad_accel_depth_rejected(self, tmp_path, capsys, depth):
         code = run(FAST_SOLVE + ["--accel-depth", depth, "--out", tmp_path])
         assert code == EXIT_CONFIG

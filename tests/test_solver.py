@@ -542,7 +542,7 @@ class TestAcceleration:
         _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=2.5))
         assert report.converged()
 
-    @pytest.mark.parametrize("depth", [-1, 1.5, 6])
+    @pytest.mark.parametrize("depth", [-1, 1.5, 3, 6])
     def test_rejects_bad_depth(self, small_grid, depth):
         with pytest.raises(ValueError, match="accel_depth"):
             SolverConfig(params=PARAMS, grid=small_grid, accel_depth=depth)
@@ -563,7 +563,7 @@ class TestAcceleration:
     @settings(max_examples=30, deadline=None)
     @given(
         nu=st.floats(1.2, 2.8),
-        depth=st.sampled_from([0, 1, 2, 3]),
+        depth=st.sampled_from(solver.ACCEL_DEPTHS),
         amplitude=st.floats(0.01, 100.0),
         sign=st.sampled_from([-1.0, 1.0]),
     )
@@ -695,6 +695,20 @@ class TestLayouts:
         xi1, xi2 = grid.xi1[:, None], grid.xi2_half[None, :]
         symbol = xi1**2 * (params.c + np.abs(xi1) ** params.alpha) + xi2**2
         assert np.array_equal(half.residual_rows + half.residual_columns, symbol)
+
+    @pytest.mark.parametrize("quarter", [False, True])
+    def test_overflowing_residual_symbol_names_the_half_widths(self, quarter):
+        # 16^2, alpha = 2: at lx = 2.3e-76 the row term peaks near 1.4e308, and
+        # ly = 3e-153 adds xi2^2 near 5.4e307, so only their sum overflows
+        params = SymbolParams(alpha=2.0, c=1.0)
+        grid = SpectralGrid(nx=16, ny=16, lx=2.3e-76, ly=1.0)
+        SteadyOperator(grid, params, quarter=quarter)
+        grid = SpectralGrid(nx=16, ny=16, lx=2.3e-76, ly=3e-153)
+        with pytest.raises(ValueError, match=r"lx = 2\.3e-76 and ly = 3e-153 .* \+ xi2\^2 overflows"):
+            SteadyOperator(grid, params, quarter=quarter)
+        grid = SpectralGrid(nx=16, ny=16, lx=2e-76, ly=1.0)
+        with pytest.raises(ValueError, match=r"^half-width lx = 2e-76 .* \(c \+ \|xi1\|\^alpha\) overflows$"):
+            SteadyOperator(grid, params, quarter=quarter)
 
     def test_quarter_build_holds_no_half_lattice(self):
         # D is a quarter array of 0.25 n^2, A and the weights are 1-D
