@@ -13,7 +13,6 @@ from .analysis import (
     SymmetryReport,
     cross_section,
     decay_profile,
-    peakedness,
     symmetry_report,
 )
 from .diagnostics import FunctionalValues, fourier_tail, functionals, residual
@@ -63,7 +62,6 @@ __all__ = [
     "integrability_probe",
     "kernel_decay",
     "load_field",
-    "peakedness",
     "rescale_solution",
     "residual",
     "save_field",

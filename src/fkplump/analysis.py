@@ -128,11 +128,3 @@ def decay_profile(phi: RealField, axis: str, power: float = 2.0) -> DecayProfile
         plateau_rel_variation=variation,
         offset_estimate=float(offset),
     )
-
-
-def peakedness(phis: list[tuple[float, RealField]]) -> list[tuple[float, float]]:
-    """Max amplitude per (alpha, field) pair, in the order given.
-
-    For lump families at fixed speed the amplitudes decrease with alpha.
-    """
-    return [(alpha, float(np.max(field.values))) for alpha, field in phis]

@@ -98,7 +98,6 @@ def _parse_bool(raw: str) -> bool:
 _SOLVE_OPTIONS: dict[str, tuple[Callable[[str], object], object]] = {
     "alpha": (float, None),
     "c": (float, 1.0),
-    "sigma": (int, -1),
     "nu": (float, 2.0),
     "n": (int, 1024),
     "l": (float, 256.0),
@@ -164,7 +163,7 @@ def _seed_spec(resolved: dict[str, object]) -> SeedSpec:
 
 def _solver_config(resolved: dict[str, object]) -> SolverConfig:
     try:
-        params = SymbolParams(alpha=resolved["alpha"], c=resolved["c"], sigma=resolved["sigma"])
+        params = SymbolParams(alpha=resolved["alpha"], c=resolved["c"])
         n, l = resolved["n"], resolved["l"]
         return SolverConfig(
             params=params,
@@ -201,7 +200,7 @@ def run_solve(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     field_path = out_dir / "field.fkpl"
     log_path = out_dir / "iterations.csv"
-    save_field(field_path, field, config.params.alpha, config.params.c, config.params.sigma)
+    save_field(field_path, field, config.params.alpha, config.params.c)
     _write_iteration_log(log_path, report)
     manifest = {
         "config": {k: resolved[k] for k in sorted(resolved, key=str)},
@@ -247,7 +246,7 @@ def run_analyze(args: argparse.Namespace) -> int:
     # First, so that a header the functionals reject fails before any write.
     if "functionals" in tasks:
         vals = functionals(phi, loaded.alpha)
-        params = SymbolParams(alpha=loaded.alpha, c=loaded.c, sigma=loaded.sigma)
+        params = SymbolParams(alpha=loaded.alpha, c=loaded.c)
         _write_keyvalues(
             out_dir / "functionals.txt",
             {
@@ -330,7 +329,7 @@ def run_reference(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "exact_lump.fkpl"
-    save_field(path, field, alpha=2.0, c=args.c, sigma=-1.0)
+    save_field(path, field, alpha=2.0, c=args.c)
     print(f"reference: wrote {path}")
     return EXIT_OK
 

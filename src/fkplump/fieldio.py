@@ -10,7 +10,9 @@ Layout (little-endian throughout):
     bytes 56..    nx*ny f64 field values, row-major
 
 The header carries the physical parameters so an analysis run needs no
-side channel.  Loading reproduces the saved values bit for bit.
+side channel.  Loading reproduces the saved values bit for bit.  sigma
+is the sign of the equation, always -1 (fKP-I): fKP-II (+1) has no lumps
+in the energy space, so load_field rejects any other value.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .symbols import SymbolParams
 
 MAGIC = b"FKPL"
 VERSION = 1
+SIGMA = -1.0
 _HEADER = struct.Struct("<4sIII5d")
 
 
@@ -52,37 +55,34 @@ class LoadedField:
     field: RealField
     alpha: float
     c: float
-    sigma: float
 
 
-def save_field(
-    path: str | Path, field: RealField, alpha: float, c: float, sigma: float = -1.0
-) -> None:
+def save_field(path: str | Path, field: RealField, alpha: float, c: float) -> None:
     """Write a field and its parameters; see the module docstring for layout.
 
     Raises
     ------
     ValueError
-        Unless alpha and c are finite and positive and sigma is -1 or +1
-        (SymbolParams); nothing is written then.
+        Unless alpha and c are finite and positive (SymbolParams); nothing
+        is written then.
     """
-    SymbolParams(alpha=alpha, c=c, sigma=sigma)
+    SymbolParams(alpha=alpha, c=c)
     grid = field.grid
-    header = _HEADER.pack(
-        MAGIC, VERSION, grid.nx, grid.ny, grid.lx, grid.ly, alpha, c, float(sigma)
-    )
+    header = _HEADER.pack(MAGIC, VERSION, grid.nx, grid.ny, grid.lx, grid.ly, alpha, c, SIGMA)
     payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
     Path(path).write_bytes(header + payload)
 
 
 def load_field(path: str | Path) -> LoadedField:
-    """Read a field file, verifying magic, version and length.
+    """Read a field file, verifying magic, version, sigma and length.
 
     Raises
     ------
     MagicMismatchError, VersionMismatchError, TruncatedFileError
         Distinct errors for the three failure modes, each naming the byte
         offset at which parsing failed.
+    FieldFileError
+        If sigma (byte 48) is not -1: the file is not of fKP-I.
     """
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
@@ -96,6 +96,10 @@ def load_field(path: str | Path) -> LoadedField:
         raise VersionMismatchError(
             f"unsupported format version {version} at byte 4, expected {VERSION}"
         )
+    if sigma != SIGMA:
+        raise FieldFileError(
+            f"sigma = {sigma!r} at byte 48, expected {SIGMA} (fKP-I; fKP-II has no lumps)"
+        )
     expected = _HEADER.size + 8 * nx * ny
     if len(raw) != expected:
         raise TruncatedFileError(
@@ -104,6 +108,4 @@ def load_field(path: str | Path) -> LoadedField:
         )
     grid = SpectralGrid(nx=nx, ny=ny, lx=lx, ly=ly)
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(nx, ny)
-    return LoadedField(
-        field=RealField(grid, values), alpha=alpha, c=c, sigma=sigma
-    )
+    return LoadedField(field=RealField(grid, values), alpha=alpha, c=c)

@@ -66,6 +66,12 @@ def _check_width(width: float, name: str = "width") -> None:
         raise ValueError(f"{name} must be finite and positive with w*w > 0, got {width!r}")
 
 
+def _check_amplitude(amplitude: float, name: str = "amplitude") -> None:
+    """The gaussian's amplitude rule: finite and nonzero."""
+    if not (np.isfinite(amplitude) and amplitude != 0):
+        raise ValueError(f"{name} must be finite and nonzero, got {amplitude!r}")
+
+
 def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealField:
     """Radial gaussian A * exp(-(x^2 + y^2) / w^2), even in x and y.
 
@@ -73,8 +79,7 @@ def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealFie
     gives the gaussian's own limit, 1 or 0.
     """
     _check_width(width)
-    if not (np.isfinite(amplitude) and amplitude != 0):
-        raise ValueError(f"amplitude must be finite and nonzero, got {amplitude!r}")
+    _check_amplitude(amplitude)
     x, y = grid.x[:, None], grid.y[None, :]
     # np.float64 ** 2 has the bits of Python's width**2 but overflows to inf, not an error
     with np.errstate(over="ignore"):

@@ -60,6 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +77,7 @@ from .grid import (  # noqa: F401
     multiplicities,
     rfft2,
 )
-from .reference import ExactLumpParams, _check_width, exact_kp1_lump, gaussian_seed
+from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
 from .symbols import (
     ALPHA_ENERGY_CRITICAL,
     SymbolParams,
@@ -155,9 +156,8 @@ class SeedSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "exact-kp1", "file"):
             raise ValueError(f"unknown seed kind {self.kind!r}")
-        amplitude = self.amplitude
-        if amplitude is not None and not (np.isfinite(amplitude) and amplitude != 0):
-            raise ValueError(f"seed amplitude must be finite and nonzero, got {amplitude!r}")
+        if self.amplitude is not None:
+            _check_amplitude(self.amplitude, "seed amplitude")
         _check_width(self.width, "seed width")
         if self.kind == "file" and not self.path:
             raise ValueError("seed kind 'file' requires a path")
@@ -277,10 +277,11 @@ class SteadyOperator:
     and the weights also carry the row multiplicities (1 at k1 = 0 and
     nx/2, 2 elsewhere).
 
-    D is the one 2-D array held.  A is held as its row term
-    xi1^2 (c + |xi1|^alpha) and its column term xi2^2, and the weights as
-    row and column factors; both are formed per row block where they are
-    used, to the bits of 2-D arrays (a sum, and exact products of 1 and 2).
+    D is the one 2-D array held, built on first use: the residual never
+    reads it.  A is held as its row term xi1^2 (c + |xi1|^alpha) and its
+    column term xi2^2, and the weights as row and column factors; both are
+    formed per row block where they are used, to the bits of 2-D arrays (a
+    sum, and exact products of 1 and 2).
 
     Raises
     ------
@@ -292,10 +293,10 @@ class SteadyOperator:
 
     def __init__(self, grid: SpectralGrid, params: SymbolParams, quarter: bool = False) -> None:
         self.grid = grid
+        self.params = params
         self.quarter = quarter
         rows = grid.nx // 2 + 1 if quarter else grid.nx
-        xi1, xi2 = grid.xi1[:rows, None], grid.xi2_half[None, :]
-        self.denom = petviashvili_denominator(xi1, xi2, params)
+        xi1, xi2 = self._wavenumbers = grid.xi1[:rows, None], grid.xi2_half[None, :]
         self.half_xi1sq = 0.5 * xi1**2
         with np.errstate(over="ignore"):
             self.residual_rows = xi1**2 * (params.c + dispersion_symbol(xi1, params.alpha))
@@ -315,8 +316,13 @@ class SteadyOperator:
             )
         self.row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
         self.column_weights = grid.column_weights
-        block = max(1, BLOCK_BYTES // (16 * self.denom.shape[1]))  # complex rows
+        block = max(1, BLOCK_BYTES // (16 * xi2.size))  # complex rows
         self.blocks = [slice(i, i + block) for i in range(0, rows, block)]
+
+    @cached_property
+    def denom(self) -> np.ndarray:
+        """D on the layout's rows, read-only."""
+        return petviashvili_denominator(*self._wavenumbers, self.params)
 
     @property
     def transform(self) -> str:
@@ -524,21 +530,14 @@ class _AndersonMixer:
 def _mixing_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """gamma from gram gamma = rhs, or None if gram is not finite, singular or ill-conditioned.
 
-    The condition number is that of the 1-norm, from the inverse that the
-    same LAPACK solver gives; an SVD (np.linalg.cond) would map about 1 MiB
-    more of LAPACK into the process on its first call.
+    The 1-norm condition number is inf for a singular gram, as a zero one.
     """
     if not (np.isfinite(gram).all() and np.isfinite(rhs).all()):
         return None
-    try:
-        inverse = np.linalg.solve(gram, np.eye(len(rhs)))
-        gamma = np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError:  # exactly singular, as a zero gram
+    if not np.linalg.cond(gram, 1) <= ACCEL_COND_MAX:
         return None
-    cond = np.linalg.norm(gram, 1) * np.linalg.norm(inverse, 1)
-    if not (cond <= ACCEL_COND_MAX and np.isfinite(gamma).all()):
-        return None
-    return gamma
+    gamma = np.linalg.solve(gram, rhs)
+    return gamma if np.isfinite(gamma).all() else None
 
 
 def build_seed(config: SolverConfig) -> RealField:

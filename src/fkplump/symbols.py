@@ -29,13 +29,9 @@ from .grid import SpectralGrid, _frozen_array  # noqa: F401
 ALPHA_ENERGY_CRITICAL = 0.8
 
 
-class UnsupportedEquationError(ValueError):
-    """sigma = +1 requested: the weak-surface-tension variant has no lumps."""
-
-
 @dataclass(frozen=True)
 class SymbolParams:
-    """Parameters of the steady-wave symbols.
+    """Parameters of the steady-wave symbols of fKP-I.
 
     Attributes
     ----------
@@ -44,22 +40,16 @@ class SymbolParams:
         entry points additionally require alpha > 4/5 unless overridden.
     c : float
         Wave speed; must be finite and positive.
-    sigma : int
-        -1 for the strong-surface-tension equation (the only one with lump
-        solutions); +1 is rejected by every solver path.
     """
 
     alpha: float
     c: float = 1.0
-    sigma: int = -1
 
     def __post_init__(self) -> None:
         if not np.isfinite(self.alpha) or self.alpha <= 0:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         if not np.isfinite(self.c) or self.c <= 0:
             raise ValueError(f"c must be finite and positive, got {self.c!r}")
-        if self.sigma not in (-1, 1):
-            raise ValueError(f"sigma must be -1 or +1, got {self.sigma!r}")
 
 
 def dispersion_symbol(xi1: np.ndarray, alpha: float) -> np.ndarray:
@@ -91,16 +81,7 @@ def petviashvili_denominator(xi1: np.ndarray, xi2: np.ndarray, p: SymbolParams) 
 
     T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
     is finite there; SteadyOperator projects that row out of the iteration.
-
-    Raises
-    ------
-    UnsupportedEquationError
-        For sigma = +1 (no lump solutions exist in that regime).
     """
-    if p.sigma != -1:
-        raise UnsupportedEquationError(
-            "sigma = +1 has no lump solutions; only sigma = -1 is supported"
-        )
     transverse = transverse_multiplier(xi1, xi2) ** 2
     denom = 2.0 * (p.c + transverse + dispersion_symbol(xi1, p.alpha))
     denom.setflags(write=False)

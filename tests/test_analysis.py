@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fkplump.analysis import cross_section, decay_profile, peakedness, symmetry_report
+from fkplump.analysis import cross_section, decay_profile, symmetry_report
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import DomainRangeError, ExactLumpParams, exact_kp1_lump
 
@@ -98,13 +98,3 @@ class TestDecayProfile:
         prof = decay_profile(f, "y")
         assert prof.plateau_value == pytest.approx(12.0, rel=0.02)
 
-
-class TestPeakedness:
-    def test_exact_amplitude(self, exact_desk):
-        pairs = peakedness([(2.0, exact_desk)])
-        assert pairs == [(2.0, pytest.approx(8.0, rel=1e-12))]
-
-    def test_preserves_order_of_input(self, exact_desk, small_grid):
-        small = RealField(small_grid, np.ones(small_grid.shape))
-        pairs = peakedness([(1.5, small), (2.0, exact_desk)])
-        assert [alpha for alpha, _ in pairs] == [1.5, 2.0]

@@ -84,10 +84,15 @@ class TestSolve:
         assert code == EXIT_CONFIG
         assert "alpha" in capsys.readouterr().err
 
-    def test_weak_surface_tension_rejected(self, tmp_path, capsys):
-        code = run(FAST_SOLVE + ["--sigma", "1", "--out", tmp_path])
-        assert code == EXIT_CONFIG
-        assert "sigma" in capsys.readouterr().err
+    def test_sigma_is_not_an_option(self, tmp_path, capsys):
+        # fKP-I only: neither the flag nor the config key exists, even for -1
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2\nsigma = -1\n")
+        for argv in (FAST_SOLVE + ["--sigma", "-1"], ["solve", "--config", config]):
+            assert run(argv + ["--out", tmp_path / "run"]) == EXIT_CONFIG
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("error:") and "sigma" in err[0]
+        assert not (tmp_path / "run").exists()
 
     def test_max_iter_exit_code(self, tmp_path):
         code = run(FAST_SOLVE + ["--max-iter", "3", "--out", tmp_path])
@@ -132,6 +137,21 @@ class TestSolve:
         code = run(FAST_SOLVE + ["--seed", f"file:{missing}", "--out", tmp_path])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("sigma", [1.0, -1.5, 0.5, np.nan])
+    def test_seed_file_of_other_sigma(self, tmp_path, capsys, sigma):
+        grid = SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0)
+        X, Y = grid.meshes()
+        seed = tmp_path / "seed.fkpl"
+        save_field(seed, RealField(grid, 3.0 * np.exp(-(X**2) - Y**2)), 2.0, 1.0)
+        raw = seed.read_bytes()
+        seed.write_bytes(raw[:48] + struct.pack("<d", sigma) + raw[56:])
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8",
+                    "--seed", f"file:{seed}", "--out", tmp_path / "run"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "byte 48" in err[0]
+        assert not (tmp_path / "run" / "manifest.json").exists()
 
     def test_odd_seed_is_an_error_line(self, tmp_path, capsys):
         # x exp(-x^2 - y^2) has a vanishing cubic pairing: the stabilizing
@@ -450,7 +470,8 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
-        "alpha, sigma", [(np.nan, -1.0), (-1.0, -1.0), (2.0, 1.0), (2.0, -1.5), (2.0, 0.5)]
+        "alpha, sigma",
+        [(np.nan, -1.0), (-1.0, -1.0), (2.0, 1.0), (2.0, -1.5), (2.0, 0.5), (2.0, np.nan)],
     )
     def test_rejected_header_writes_nothing(self, tmp_path, capsys, alpha, sigma):
         # save_field refuses these headers, so the file is written as raw bytes
@@ -461,8 +482,10 @@ class TestAnalyze:
         path.write_bytes(header + np.exp(-(X**2) - Y**2).astype("<f8").tobytes())
         out = tmp_path / "analysis"
         assert run(["analyze", path, "--out", out]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error:")
-        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and ("byte 48" in err) == (sigma != -1.0)
+        # a bad sigma fails on load, before the directory is made
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_corrupt_field_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fkpl"

@@ -27,6 +27,15 @@ class TestResidual:
     def test_zero_field(self, small_grid):
         assert residual(RealField(small_grid, np.zeros(small_grid.shape)), PARAMS) == 0.0
 
+    def test_builds_no_denominator(self, small_grid, monkeypatch):
+        # the residual never reads D, so the operator it builds leaves D unmade
+        def unused(*args):
+            raise AssertionError("D was built")
+
+        monkeypatch.setattr("fkplump.solver.petviashvili_denominator", unused)
+        exact = exact_kp1_lump(small_grid, ExactLumpParams(c=1.0))
+        assert residual(exact, PARAMS) > 0.0
+
     def test_converged_solution_below_tolerance(self, unit_solve):
         field, report = unit_solve
         assert residual(field, PARAMS) <= 1e-5

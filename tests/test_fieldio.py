@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fkplump.fieldio import (
     MAGIC,
+    FieldFileError,
     MagicMismatchError,
     TruncatedFileError,
     VersionMismatchError,
@@ -45,27 +46,20 @@ def fkpl_16(tmp_path_factory):
 def sample(tmp_path, rng, small_grid):
     field = RealField(small_grid, rng.standard_normal(small_grid.shape))
     path = tmp_path / "field.fkpl"
-    save_field(path, field, alpha=1.7, c=2.0, sigma=-1.0)
+    save_field(path, field, alpha=1.7, c=2.0)
     return path, field
 
 
 class TestSave:
     @pytest.mark.parametrize(
-        "alpha, c, sigma",
-        [(np.nan, 1.0, -1.0), (-1.0, 1.0, -1.0), (0.0, 1.0, -1.0), (2.0, np.inf, -1.0),
-         (2.0, 0.0, -1.0), (2.0, 1.0, 0.5), (2.0, 1.0, np.nan)],
+        "alpha, c",
+        [(np.nan, 1.0), (-1.0, 1.0), (0.0, 1.0), (2.0, np.inf), (2.0, 0.0)],
     )
-    def test_rejects_bad_parameters(self, tmp_path, alpha, c, sigma):
+    def test_rejects_bad_parameters(self, tmp_path, alpha, c):
         path = tmp_path / "field.fkpl"
-        with pytest.raises(ValueError, match="alpha|c must|sigma"):
-            save_field(path, _FIELD_16, alpha=alpha, c=c, sigma=sigma)
+        with pytest.raises(ValueError, match="alpha|c must"):
+            save_field(path, _FIELD_16, alpha=alpha, c=c)
         assert not path.exists()
-
-    def test_weak_surface_tension_header_is_written(self, tmp_path):
-        # sigma = +1 is an equation, not a malformed value; analyze rejects it later
-        path = tmp_path / "field.fkpl"
-        save_field(path, _FIELD_16, alpha=2.0, c=1.0, sigma=1.0)
-        assert load_field(path).sigma == 1.0
 
 
 class TestRoundTrip:
@@ -80,13 +74,24 @@ class TestRoundTrip:
         loaded = load_field(path)
         assert loaded.alpha == 1.7
         assert loaded.c == 2.0
-        assert loaded.sigma == -1.0
 
     def test_twice_saved_files_identical(self, tmp_path, sample):
         path, field = sample
         other = tmp_path / "again.fkpl"
-        save_field(other, field, alpha=1.7, c=2.0, sigma=-1.0)
+        save_field(other, field, alpha=1.7, c=2.0)
         assert other.read_bytes() == path.read_bytes()
+
+    def test_hand_built_file_loads_bit_exactly(self, tmp_path):
+        # a v1 file written byte by byte, sigma -1.0 at byte 48, is what save_field writes
+        hand = tmp_path / "hand.fkpl"
+        header = struct.pack("<4sIII5d", b"FKPL", 1, 16, 16, 4.0, 4.0, 1.7, 2.0, -1.0)
+        hand.write_bytes(header + _FIELD_16.values.astype("<f8").tobytes())
+        loaded = load_field(hand)
+        assert np.array_equal(loaded.field.values, _FIELD_16.values)
+        assert (loaded.field.grid, loaded.alpha, loaded.c) == (_GRID_16, 1.7, 2.0)
+        saved = tmp_path / "saved.fkpl"
+        save_field(saved, _FIELD_16, alpha=1.7, c=2.0)
+        assert saved.read_bytes() == hand.read_bytes()
 
 
 class TestFailureModes:
@@ -126,6 +131,15 @@ class TestFailureModes:
         bad = tmp_path / "bad_version.fkpl"
         bad.write_bytes(bytes(raw))
         with pytest.raises(VersionMismatchError):
+            load_field(bad)
+
+    @pytest.mark.parametrize("sigma", [1.0, -1.5, 0.5, np.nan])
+    def test_sigma_other_than_minus_one(self, tmp_path, fkpl_16, sigma):
+        # fKP-II (+1) has no lumps, and the other values name no equation
+        _, raw = fkpl_16
+        bad = tmp_path / "sigma.fkpl"
+        bad.write_bytes(raw[:48] + struct.pack("<d", sigma) + raw[56:])
+        with pytest.raises(FieldFileError, match="byte 48"):
             load_field(bad)
 
     def test_errors_are_distinct_types(self):

@@ -711,10 +711,13 @@ class TestLayouts:
             SteadyOperator(grid, params, quarter=quarter)
 
     def test_quarter_build_holds_no_half_lattice(self):
-        # D is a quarter array of 0.25 n^2, A and the weights are 1-D
-        # factors; a half-lattice temporary would push the peak past 1.5 n^2
+        # A and the weights are 1-D factors, and D waits for its first use
+        # (0.005 n^2); D is a quarter array of 0.25 n^2 (0.79 n^2 with its
+        # temporaries), and a half-lattice temporary would push that past 1.5 n^2
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
-        _, peak = peak_n2(grid, lambda: SteadyOperator(grid, PARAMS, quarter=True))
+        op, peak = peak_n2(grid, lambda: SteadyOperator(grid, PARAMS, quarter=True))
+        assert peak <= 0.1
+        _, peak = peak_n2(grid, lambda: op.denom)
         assert peak <= 1.0
 
     def test_seed_stage_holds_two_fields(self):

@@ -8,7 +8,6 @@ from fkplump.kernels import build_kernel
 from fkplump.solver import SteadyOperator
 from fkplump.symbols import (
     SymbolParams,
-    UnsupportedEquationError,
     dispersion_symbol,
     kernel_symbol,
     petviashvili_denominator,
@@ -80,12 +79,6 @@ class TestDenominator:
         assert not half.flags.writeable
         assert np.max(np.abs(half[1:] / full.real[1:] - 1.0)) <= 1e-15
         assert np.all(half[0] == 2.0 * p.c)
-
-    def test_rejects_weak_surface_tension(self, grid_pi):
-        with pytest.raises(UnsupportedEquationError):
-            petviashvili_denominator(
-                *half_lattice(grid_pi), SymbolParams(alpha=2.0, c=1.0, sigma=1)
-            )
 
     def test_even_in_both_variables(self, grid_pi):
         # even in xi1 on the stored columns, and each stored column k2 also
