@@ -87,8 +87,8 @@ def symmetry_report(phi: RealField) -> SymmetryReport:
     # Nodes 0 and n/2 are their own mirrors; node j pairs with n - j otherwise.
     hx, hy = v.shape[0] // 2, v.shape[1] // 2
     return SymmetryReport(
-        x_defect=float(np.abs(v[1:hx] - v[:hx:-1]).max()) / scale,
-        y_defect=float(np.abs(v[:, 1:hy] - v[:, :hy:-1]).max()) / scale,
+        x_defect=_sup(v[1:hx] - v[:hx:-1]) / scale,
+        y_defect=_sup(v[:, 1:hy] - v[:, :hy:-1]) / scale,
     )
 
 
@@ -116,7 +116,7 @@ def decay_profile(phi: RealField, axis: str, power: float = 2.0) -> DecayProfile
 
     plateau = float(np.median(corrected))
     if plateau != 0.0:
-        variation = float(np.max(np.abs(corrected - plateau))) / abs(plateau)
+        variation = _sup(corrected - plateau) / abs(plateau)
     else:
         variation = float("inf") if np.any(corrected != 0.0) else 0.0
     return DecayProfile(

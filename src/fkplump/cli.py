@@ -32,6 +32,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
+from dataclasses import asdict
 from pathlib import Path
 from typing import NoReturn
 
@@ -42,7 +43,7 @@ from . import __version__
 from .analysis import cross_section, decay_profile, symmetry_report
 from .diagnostics import fourier_tail, functionals, residual
 from .fieldio import FieldFileError, load_field, save_field
-from .grid import SpectralGrid, fft_workers
+from .grid import SpectralGrid, _sup, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
 from .solver import (
@@ -190,14 +191,16 @@ def _write_iteration_log(path: Path, report) -> None:
 def run_solve(args: argparse.Namespace) -> int:
     resolved = _resolve_options(args)
     config = _solver_config(resolved)
-    out_dir = Path(str(resolved["out"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     field, report = solve(config)
     solve_seconds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    # Made after the solve, so that a run that fails to start leaves no
+    # directory; an unwritable --out is reported only now.
+    out_dir = Path(str(resolved["out"]))
+    out_dir.mkdir(parents=True, exist_ok=True)
     field_path = out_dir / "field.fkpl"
     log_path = out_dir / "iterations.csv"
     save_field(field_path, field, config.params.alpha, config.params.c)
@@ -218,11 +221,8 @@ def run_solve(args: argparse.Namespace) -> int:
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
-    final = report.final if report.records else None
-    print(
-        f"status={report.status.value} iterations={report.iterations}"
-        + (f" residual={final.residual:.3e}" if final else "")
-    )
+    print(f"status={report.status.value} iterations={report.iterations} "
+          f"residual={report.final.residual:.3e}")
     if report.status is SolveStatus.CONVERGED:
         return EXIT_OK
     if report.status is SolveStatus.MAX_ITER:
@@ -235,30 +235,22 @@ _ANALYZE_TASKS = ("sections", "symmetry", "decay", "functionals")
 
 def run_analyze(args: argparse.Namespace) -> int:
     loaded = load_field(args.field)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tasks = args.tasks.split(",") if args.tasks else list(_ANALYZE_TASKS)
     for task in tasks:
         if task not in _ANALYZE_TASKS:
             raise ConfigError(f"unknown analyze task {task!r}; choose from {_ANALYZE_TASKS}")
     phi = loaded.field
 
-    # First, so that a header the functionals reject fails before any write.
+    # First, so that a header the functionals reject fails before the out
+    # directory is made.
     if "functionals" in tasks:
-        vals = functionals(phi, loaded.alpha)
         params = SymbolParams(alpha=loaded.alpha, c=loaded.c)
-        _write_keyvalues(
-            out_dir / "functionals.txt",
-            {
-                "l_value": vals.l_value,
-                "n_value": vals.n_value,
-                "energy_norm": vals.energy_norm,
-                "sobolev_ratio": vals.sobolev_ratio,
-                "dc_mode": vals.dc_mode,
-                "residual": residual(phi, params),
-                "fourier_tail": fourier_tail(phi),
-            },
-        )
+        scalars = {**asdict(functionals(phi, loaded.alpha)), "residual": residual(phi, params),
+                   "fourier_tail": fourier_tail(phi)}
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if "functionals" in tasks:
+        _write_keyvalues(out_dir / "functionals.txt", scalars)
     if "sections" in tasks:
         for axis in "xy":
             data = cross_section(phi, axis, 0.0)
@@ -296,8 +288,6 @@ def run_kernel_probe(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot parse --p list {args.p!r}") from exc
     if any(p < 1.0 for p in p_values):
         raise ConfigError("--p values must be >= 1")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for p in p_values:
         probe = integrability_probe(args.alpha, p, args.which)
@@ -313,6 +303,8 @@ def run_kernel_probe(args: argparse.Namespace) -> int:
                 probe.box_norm,
             ]
         )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"kernel_probe_{args.which}.csv"
     _write_csv(
         path,
@@ -341,8 +333,6 @@ def run_convergence_study(args: argparse.Namespace) -> int:
         raise ConfigError(f"cannot parse --l list {args.l!r}") from exc
     if not all(math.isfinite(v) and v > 0 for v in l_values):
         raise ConfigError(f"--l values must be finite and positive, got {args.l!r}")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base_l = l_values[0]
     rows = []
     for l in l_values:
@@ -354,7 +344,7 @@ def run_convergence_study(args: argparse.Namespace) -> int:
         final = report.final
         if args.alpha == 2.0:
             exact = exact_kp1_lump(grid, ExactLumpParams(c=args.c))
-            err = float(np.max(np.abs(field.values - exact.values))) / exact.max_abs()
+            err = _sup(field.values - exact.values) / exact.max_abs()
         else:
             err = float("nan")
         rows.append(
@@ -369,6 +359,8 @@ def run_convergence_study(args: argparse.Namespace) -> int:
                 err,
             ]
         )
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "convergence_study.csv"
     _write_csv(
         path,

@@ -8,8 +8,10 @@ area, which is spectrally accurate for smooth decaying integrands.
 
 The energy space requires dx^-1 dy phi in L^2, so the modes on the
 constrained row xi1 = 0, xi2 != 0 are not part of it.  The multipliers
-|xi1|^s and xi2/xi1 come from symbols; xi2/xi1 is 0 on that row, as the
-solver's iterates are.
+|xi1|^s and xi2/xi1 come from symbols; symbol_t is 0 on that row, as the
+solver's iterates are, and on the unpaired Nyquist row and column, where
+an odd multiplier would break conjugate symmetry and so the agreement of
+the real-space and Parseval routes of functionals.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .grid import RealField, irfft2, rfft2
 from .solver import SteadyOperator
-from .symbols import SymbolParams, dispersion_symbol, transverse_multiplier
+from .symbols import SymbolParams, dispersion_symbol, symbol_t
 
 
 @dataclass(frozen=True)
@@ -59,21 +61,6 @@ def residual(phi: RealField, p: SymbolParams) -> float:
     return op.residual(*op.spectra(phi.values))
 
 
-def _antideriv_y_symbol(grid) -> np.ndarray:
-    """Multiplier of dx^-1 dy on the half-lattice: xi2 / xi1, real and odd in both.
-
-    The transverse multiplier, zero on the constrained row xi1 = 0.  The
-    unpaired Nyquist row and column are zeroed too (the odd-operator
-    convention); the self-paired Nyquist modes cannot carry an odd symbol,
-    and leaving them in breaks conjugate symmetry on the lattice, which
-    would make the real-space and Parseval routes below disagree.
-    """
-    sym = transverse_multiplier(grid.xi1[:, None], grid.xi2_half[None, :])
-    sym[grid.nx // 2, :] = 0.0
-    sym[:, -1] = 0.0
-    return sym
-
-
 def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     """Evaluate the diagnostic functionals of a field.
 
@@ -88,7 +75,7 @@ def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     values = phi.values
     square = values * values
     phi_hat = rfft2(values)
-    anti_sym = _antideriv_y_symbol(grid)
+    anti_sym = symbol_t(grid)
 
     frac_field = irfft2(dispersion_symbol(grid.xi1[:, None], alpha / 2.0) * phi_hat, grid.shape)
     anti_field = irfft2(anti_sym * phi_hat, grid.shape)

@@ -101,8 +101,9 @@ def multiplicities(n: int) -> np.ndarray:
 
 
 def _sup(values: np.ndarray) -> float:
-    """max |values| without an n^2 temporary; nan if any value is nan."""
-    return float(np.maximum(values.max(), -values.min()))
+    """max |values| without an n^2 temporary; nan if any value is nan, and +0.0
+    (not np.maximum(0.0, -0.0) = -0.0) if every value is a zero."""
+    return abs(float(np.maximum(values.max(), -values.min())))
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -196,10 +197,6 @@ class SpectralGrid:
         w = multiplicities(self.ny)
         w.setflags(write=False)
         return w
-
-    def meshes(self) -> tuple[np.ndarray, np.ndarray]:
-        """2D coordinate meshes (X, Y) with indexing matching field storage."""
-        return np.meshgrid(self.x, self.y, indexing="ij")
 
 
 def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:

@@ -86,14 +86,7 @@ def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
     kind = which.upper()
     if kind not in ("K", "H"):
         raise ValueError(f"which must be 'K' or 'H', got {which!r}")
-    if kind == "K":
-        sym_values = symbol_m(grid, alpha)
-    else:
-        # The odd symbol's Nyquist row has no positive partner on the
-        # lattice; zero it (the first-derivative convention) so that -i*h
-        # is the spectrum of a real field.
-        sym_values = -1j * symbol_h(grid, alpha)
-        sym_values[grid.nx // 2, :] = 0.0
+    sym_values = symbol_m(grid, alpha) if kind == "K" else -1j * symbol_h(grid, alpha)
     scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
     return RealField(grid, scale * np.fft.fftshift(irfft2(sym_values, grid.shape)))
 

@@ -11,7 +11,10 @@ and symbol_m/symbol_h sample it, read-only, on the rfft2 half-lattice.
 transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy.  It is
 undefined on the constrained row xi1 = 0, xi2 != 0, whose modes lie
 outside the energy space (dx^-1 dy phi in L^2), so it is 0 there and the
-solver's SteadyOperator projects the row out.  SymbolParams checks that
+solver's SteadyOperator projects the row out; symbol_t samples it.  A
+symbol odd in xi1 (h, t) or xi2 (t) is 0 on the Nyquist row k1 = -nx/2 or
+column k2 = ny/2, modes that are their own mirrors, so that it keeps the
+conjugate symmetry of a real field's spectrum.  SymbolParams checks that
 alpha and c are finite and positive, and dispersion_symbol that |xi1|^alpha
 does not overflow on the wavenumbers it is given.
 """
@@ -88,6 +91,19 @@ def petviashvili_denominator(xi1: np.ndarray, xi2: np.ndarray, p: SymbolParams) 
     return denom
 
 
+def _sample(grid: SpectralGrid, formula, *args, origin=0.0, odd_in="") -> np.ndarray:
+    """formula(xi1, xi2, *args) on the half-lattice, read-only, origin at (0, 0) and 0 on
+    the unpaired Nyquist row ("x") or column ("y") of each variable it is odd in."""
+    values = formula(grid.xi1[:, None], grid.xi2_half[None, :], *args)
+    values[0, 0] = origin
+    if "x" in odd_in:
+        values[grid.nx // 2, :] = 0.0
+    if "y" in odd_in:
+        values[:, -1] = 0.0
+    values.setflags(write=False)
+    return values
+
+
 def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
     """Kernel symbol m = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)), read-only half-lattice.
 
@@ -96,19 +112,19 @@ def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
     Petviashvili denominator gives the mean mode at c = 1.
     """
     SymbolParams(alpha)  # raises unless alpha is finite and positive
-    values = kernel_symbol(grid.xi1[:, None], grid.xi2_half[None, :], alpha, "m")
-    values[0, 0] = 1.0
-    values.setflags(write=False)
-    return values
+    return _sample(grid, kernel_symbol, alpha, "m", origin=1.0)
 
 
 def symbol_h(grid: SpectralGrid, alpha: float) -> np.ndarray:
-    """Kernel symbol h = xi1 / (|xi|^2 + |xi1|^(alpha+2)), odd in xi1, read-only half-lattice.
+    """Kernel symbol h = xi1 / (|xi|^2 + |xi1|^(alpha+2)), read-only half-lattice.
 
-    The whole row xi1 = 0 (origin included) is zero, the odd-symbol
-    convention that the formula gives there.
+    Odd in xi1: zero on the row xi1 = 0 (origin included) and the Nyquist row.
     """
     SymbolParams(alpha)  # raises unless alpha is finite and positive
-    values = kernel_symbol(grid.xi1[:, None], grid.xi2_half[None, :], alpha, "h")
-    values.setflags(write=False)
-    return values
+    return _sample(grid, kernel_symbol, alpha, "h", odd_in="x")
+
+
+def symbol_t(grid: SpectralGrid) -> np.ndarray:
+    """Multiplier xi2/xi1 of dx^-1 dy, odd in both, read-only half-lattice: zero on
+    the constrained row xi1 = 0 and on the Nyquist row and column."""
+    return _sample(grid, transverse_multiplier, odd_in="xy")

@@ -3,16 +3,22 @@
 The complex full-lattice formulas that the real half-lattice and real-space
 code replaced, and the post-processing formulas that built coordinate
 meshes, a spectral phase array, a frequency mask or separate cube powers.
+The coordinate meshes themselves are built here too, for the tests' fields.
 """
 
 import numpy as np
 
-from fkplump.diagnostics import FunctionalValues, _antideriv_y_symbol
+from fkplump.diagnostics import FunctionalValues
 from fkplump.grid import SpectralGrid, irfft2, rfft2
-from fkplump.symbols import dispersion_symbol, symbol_h, symbol_m
+from fkplump.symbols import dispersion_symbol, symbol_h, symbol_m, symbol_t
 
 #: Shift of the regularized reference: xi1 -> xi1 + i*LAMBDA.
 LAMBDA = 2.2e-16
+
+
+def meshes(grid):
+    """2D coordinate meshes (X, Y) with indexing matching field storage."""
+    return np.meshgrid(grid.x, grid.y, indexing="ij")
 
 
 def complex_denominator(grid, p):
@@ -55,7 +61,7 @@ def complex_rescale(phi, alpha, c, target_grid):
 
 def meshgrid_exact_lump(grid, p):
     """The explicit alpha = 2 lump sampled on the 2D coordinate meshes."""
-    X, Y = grid.meshes()
+    X, Y = meshes(grid)
     c = p.c
     xs2 = (c / 3.0) * (X - c * p.t) ** 2
     ys2 = (c**2 / 3.0) * Y**2
@@ -71,7 +77,6 @@ def phase_kernel(grid, alpha, which):
         sym_values = symbol_m(grid, alpha) * phase
     else:
         sym_values = -1j * symbol_h(grid, alpha) * phase
-        sym_values[grid.nx // 2, :] = 0.0
     scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
     return scale * irfft2(sym_values, grid.shape)
 
@@ -94,7 +99,7 @@ def cube_functionals(phi, alpha):
     grid = phi.grid
     cell = grid.cell_area
     phi_hat = rfft2(phi.values)
-    anti_sym = _antideriv_y_symbol(grid)
+    anti_sym = symbol_t(grid)
     frac_field = irfft2(dispersion_symbol(grid.xi1[:, None], alpha / 2.0) * phi_hat, grid.shape)
     anti_field = irfft2(anti_sym * phi_hat, grid.shape)
     l2_sq = float(np.sum(phi.values**2)) * cell
@@ -118,6 +123,20 @@ def cube_functionals(phi, alpha):
         sobolev_ratio=float(l3_cubed / denom) if denom > 0 else float("inf"),
         dc_mode=float(np.mean(phi.values)),
     )
+
+
+def abs_max_symmetry_defects(phi):
+    """The reflection defects about x = 0 and y = 0 as maxima of np.abs temporaries."""
+    v = phi.values
+    hx, hy = v.shape[0] // 2, v.shape[1] // 2
+    scale = float(np.abs(v).max())
+    return (float(np.abs(v[1:hx] - v[:hx:-1]).max()) / scale,
+            float(np.abs(v[:, 1:hy] - v[:, :hy:-1]).max()) / scale)
+
+
+def abs_max_relative_error(field, exact):
+    """sup|field - exact| / sup|exact| as maxima of np.abs temporaries."""
+    return float(np.max(np.abs(field.values - exact.values))) / float(np.abs(exact.values).max())
 
 
 def non_square_grids():

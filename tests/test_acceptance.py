@@ -17,6 +17,7 @@ from fkplump.kernels import build_kernel, convolve, integrability_probe, kernel_
 from fkplump.reference import ExactLumpParams, exact_kp1_lump, rescale_solution
 from fkplump.solver import SeedSpec, SolverConfig, solve
 from fkplump.symbols import SymbolParams
+from oracles import meshes
 
 
 @pytest.mark.criterion(1, "alpha=2 oracle at desk scale")
@@ -61,7 +62,7 @@ def test_symmetry(desk_alpha2, desk_alpha17, desk_alpha135, tmp_path, rng):
     # construction.  The witness below runs on the rfft2 half-lattice, from
     # a seed that is not even-even, so there symmetry has to emerge.
     grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
-    X, Y = grid.meshes()
+    X, Y = meshes(grid)
     noise = 1e-9 * rng.standard_normal(grid.shape) * np.exp(-(X**2 + Y**2) / 16.0)
     path = tmp_path / "noisy_seed.fkpl"
     save_field(path, RealField(grid, 3.0 * np.exp(-(X**2 + Y**2) / 4.0) + noise), 2.0, 1.0)

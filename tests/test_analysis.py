@@ -6,6 +6,7 @@ import pytest
 from fkplump.analysis import cross_section, decay_profile, symmetry_report
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import DomainRangeError, ExactLumpParams, exact_kp1_lump
+from oracles import abs_max_symmetry_defects, meshes
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +55,7 @@ class TestSymmetry:
         assert rep.y_defect <= 1e-12
 
     def test_pure_odd_function_defect_is_two(self, small_grid):
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         f = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
         rep = symmetry_report(f)
         assert rep.x_defect == pytest.approx(2.0, rel=1e-10)
@@ -64,6 +65,18 @@ class TestSymmetry:
         rep = symmetry_report(RealField(small_grid, np.zeros(small_grid.shape)))
         assert rep.x_defect == 0.0
         assert rep.y_defect == 0.0
+
+    @pytest.mark.parametrize("which", ["exact", "random"])
+    def test_defects_are_the_abs_max_formula_bit_for_bit(self, exact_desk, rng, which):
+        # sign of zero included: the exact lump's defects are +0.0
+        phi = exact_desk
+        if which == "random":
+            phi = RealField(phi.grid, rng.standard_normal(phi.grid.shape))
+        rep = symmetry_report(phi)
+        expected = abs_max_symmetry_defects(phi)
+        assert (rep.x_defect.hex(), rep.y_defect.hex()) == tuple(e.hex() for e in expected)
+        if which == "exact":
+            assert rep.x_defect.hex() == rep.y_defect.hex() == "0x0.0p+0"
 
 
 class TestDecayProfile:

@@ -25,7 +25,10 @@ from fkplump.cli import (
     main,
 )
 from fkplump.fieldio import load_field, save_field
+from fkplump import cli
 from fkplump.grid import RealField, SpectralGrid
+from fkplump.reference import ExactLumpParams, exact_kp1_lump
+from oracles import abs_max_relative_error, meshes
 
 FAST_SOLVE = ["solve", "--alpha", "2", "--c", "1", "--n", "128", "--l", "32"]
 
@@ -141,7 +144,7 @@ class TestSolve:
     @pytest.mark.parametrize("sigma", [1.0, -1.5, 0.5, np.nan])
     def test_seed_file_of_other_sigma(self, tmp_path, capsys, sigma):
         grid = SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0)
-        X, Y = grid.meshes()
+        X, Y = meshes(grid)
         seed = tmp_path / "seed.fkpl"
         save_field(seed, RealField(grid, 3.0 * np.exp(-(X**2) - Y**2)), 2.0, 1.0)
         raw = seed.read_bytes()
@@ -151,13 +154,13 @@ class TestSolve:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "byte 48" in err[0]
-        assert not (tmp_path / "run" / "manifest.json").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_odd_seed_is_an_error_line(self, tmp_path, capsys):
         # x exp(-x^2 - y^2) has a vanishing cubic pairing: the stabilizing
         # factor is undefined, so the run cannot start
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
-        X, Y = grid.meshes()
+        X, Y = meshes(grid)
         seed = tmp_path / "odd.fkpl"
         save_field(seed, RealField(grid, X * np.exp(-(X**2) - Y**2)), 2.0, 1.0)
         code = run(["solve", "--alpha", "2", "--n", "64", "--l", "16",
@@ -179,7 +182,7 @@ class TestSolve:
     def test_non_even_seed_runs_on_the_half_lattice(self, tmp_path):
         # a gaussian off x = 0 is not even in x: the run keeps the rfft2 layout
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
-        X, Y = grid.meshes()
+        X, Y = meshes(grid)
         seed = tmp_path / "shifted.fkpl"
         save_field(seed, RealField(grid, 3.0 * np.exp(-((X - 0.5) ** 2 + Y**2) / 4.0)), 2.0, 1.0)
         out = tmp_path / "run"
@@ -320,6 +323,27 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel-probe", "--alpha", "nan", "--p", "2"],
+        ["convergence-study", "--alpha", "0.5", "--l", "8,16", "--n", "16"],
+        ["solve", "--alpha", "2", "--n", "16", "--l", "8", "--seed", "file:{missing}"],
+        ["analyze", "{field}", "--tasks", "bogus"],
+    ],
+    ids=["kernel-probe", "convergence-study", "solve", "analyze"],
+)
+def test_config_error_makes_no_out_directory(tmp_path, capsys, argv):
+    field = tmp_path / "field.fkpl"
+    save_field(field, RealField(SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0), np.ones((16, 16))),
+               2.0, 1.0)
+    names = {"missing": tmp_path / "missing.fkpl", "field": field}
+    out = tmp_path / "out"
+    assert run([a.format(**names) for a in argv] + ["--out", out]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
 
 
 def test_import_leaves_out_scipy_linalg():
@@ -476,7 +500,7 @@ class TestAnalyze:
     def test_rejected_header_writes_nothing(self, tmp_path, capsys, alpha, sigma):
         # save_field refuses these headers, so the file is written as raw bytes
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
-        X, Y = grid.meshes()
+        X, Y = meshes(grid)
         path = tmp_path / "field.fkpl"
         header = struct.pack("<4sIII5d", b"FKPL", 1, 64, 64, 16.0, 16.0, alpha, 1.0, sigma)
         path.write_bytes(header + np.exp(-(X**2) - Y**2).astype("<f8").tobytes())
@@ -484,8 +508,9 @@ class TestAnalyze:
         assert run(["analyze", path, "--out", out]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error:") and ("byte 48" in err) == (sigma != -1.0)
-        # a bad sigma fails on load, before the directory is made
-        assert not out.exists() or list(out.iterdir()) == []
+        # a bad sigma fails on load, a bad alpha in the functionals, both
+        # before the directory is made
+        assert not out.exists()
 
     def test_corrupt_field_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.fkpl"
@@ -561,6 +586,32 @@ class TestConvergenceStudy:
         assert all(r[3] == "converged" for r in rows)
         errors = [float(r[7]) for r in rows]
         assert errors[1] < errors[0]  # larger domain, smaller truncation error
+
+    @pytest.mark.parametrize("which", ["exact", "random"])
+    def test_error_column_is_the_abs_max_formula_bit_for_bit(self, tmp_path, monkeypatch,
+                                                              rng, which):
+        # each solve's field is swapped for the exact lump itself (error +0.0)
+        # or for random samples, and the column read back against the formula
+        fields, real_solve = [], cli.solve
+
+        def swapped_solve(config):
+            _, report = real_solve(config)
+            exact = exact_kp1_lump(config.grid, ExactLumpParams(c=1.0))
+            field = exact
+            if which == "random":
+                field = RealField(config.grid, rng.standard_normal(config.grid.shape))
+            fields.append((field, exact))
+            return field, report
+
+        monkeypatch.setattr(cli, "solve", swapped_solve)
+        out = tmp_path / "study"
+        argv = ["convergence-study", "--alpha", "2", "--n", "32", "--l", "8,16", "--out", out]
+        assert run(argv) == EXIT_OK
+        lines = (out / "convergence_study.csv").read_text().splitlines()[1:]
+        got = [float(line.split(",")[7]).hex() for line in lines]
+        assert got == [abs_max_relative_error(f, e).hex() for f, e in fields]
+        if which == "exact":
+            assert [line.split(",")[7] for line in lines] == ["0", "0"]
 
     @pytest.mark.parametrize("l_list", ["8,inf", "8,nan", "8,0", "-8,16"])
     def test_rejects_bad_half_widths(self, tmp_path, capsys, l_list):

@@ -10,7 +10,7 @@ from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import SolverConfig, solve
 from fkplump.symbols import SymbolParams
-from oracles import cube_functionals, mask_fourier_tail, non_square_grids
+from oracles import cube_functionals, mask_fourier_tail, meshes, non_square_grids
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 
@@ -143,7 +143,7 @@ class TestFunctionals:
 class TestFourierTail:
     def test_single_low_mode(self):
         grid = SpectralGrid(nx=64, ny=64, lx=np.pi, ly=np.pi)
-        X, _ = grid.meshes()
+        X, _ = meshes(grid)
         f = RealField(grid, np.cos(X))
         assert fourier_tail(f) <= 1e-12
 

@@ -9,11 +9,13 @@ from fkplump.grid import (
     InvalidFieldError,
     RealField,
     SpectralGrid,
+    _sup,
     dct1,
     idct1,
     irfft2,
     rfft2,
 )
+from oracles import meshes
 
 
 class TestSpectralGrid:
@@ -124,6 +126,16 @@ class TestFields:
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
 
+    def test_sup_is_abs_max_bit_for_bit(self, small_grid, rng):
+        # np.maximum(0.0, -0.0) is -0.0; the sup of zeros must be +0.0
+        X, Y = meshes(small_grid)
+        lump = 8.0 * (1.0 - X**2 / 3 + Y**2 / 3) / (1.0 + X**2 / 3 + Y**2 / 3) ** 2
+        for values in (np.zeros(small_grid.shape), lump, lump - 2.0,
+                       rng.standard_normal(small_grid.shape)):
+            assert _sup(values).hex() == float(np.abs(values).max()).hex()
+        assert RealField(small_grid, np.zeros(small_grid.shape)).max_abs().hex() == "0x0.0p+0"
+        assert np.isnan(_sup(np.array([1.0, np.nan, -2.0])))
+
 
 class TestTransforms:
     def test_constant_field_is_dc_only(self, small_grid):
@@ -138,7 +150,7 @@ class TestTransforms:
         # exactly two nonzero coefficients, at modes (1, 0) and (-1, 0),
         # each of magnitude nx*ny/2 (the node origin at -lx flips the sign)
         grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
-        X, _ = grid.meshes()
+        X, _ = meshes(grid)
         coeffs = rfft2(np.cos(np.pi * X / grid.lx))
         half = grid.nx * grid.ny / 2.0
         assert abs(coeffs[1, 0]) == pytest.approx(half, rel=1e-12)
@@ -186,7 +198,7 @@ class TestTransforms:
         # the quarter x, y >= 0 holds the field; its DCT-I is the rfft2 on
         # the rows k1 <= nx/2, up to the sign (-1)^(k1 + k2) of the shift
         grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
-        X, Y = grid.meshes()
+        X, Y = meshes(grid)
         values = np.exp(-(X**2) - 0.5 * Y**4) * np.cos(X)
         rows = (16 + np.arange(17)) % 32
         cols = (8 + np.arange(9)) % 16

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from oracles import complex_rescale, meshgrid_exact_lump, non_square_grids
+from oracles import complex_rescale, meshes, meshgrid_exact_lump, non_square_grids
 
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import (
@@ -143,7 +143,7 @@ class TestRescale:
         # neither even nor band-limited below Nyquist: a shifted, tilted
         # gaussian plus white noise
         src = SpectralGrid(nx=n_src, ny=n_src, lx=16.0, ly=16.0)
-        X, Y = src.meshes()
+        X, Y = meshes(src)
         u, v = X - 1.3, Y + 0.9
         values = np.exp(-(u**2 + 0.7 * v**2 + 0.6 * u * v) / 4.0)
         values += 1e-3 * np.random.default_rng(5).standard_normal(src.shape)

@@ -28,7 +28,7 @@ from fkplump.solver import (
     solve,
 )
 from fkplump.symbols import SymbolParams
-from oracles import complex_denominator
+from oracles import complex_denominator, meshes
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 EXACT_SEED = SeedSpec(kind="exact-kp1")
@@ -276,14 +276,14 @@ class TestStabilizingFactor:
         assert m == pytest.approx(num / den, rel=1e-10)
 
     def test_odd_iterate_is_degenerate(self, small_grid):
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         odd = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
         with pytest.raises(DegenerateIterateError):
             factor(odd)
 
     def test_only_the_half_lattice_blames_parity(self, small_grid):
         # a quarter iterate is even-even, so its collapse is never parity
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         odd = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
         with pytest.raises(DegenerateIterateError, match="odd parity"):
             factor(odd)
@@ -296,7 +296,7 @@ class TestStabilizingFactor:
         # (x + eps) exp(-r^2): the cubic pairing grows like eps.  The blocked
         # check must decide as the full-array one, 1e-14 of sum w |sq^| |phi^|;
         # at eps = 2e-15 the ratio is 1.35e-14, so that iterate is accepted.
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         op = SteadyOperator(small_grid, PARAMS)
         weights = op.row_weights * op.column_weights
         weights[0, 1:] = 0.0
@@ -365,7 +365,7 @@ class TestStep:
         assert 3.0 <= ratio <= 5.0
 
     def test_odd_input_degenerate(self, small_grid):
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         odd = RealField(small_grid, X * np.exp(-(X**2) - Y**2))
         with pytest.raises(DegenerateIterateError):
             step(odd)
@@ -431,7 +431,7 @@ class TestSolve:
 
     def test_padded_square_exact_on_band_limited_input(self):
         grid = SpectralGrid(nx=32, ny=16, lx=np.pi, ly=np.pi)
-        X, _ = grid.meshes()
+        X, _ = meshes(grid)
         f = np.cos(X)  # f^2 lives on modes 0 and +-2, well inside the band
         plain = rfft2(f * f)
         padded = padded_square_hat(rfft2(f), grid.shape)
@@ -633,7 +633,7 @@ class TestLayouts:
         assert np.max(np.abs(field.values - ref_field.values)) <= 1e-13 * ref_field.max_abs()
 
     def test_seeds_choose_layout(self, small_grid, tmp_path):
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         path = tmp_path / "seed.fkpl"
         seed = SeedSpec(kind="file", path=str(path))
         config = SolverConfig(params=PARAMS, grid=small_grid, seed=seed)
@@ -643,7 +643,7 @@ class TestLayouts:
             assert solver._is_even_even(build_seed(config)) == even
 
     def test_fold_unfold_round_trip(self, small_grid):
-        X, Y = small_grid.meshes()
+        X, Y = meshes(small_grid)
         values = np.exp(-(X**2) - 2.0 * Y**2)
         op = SteadyOperator(small_grid, PARAMS, quarter=True)
         quarter = op.fold(values)

@@ -13,9 +13,10 @@ from fkplump.symbols import (
     petviashvili_denominator,
     symbol_h,
     symbol_m,
+    symbol_t,
     transverse_multiplier,
 )
-from oracles import complex_denominator
+from oracles import complex_denominator, meshes
 
 
 def lattice_value(grid, values, k1, k2):
@@ -124,7 +125,7 @@ class TestSymbolM:
             assert lattice_value(grid_pi, m, -k1, k2) == lattice_value(grid_pi, m, k1, k2)
 
     def test_read_only_half_lattice(self, grid_pi):
-        for sym in (symbol_m(grid_pi, 1.5), symbol_h(grid_pi, 1.5)):
+        for sym in (symbol_m(grid_pi, 1.5), symbol_h(grid_pi, 1.5), symbol_t(grid_pi)):
             assert sym.shape == (grid_pi.nx, grid_pi.ny // 2 + 1)
             assert not sym.flags.writeable
 
@@ -145,6 +146,28 @@ class TestSymbolH:
         for k1 in range(1, grid_pi.nx // 2):  # Nyquist row excluded (unpaired)
             for k2 in (0, 1, 3, 8):
                 assert lattice_value(grid_pi, h, -k1, k2) == -lattice_value(grid_pi, h, k1, k2)
+
+    def test_odd_on_every_row(self, grid_pi):
+        # row k1 mirrors to row -k1 mod nx; the Nyquist row is its own mirror, so 0
+        h = symbol_h(grid_pi, 1.5)
+        assert np.array_equal(h[-np.arange(grid_pi.nx) % grid_pi.nx], -h)
+        assert np.all(h[grid_pi.nx // 2] == 0.0)
+
+
+class TestSymbolT:
+    def test_zero_on_constrained_and_nyquist_lines(self, grid_pi):
+        t = symbol_t(grid_pi)
+        assert np.all(t[0] == 0.0)
+        assert np.all(t[grid_pi.nx // 2] == 0.0)
+        assert np.all(t[:, -1] == 0.0)
+        assert np.array_equal(t[-np.arange(grid_pi.nx) % grid_pi.nx], -t)  # odd in xi1
+
+    def test_transverse_multiplier_elsewhere(self, grid_pi):
+        nx = grid_pi.nx
+        rows = np.r_[1 : nx // 2, nx // 2 + 1 : nx]
+        expected = transverse_multiplier(*half_lattice(grid_pi))
+        assert np.array_equal(symbol_t(grid_pi)[rows, :-1], expected[rows, :-1])
+        assert lattice_value(grid_pi, symbol_t(grid_pi), -2, 3) == -1.5
 
 
 class TestSymbolDecisions:
@@ -192,7 +215,7 @@ class TestApplyMultiplier:
     def test_cosine_eigenfunction(self):
         # |xi1|^2 has eigenvalue 1 on cos(pi x / lx) when lx = pi
         grid = SpectralGrid(nx=32, ny=16, lx=np.pi, ly=2.0)
-        X, _ = grid.meshes()
+        X, _ = meshes(grid)
         f = np.cos(X)
         sym = grid.xi1[:, None] ** 2 * np.ones((1, grid.ny // 2 + 1))
         assert np.max(np.abs(apply_multiplier(f, sym) - f)) <= 1e-12
