@@ -77,19 +77,10 @@ def cross_section(phi: RealField, axis: str, offset: float = 0.0) -> np.ndarray:
 def symmetry_report(phi: RealField) -> SymmetryReport:
     """Reflection defects about x = 0 and y = 0 by index reflection.
 
-    The lattice maps onto itself under periodic reflection (node j pairs
-    with node n - j mod n), so the comparison is exact, no interpolation.
+    The field's own, cached defects (RealField.reflection_defects): the
+    solver and the post-processing choose the quarter by the same numbers.
     """
-    v = phi.values
-    scale = _sup(v)
-    if scale == 0.0:
-        return SymmetryReport(0.0, 0.0)
-    # Nodes 0 and n/2 are their own mirrors; node j pairs with n - j otherwise.
-    hx, hy = v.shape[0] // 2, v.shape[1] // 2
-    return SymmetryReport(
-        x_defect=_sup(v[1:hx] - v[:hx:-1]) / scale,
-        y_defect=_sup(v[:, 1:hy] - v[:, :hy:-1]) / scale,
-    )
+    return SymmetryReport(*phi.reflection_defects)
 
 
 def decay_profile(phi: RealField, axis: str, power: float = 2.0) -> DecayProfile:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, irfft2, rfft2
+from .grid import RealField, irfft2
 from .solver import SteadyOperator
 from .symbols import SymbolParams, dispersion_symbol, symbol_t
 
@@ -56,9 +56,15 @@ def residual(phi: RealField, p: SymbolParams) -> float:
     S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy, evaluated
     spectrally by the solver's SteadyOperator; no inverse-x derivative
     appears.  Vanishes on exact steady solutions of the periodic problem.
+    An even-even field (RealField.is_even_even, the solver's rule) is
+    evaluated on its quarter, where S phi is even-even too; any other on
+    the half-lattice, from the field's cached spectrum.
     """
+    if phi.is_even_even:
+        op = SteadyOperator(phi.grid, p, quarter=True)
+        return op.residual(*op.spectra(op.fold(phi.values)))
     op = SteadyOperator(phi.grid, p)
-    return op.residual(*op.spectra(phi.values))
+    return op.residual(phi.spectrum, op.forward(phi.values * phi.values))
 
 
 def functionals(phi: RealField, alpha: float) -> FunctionalValues:
@@ -74,7 +80,7 @@ def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     cell = grid.cell_area
     values = phi.values
     square = values * values
-    phi_hat = rfft2(values)
+    phi_hat = phi.spectrum
     anti_sym = symbol_t(grid)
 
     frac_field = irfft2(dispersion_symbol(grid.xi1[:, None], alpha / 2.0) * phi_hat, grid.shape)
@@ -119,7 +125,7 @@ def fourier_tail(phi: RealField) -> float:
     fields, order one for noise.
     """
     nx, ny = phi.grid.shape
-    coeffs = np.abs(rfft2(phi.values))  # |c(-k)| = |c(k)|: the half-lattice has every modulus
+    coeffs = np.abs(phi.spectrum)  # |c(-k)| = |c(k)|: the half-lattice has every modulus
     peak = float(coeffs.max())
     if peak == 0.0:
         return 0.0

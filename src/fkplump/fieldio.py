@@ -69,8 +69,11 @@ def save_field(path: str | Path, field: RealField, alpha: float, c: float) -> No
     SymbolParams(alpha=alpha, c=c)
     grid = field.grid
     header = _HEADER.pack(MAGIC, VERSION, grid.nx, grid.ny, grid.lx, grid.ly, alpha, c, SIGMA)
-    payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
-    Path(path).write_bytes(header + payload)
+    # the values' own buffer, not a bytes copy of them
+    payload = memoryview(np.ascontiguousarray(field.values, dtype="<f8")).cast("B")
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(payload)
 
 
 def load_field(path: str | Path) -> LoadedField:
@@ -107,5 +110,6 @@ def load_field(path: str | Path) -> LoadedField:
             f"({nx}x{ny} float64 values after byte {_HEADER.size})"
         )
     grid = SpectralGrid(nx=nx, ny=ny, lx=lx, ly=ly)
+    # a read-only view of the immutable bytes, which the field keeps alive
     values = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(nx, ny)
-    return LoadedField(field=RealField(grid, values), alpha=alpha, c=c)
+    return LoadedField(field=RealField._adopt(grid, values), alpha=alpha, c=c)

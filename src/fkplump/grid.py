@@ -199,26 +199,93 @@ class SpectralGrid:
         return w
 
 
-def _frozen_array(values, dtype, shape, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, dtype, shape, what: str, copy: bool = True) -> np.ndarray:
+    """values as a read-only array of dtype and shape; without copy, values
+    itself where it already has the dtype."""
+    arr = np.array(values, dtype=dtype, copy=True if copy else None)
     if arr.shape != shape:
         raise ValueError(f"{what} must have shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
 
+#: A field is even-even when both reflection defects are at most this,
+#: relative to its peak: the solver then runs on the quarter, and residual
+#: and rescale_solution read the quarter too.  The gaussian and exact seeds
+#: measure at most 1.9e-15 on grids from 8^2 to 2048^2.
+EVEN_EVEN_TOL = 1e-13
+
+
+def quarter_nodes(n: int) -> np.ndarray:
+    """Indices of the quarter's nodes along an axis of n nodes: n/2, ..., n - 1 and then 0."""
+    return (n // 2 + np.arange(n // 2 + 1)) % n
+
+
+def fold_quarter(values: np.ndarray) -> np.ndarray:
+    """A new array of the quarter x, y >= 0 of n^2 values."""
+    return values[np.ix_(quarter_nodes(values.shape[0]), quarter_nodes(values.shape[1]))]
+
+
 @dataclass(frozen=True)
 class RealField:
-    """Real-space samples of a field on a SpectralGrid."""
+    """Real-space samples of a field on a SpectralGrid.
+
+    The values are a read-only copy of the array given.  The sup norm, the
+    reflection defects and the rfft2 half-spectrum are computed on first
+    use and kept, so every caller of a field shares them; the spectrum
+    then holds as many bytes as the values.
+    """
 
     grid: SpectralGrid
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = _frozen_array(self.values, np.float64, self.grid.shape, "values")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidFieldError("field values must all be finite")
+        self._own(self.values, copy=True)
+
+    @classmethod
+    def _adopt(cls, grid: SpectralGrid, values: np.ndarray) -> RealField:
+        """A field over values itself, not a copy: for a float64 array that
+        its maker hands over and never writes again."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        field._own(values, copy=False)
+        return field
+
+    def _own(self, values, copy: bool) -> None:
+        arr = _frozen_array(values, np.float64, self.grid.shape, "values", copy)
         object.__setattr__(self, "values", arr)
+        if not math.isfinite(self.max_abs()):  # _sup is nan or inf unless every value is finite
+            raise InvalidFieldError("field values must all be finite")
+
+    @cached_property
+    def _peak(self) -> float:
+        return _sup(self.values)
 
     def max_abs(self) -> float:
-        return _sup(self.values)
+        return self._peak
+
+    @cached_property
+    def reflection_defects(self) -> tuple[float, float]:
+        """sup|v(x, y) - v(-x, y)| and sup|v(x, y) - v(x, -y)|, relative to sup|v|.
+
+        The lattice maps onto itself under periodic reflection (node j pairs
+        with node n - j mod n; nodes 0 and n/2 are their own mirrors), so the
+        comparison is exact, with no interpolation.  Both are 0 for a zero field.
+        """
+        v, scale = self.values, self.max_abs()
+        if scale == 0.0:
+            return 0.0, 0.0
+        hx, hy = v.shape[0] // 2, v.shape[1] // 2
+        return _sup(v[1:hx] - v[:hx:-1]) / scale, _sup(v[:, 1:hy] - v[:, :hy:-1]) / scale
+
+    @cached_property
+    def is_even_even(self) -> bool:
+        """Whether both reflection defects are at most EVEN_EVEN_TOL."""
+        return max(self.reflection_defects) <= EVEN_EVEN_TOL
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """rfft2 of the values, read-only."""
+        coeffs = rfft2(self.values)
+        coeffs.setflags(write=False)
+        return coeffs

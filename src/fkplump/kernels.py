@@ -88,7 +88,7 @@ def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
         raise ValueError(f"which must be 'K' or 'H', got {which!r}")
     sym_values = symbol_m(grid, alpha) if kind == "K" else -1j * symbol_h(grid, alpha)
     scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
-    return RealField(grid, scale * np.fft.fftshift(irfft2(sym_values, grid.shape)))
+    return RealField._adopt(grid, scale * np.fft.fftshift(irfft2(sym_values, grid.shape)))
 
 
 def convolve(kernel: RealField, g: RealField) -> RealField:
@@ -102,7 +102,7 @@ def convolve(kernel: RealField, g: RealField) -> RealField:
     grid = kernel.grid
     offset_kernel = np.fft.ifftshift(kernel.values)
     product = rfft2(offset_kernel) * rfft2(g.values)
-    return RealField(grid, grid.cell_area * irfft2(product, grid.shape))
+    return RealField._adopt(grid, grid.cell_area * irfft2(product, grid.shape))
 
 
 def kernel_decay(kernel: RealField, power: float, axis: str = "x") -> DecayProfile:

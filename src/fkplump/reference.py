@@ -7,8 +7,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, SpectralGrid
+from .grid import RealField, SpectralGrid, fold_quarter, quarter_nodes
 from .symbols import SymbolParams
+
+
+#: Nodes per row block of the exact lump's formula (128 KiB of float64).
+_BLOCK_NODES = 1 << 14
 
 
 class DomainRangeError(ValueError):
@@ -55,8 +59,13 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
             f"c = {c!r} is too large for the grid: the lump's (c^2/3) y^2 or its "
             "squared denominator overflows at the grid's edge"
         )
-    values = 8.0 * c * (1.0 - xs2 + ys2) / (1.0 + xs2 + ys2) ** 2
-    return RealField(grid, values)
+    # row blocks keep the temporaries of the formula out of n^2 arrays
+    values = np.empty(grid.shape)
+    block = max(1, _BLOCK_NODES // grid.ny)
+    for i in range(0, grid.nx, block):
+        a = xs2[i : i + block]
+        values[i : i + block] = 8.0 * c * (1.0 - a + ys2) / (1.0 + a + ys2) ** 2
+    return RealField._adopt(grid, values)
 
 
 def _check_width(width: float, name: str = "width") -> None:
@@ -81,10 +90,15 @@ def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealFie
     _check_width(width)
     _check_amplitude(amplitude)
     x, y = grid.x[:, None], grid.y[None, :]
-    # np.float64 ** 2 has the bits of Python's width**2 but overflows to inf, not an error
+    # in place, to the bits of amplitude * exp(-(x^2 + y^2) / w^2); np.float64 ** 2
+    # has the bits of Python's width**2 but overflows to inf, not an error
+    values = np.add(x**2, y**2)
+    np.negative(values, out=values)
     with np.errstate(over="ignore"):
-        values = amplitude * np.exp(-(x**2 + y**2) / np.float64(width) ** 2)
-    return RealField(grid, values)
+        values /= np.float64(width) ** 2
+    np.exp(values, out=values)
+    values *= amplitude
+    return RealField._adopt(grid, values)
 
 
 def _periodic_sinc_matrix(points: np.ndarray, half_width: float, n: int) -> np.ndarray:
@@ -96,19 +110,39 @@ def _periodic_sinc_matrix(points: np.ndarray, half_width: float, n: int) -> np.n
     lattice values exactly.  sin(pi d) = (-1)^j sin(pi u_i) is taken from
     u_i's offset to the nearest integer, and d is reduced to [-n/2, n/2],
     so entries near a node or half a period away keep full accuracy.
+    The matrix is built in two arrays, in place.
     """
     u = (points + half_width) / (2.0 * half_width / n)
     nearest = np.round(u)
     sin_u = np.where(nearest % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (u - nearest))
     nodes = np.arange(n)
     offset = u[:, None] - nodes[None, :]
-    offset -= n * np.round(offset / n)
+    work = np.divide(offset, n)
+    np.round(work, out=work)
+    work *= n
+    offset -= work  # d reduced to [-n/2, n/2]
+    on_node = offset == 0.0
+    np.multiply(offset, np.pi, out=work)
+    work /= n
+    np.tan(work, out=work)
+    work *= n  # n tan(pi d / n)
+    values = np.multiply(np.where(nodes % 2 == 0, 1.0, -1.0), sin_u[:, None], out=offset)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.where(nodes % 2 == 0, 1.0, -1.0) * sin_u[:, None] / (
-            n * np.tan(np.pi * offset / n)
-        )
-    values[offset == 0.0] = 1.0
+        values /= work
+    values[on_node] = 1.0
     return values
+
+
+def _mirror_folded(matrix: np.ndarray) -> np.ndarray:
+    """The columns of matrix summed onto the quarter's nodes (grid.quarter_nodes).
+
+    For an even field v, matrix @ v equals this times the quarter of v:
+    node n/2 + k and its mirror n/2 - k hold the same value.
+    """
+    n = matrix.shape[1]
+    folded = matrix[:, quarter_nodes(n)]
+    folded[:, 1 : n // 2] += matrix[:, n // 2 - 1 : 0 : -1]
+    return folded
 
 
 def rescale_solution(
@@ -123,7 +157,10 @@ def rescale_solution(
     interpolant, evaluated in real space as Px @ psi @ Py^T with periodic
     sinc matrices, which is accurate to the source grid's spectral tail;
     local polynomial interpolation of these peaked profiles would cost
-    several orders of magnitude in accuracy.
+    several orders of magnitude in accuracy.  An even-even source
+    (RealField.is_even_even) is read on its quarter, with each matrix's
+    mirror columns added onto the quarter's nodes; that cuts the 2048^2 to
+    512^2 product from 5.4 to 1.6 GFLOP.
 
     Raises
     ------
@@ -150,5 +187,8 @@ def rescale_solution(
         )
     px = _periodic_sinc_matrix(ax * tx, src.lx, src.nx)
     py = _periodic_sinc_matrix(ay * ty, src.ly, src.ny)
-    values = c * (px @ phi.values @ py.T)
-    return RealField(target_grid, values)
+    source = phi.values
+    if phi.is_even_even:
+        px, py, source = _mirror_folded(px), _mirror_folded(py), fold_quarter(source)
+    values = c * (px @ source @ py.T)
+    return RealField._adopt(target_grid, values)

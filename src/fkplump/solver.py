@@ -26,10 +26,11 @@ domain edge, never comes.
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
 even-even: when the projected seed's reflection defects are at most
-EVEN_EVEN_TOL, the iterates are the (nx/2+1, ny/2+1) quarters x, y >= 0
-and the spectra their DCT-I coefficients (dct1/idct1), and the final
-field is mirrored back to the whole grid.  Every other seed runs on the
-whole grid with rfft2 half-spectra.
+grid.EVEN_EVEN_TOL (RealField.is_even_even), the iterates are the
+(nx/2+1, ny/2+1) quarters x, y >= 0 and the spectra their DCT-I
+coefficients (dct1/idct1), and the final field is mirrored back to the
+whole grid.  Every other seed runs on the whole grid with rfft2
+half-spectra.
 
 By default the map is accelerated by type-II Anderson mixing (Walker & Ni,
 SIAM J. Numer. Anal. 2011; for Petviashvili maps see Alvarez & Duran,
@@ -64,7 +65,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import symmetry_report
 # fft2 is unused here; perfbench/selftest.py checks fkplump.solver.fft2.
 from .grid import (  # noqa: F401
     RealField,
@@ -72,6 +72,7 @@ from .grid import (  # noqa: F401
     _sup,
     dct1,
     fft2,
+    fold_quarter,
     idct1,
     irfft2,
     multiplicities,
@@ -87,11 +88,6 @@ from .symbols import (
 
 #: Sup-norm blow-up guard, in units of the wave speed.
 DIVERGENCE_AMPLITUDE = 1e6
-
-#: The quarter layout is taken when both reflection defects of the
-#: projected seed are at most this, relative to its peak.  The gaussian and
-#: exact seeds measure at most 1.9e-15 on grids from 8^2 to 2048^2.
-EVEN_EVEN_TOL = 1e-13
 
 #: The Anderson mixing depths: 0 is the plain map, m >= 1 mixes with the
 #: last m difference pairs.  Depth 2 keeps two more spectra than depth 1:
@@ -331,12 +327,7 @@ class SteadyOperator:
 
     def fold(self, values: np.ndarray) -> np.ndarray:
         """A new array of the layout's iterate from n^2 values (the quarter x, y >= 0)."""
-        if not self.quarter:
-            return values.copy()
-        nx, ny = self.grid.shape
-        rows = (nx // 2 + np.arange(nx // 2 + 1)) % nx
-        cols = (ny // 2 + np.arange(ny // 2 + 1)) % ny
-        return values[np.ix_(rows, cols)]
+        return fold_quarter(values) if self.quarter else values.copy()
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """The n^2 values of an iterate of the layout, mirrored from the quarter."""
@@ -566,13 +557,43 @@ def build_seed(config: SolverConfig) -> RealField:
     phi_hat[0, 1:] = 0.0
     values = irfft2(phi_hat, config.grid.shape, overwrite_x=True)
     del phi_hat
-    return RealField(config.grid, values)
+    return RealField._adopt(config.grid, values)
 
 
 def _is_even_even(seed: RealField) -> bool:
-    """Whether the seed's reflection defects in x and y are at roundoff."""
-    defects = symmetry_report(seed)
-    return max(defects.x_defect, defects.y_defect) <= EVEN_EVEN_TOL
+    """Whether the seed's reflection defects in x and y are at roundoff (RealField.is_even_even)."""
+    return seed.is_even_even
+
+
+def _check_first_step(config: SolverConfig, peak: float) -> None:
+    """Raise ValueError unless the first iteration's arithmetic stays finite.
+
+    With s the seed's sup and N the node count, |phi^| <= N s and
+    |(phi^2)^| <= N s^2 on either layout, and the pairing weights of M sum
+    to N.  So phi^2, the spectra, D |phi^|^2 and the pairing sums of M are
+    finite if s^2, (N s)^2, N D_max (N s)^2 and N (N s) (N s^2) are, with
+    D_max at most 2 (c + (max|xi2| / min|xi1 != 0|)^2 + max|xi1|^alpha).
+    The bounds are Python floats, which reach inf without a warning.
+    """
+    grid, c = config.grid, float(config.params.c)
+    nodes = float(grid.nx * grid.ny)
+    spectrum = nodes * peak
+    transverse = float(np.abs(grid.xi2_half).max()) / float(grid.xi1[1])
+    d_max = 2.0 * (c + transverse * transverse
+                   + float(dispersion_symbol(grid.xi1, config.params.alpha).max()))
+    bounds = (peak * peak, spectrum * spectrum, nodes * d_max * spectrum * spectrum,
+              nodes * spectrum * nodes * peak * peak)
+    if all(math.isfinite(bound) for bound in bounds):
+        return
+    spec = config.seed
+    if spec.kind == "gaussian" and spec.amplitude is not None:
+        seed = f"seed amplitude {spec.amplitude!r}"
+    else:
+        seed = f"seed peak {peak:.3g}"
+    raise ValueError(
+        f"c = {c!r} and {seed} are too large for the grid: the first step's "
+        "phi^2, its spectra or the pairing sums of M would overflow"
+    )
 
 
 def _stalled(record: IterationRecord, tol: float) -> str:
@@ -601,11 +622,19 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     -------
     (RealField, IterationReport)
         The final iterate and the full monitor history.
+
+    Raises
+    ------
+    ValueError
+        If c or the seed is so large that the first step's phi^2, spectra
+        or pairing sums would overflow; the bound is checked before the
+        loop, from the seed's sup.
     """
     p = config.params
     grid = config.grid
     seed = build_seed(config)
     op = SteadyOperator(grid, p, quarter=_is_even_even(seed))
+    _check_first_step(config, seed.max_abs())
     # A writable copy of the seed: each iteration reuses the old iterate's
     # buffer for the step difference, then for the square and, on the
     # quarter, for the square's spectrum.
@@ -667,4 +696,4 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     mixer = phi_hat = sq_hat = next_hat = None
     values = op.unfold(phi)
     op = phi = next_phi = None
-    return RealField(grid, values), report
+    return RealField._adopt(grid, values), report

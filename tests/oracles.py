@@ -3,13 +3,16 @@
 The complex full-lattice formulas that the real half-lattice and real-space
 code replaced, and the post-processing formulas that built coordinate
 meshes, a spectral phase array, a frequency mask or separate cube powers.
-The coordinate meshes themselves are built here too, for the tests' fields.
+The coordinate meshes themselves are built here too, for the tests' fields,
+and so is the tracemalloc measure that the memory tests share.
 """
+
+import tracemalloc
 
 import numpy as np
 
 from fkplump.diagnostics import FunctionalValues
-from fkplump.grid import SpectralGrid, irfft2, rfft2
+from fkplump.grid import RealField, SpectralGrid, irfft2, rfft2
 from fkplump.symbols import dispersion_symbol, symbol_h, symbol_m, symbol_t
 
 #: Shift of the regularized reference: xi1 -> xi1 + i*LAMBDA.
@@ -19,6 +22,21 @@ LAMBDA = 2.2e-16
 def meshes(grid):
     """2D coordinate meshes (X, Y) with indexing matching field storage."""
     return np.meshgrid(grid.x, grid.y, indexing="ij")
+
+
+def peak_n2(grid, call):
+    """call() and its tracemalloc peak, in float64 arrays of the grid's size (n^2).
+
+    The grid's coordinates, wavenumbers and column weights are cached first.
+    """
+    grid.x, grid.y, grid.xi1, grid.xi2_half, grid.column_weights
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / (grid.nx * grid.ny * 8)
 
 
 def complex_denominator(grid, p):
@@ -57,6 +75,32 @@ def complex_rescale(phi, alpha, c, target_grid):
     ex = _exponential_eval_matrix(src.xi1, xs, src.lx, src.nx)
     ey = _exponential_eval_matrix(src.xi2_half, ys, src.ly, src.ny) * src.column_weights
     return c * np.real(ex @ coeffs @ ey.T)
+
+
+def out_of_place_sinc_matrix(points, half_width, n):
+    """The periodic sinc matrix of reference._periodic_sinc_matrix, with a new array per operation."""
+    u = (points + half_width) / (2.0 * half_width / n)
+    nearest = np.round(u)
+    sin_u = np.where(nearest % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (u - nearest))
+    nodes = np.arange(n)
+    offset = u[:, None] - nodes[None, :]
+    offset -= n * np.round(offset / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(nodes % 2 == 0, 1.0, -1.0) * sin_u[:, None] / (
+            n * np.tan(np.pi * offset / n)
+        )
+    values[offset == 0.0] = 1.0
+    return values
+
+
+def odd_perturbed(grid, eps):
+    """exp(-x^2 - 2 y^2) plus eps sin(pi x / lx) exp(-y^2): peak 1, x reflection defect 2 eps.
+
+    The odd term peaks at 1 on the node x = lx/2, y = 0 and has zero mass
+    along every line of constant y.
+    """
+    X, Y = meshes(grid)
+    return RealField(grid, np.exp(-(X**2) - 2.0 * Y**2) + eps * np.sin(np.pi * X / grid.lx) * np.exp(-(Y**2)))
 
 
 def meshgrid_exact_lump(grid, p):

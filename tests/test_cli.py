@@ -231,8 +231,13 @@ class TestSolve:
             ({"--seed-width": "1e-300"}, "seed width must"),  # 0/0 in the seed
             # xi1^2 (c + |xi1|^alpha) overflowed in the residual symbol
             ({"--l": "1e-100"}, "half-width lx = 1e-100 is too small for alpha = 2.0"),
+            # phi^2, the spectra or the pairings of M overflowed in the first step
+            ({"--c": "1e300"}, "c = 1e+300 and seed peak 2.48e+300 are too large"),
+            ({"--seed-amplitude": "1e300"}, "seed amplitude 1e+300 are too large"),
+            ({"--seed-amplitude": "1e150"}, "seed amplitude 1e+150 are too large"),
         ],
-        ids=["exact-c", "large-l", "small-l", "alpha", "seed-width", "residual-symbol"],
+        ids=["exact-c", "large-l", "small-l", "alpha", "seed-width", "residual-symbol",
+             "first-step-c", "first-step-amplitude", "first-step-pairing"],
     )
     def test_extreme_parameter_is_named(self, tmp_path, capsys, options, named):
         flags = {"--alpha": "2", "--n": "16", "--l": "8", **options, "--out": tmp_path / "run"}

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fkplump.grid
 from fkplump.diagnostics import fourier_tail, functionals, residual
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
-from fkplump.solver import SolverConfig, solve
+from fkplump.solver import SolverConfig, SteadyOperator, solve
 from fkplump.symbols import SymbolParams
-from oracles import cube_functionals, mask_fourier_tail, meshes, non_square_grids
+from oracles import cube_functionals, mask_fourier_tail, meshes, non_square_grids, odd_perturbed
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 
@@ -40,6 +41,37 @@ class TestResidual:
         field, report = unit_solve
         assert residual(field, PARAMS) <= 1e-5
         assert residual(field, PARAMS) == pytest.approx(report.final.residual, rel=1e-6)
+
+    def test_converged_quarter_solve_below_tolerance(self):
+        # an alpha = 1.5 lump, solved and read back on the quarter
+        params = SymbolParams(alpha=1.5, c=1.0)
+        grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
+        field, report = solve(SolverConfig(params=params, grid=grid))
+        assert report.converged() and report.transform == "dct1" and field.is_even_even
+        assert residual(field, params) == pytest.approx(report.final.residual, rel=1e-6)
+
+    def test_quarter_matches_half_lattice_on_exact_lump(self):
+        # the quarter's dct1 route against the half-lattice's rfft2 route
+        # (4.8e-13 relative measured on the 1024^2 desk grid)
+        grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
+        exact = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
+        assert exact.is_even_even
+        op = SteadyOperator(grid, PARAMS)
+        half = op.residual(*op.spectra(exact.values))
+        assert residual(exact, PARAMS) == pytest.approx(half, rel=1e-10, abs=0.0)
+
+    def test_parity_rule_at_its_boundary(self, small_grid, monkeypatch):
+        layouts = []
+
+        class Spy(SteadyOperator):
+            def __init__(self, grid, params, quarter=False):
+                layouts.append(quarter)
+                super().__init__(grid, params, quarter=quarter)
+
+        monkeypatch.setattr("fkplump.diagnostics.SteadyOperator", Spy)
+        values = [residual(odd_perturbed(small_grid, eps), PARAMS) for eps in (1e-14, 1e-12)]
+        assert layouts == [True, False]
+        assert values[0] == pytest.approx(values[1], rel=1e-9)
 
     def test_exact_lump_periodization_floor(self):
         # resolved grid (dx = 0.25): the floor is set by the periodic images
@@ -138,6 +170,27 @@ class TestFunctionals:
         v = functionals(field, 2.0)
         predicted = float(np.mean(field.values**2)) / 2.0
         assert v.dc_mode == pytest.approx(predicted, rel=1e-6)
+
+
+class TestSharedSpectrum:
+    def test_non_even_field_is_transformed_once(self, monkeypatch):
+        # functionals, fourier_tail and the half-lattice residual share the
+        # field's cached spectrum; only the residual's phi^2 is transformed too
+        grid = SpectralGrid(nx=64, ny=32, lx=16.0, ly=12.0)
+        phi = exact_kp1_lump(grid, ExactLumpParams(c=1.0, t=3.0))
+        assert not phi.is_even_even
+        forward = []
+        rfft2 = fkplump.grid._sfft.rfft2
+
+        def spy(values, *args, **kwargs):
+            forward.append(values is phi.values)
+            return rfft2(values, *args, **kwargs)
+
+        monkeypatch.setattr(fkplump.grid._sfft, "rfft2", spy)
+        functionals(phi, 1.5)
+        fourier_tail(phi)
+        residual(phi, PARAMS)
+        assert forward == [True, False]
 
 
 class TestFourierTail:

@@ -17,6 +17,7 @@ from fkplump.fieldio import (
     save_field,
 )
 from fkplump.grid import RealField, SpectralGrid
+from oracles import peak_n2
 
 _GRID_16 = SpectralGrid(nx=16, ny=16, lx=4.0, ly=4.0)
 _FIELD_16 = RealField(_GRID_16, np.random.default_rng(16).standard_normal(_GRID_16.shape))
@@ -92,6 +93,33 @@ class TestRoundTrip:
         saved = tmp_path / "saved.fkpl"
         save_field(saved, _FIELD_16, alpha=1.7, c=2.0)
         assert saved.read_bytes() == hand.read_bytes()
+
+
+
+class TestMemory:
+    """save_field writes the values' own buffer; load_field's field is a view of the bytes read."""
+
+    @pytest.fixture()
+    def grid_512(self):
+        return SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+
+    def test_save_holds_no_copy(self, tmp_path, rng, grid_512):
+        # tobytes() and header + payload were two n^2 copies (2.0 n^2)
+        field = RealField(grid_512, rng.standard_normal(grid_512.shape))
+        path = tmp_path / "field.fkpl"
+        _, peak = peak_n2(grid_512, lambda: save_field(path, field, alpha=2.0, c=1.0))
+        assert peak <= 0.05
+        assert path.read_bytes()[_HEADER_BYTES:] == field.values.astype("<f8").tobytes()
+
+    def test_load_holds_one_field(self, tmp_path, rng, grid_512):
+        # the bytes read and a read-only view of them (2.13 n^2 with a copy)
+        field = RealField(grid_512, rng.standard_normal(grid_512.shape))
+        path = tmp_path / "field.fkpl"
+        save_field(path, field, alpha=2.0, c=1.0)
+        loaded, peak = peak_n2(grid_512, lambda: load_field(path))
+        assert peak <= 1.1
+        assert np.array_equal(loaded.field.values, field.values)
+        assert not loaded.field.values.flags.writeable
 
 
 class TestFailureModes:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fkplump.grid import (
+    EVEN_EVEN_TOL,
     InvalidFieldError,
     RealField,
     SpectralGrid,
@@ -15,7 +16,7 @@ from fkplump.grid import (
     irfft2,
     rfft2,
 )
-from oracles import meshes
+from oracles import meshes, odd_perturbed
 
 
 class TestSpectralGrid:
@@ -125,6 +126,29 @@ class TestFields:
         f = RealField(small_grid, np.zeros(small_grid.shape))
         with pytest.raises(ValueError):
             f.values[0, 0] = 1.0
+
+    def test_constructor_copies(self, small_grid, rng):
+        # the public constructor copies, so writing the caller's array leaves the field
+        values = rng.standard_normal(small_grid.shape)
+        f = RealField(small_grid, values)
+        before = f.values.copy()
+        values[...] = 0.0
+        assert np.array_equal(f.values, before)
+
+    def test_spectrum_is_read_only_rfft2(self, small_grid, rng):
+        f = RealField(small_grid, rng.standard_normal(small_grid.shape))
+        assert np.array_equal(f.spectrum, rfft2(f.values))
+        assert f.spectrum is f.spectrum  # transformed once, then shared
+        with pytest.raises(ValueError):
+            f.spectrum[0, 0] = 1.0
+
+    def test_parity_rule_at_its_boundary(self, small_grid):
+        # EVEN_EVEN_TOL = 1e-13 of the peak: an odd part of 1e-14 (defect
+        # 2e-14) is roundoff, one of 1e-12 (defect 2e-12) is not
+        assert EVEN_EVEN_TOL == 1e-13
+        near, far = odd_perturbed(small_grid, 1e-14), odd_perturbed(small_grid, 1e-12)
+        assert near.reflection_defects == pytest.approx((2e-14, 0.0), rel=1e-3, abs=1e-16)
+        assert near.is_even_even and not far.is_even_even
 
     def test_sup_is_abs_max_bit_for_bit(self, small_grid, rng):
         # np.maximum(0.0, -0.0) is -0.0; the sup of zeros must be +0.0

@@ -2,12 +2,21 @@
 
 import numpy as np
 import pytest
-from oracles import complex_rescale, meshes, meshgrid_exact_lump, non_square_grids
+from oracles import (
+    complex_rescale,
+    meshes,
+    meshgrid_exact_lump,
+    non_square_grids,
+    odd_perturbed,
+    out_of_place_sinc_matrix,
+    peak_n2,
+)
 
-from fkplump.grid import RealField, SpectralGrid
+from fkplump.grid import RealField, SpectralGrid, fold_quarter
 from fkplump.reference import (
     DomainRangeError,
     ExactLumpParams,
+    _periodic_sinc_matrix,
     exact_kp1_lump,
     gaussian_seed,
     rescale_solution,
@@ -69,6 +78,14 @@ class TestExactLump:
         p = ExactLumpParams(c=c, t=t)
         assert np.array_equal(exact_kp1_lump(grid, p).values, meshgrid_exact_lump(grid, p))
 
+    def test_holds_one_field(self):
+        # the formula runs in row blocks and the field adopts its array
+        # (2.13 n^2: the whole-grid formula, a copy and a finiteness mask)
+        grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
+        lump, peak = peak_n2(grid, lambda: exact_kp1_lump(grid, ExactLumpParams(c=1.0)))
+        assert peak <= 1.2
+        assert not lump.values.flags.writeable
+
 
 class TestGaussianSeed:
     def test_center_and_width_values(self, lump_grid):
@@ -78,6 +95,14 @@ class TestGaussianSeed:
         # at r = w the value is A/e; node (w, 0) lies on the lattice
         iw = i0 + int(round(2.0 / lump_grid.dx))
         assert f.values[iw, j0] == pytest.approx(3.0 / np.e, rel=1e-12)
+
+    def test_holds_one_field(self):
+        # the exponential runs in place and the field adopts its array (was 2.13 n^2)
+        grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
+        seed, peak = peak_n2(grid, lambda: gaussian_seed(grid, amplitude=3.0, width=2.0))
+        assert peak <= 1.2
+        X, Y = meshes(grid)
+        assert np.array_equal(seed.values, 3.0 * np.exp(-(X**2 + Y**2) / 2.0**2))
 
     def test_even_in_both(self, lump_grid):
         f = gaussian_seed(lump_grid, amplitude=1.0, width=3.0)
@@ -152,6 +177,56 @@ class TestRescale:
         out = rescale_solution(psi, alpha=alpha, c=c, target_grid=tgt).values
         expected = complex_rescale(psi, alpha, c, tgt)
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", [16, 64, 2048])
+    def test_sinc_matrix_is_the_out_of_place_formula(self, n):
+        # built in place, with the same operations in the same order: the same bits
+        half_width = 3.0
+        dx = 2.0 * half_width / n
+        points = np.concatenate([
+            np.linspace(-half_width, half_width - dx, 37) * 0.9,
+            -half_width + dx * np.arange(5),  # on nodes
+            -half_width + dx * (np.arange(5) + n / 2),  # half a period away
+        ])
+        assert np.array_equal(_periodic_sinc_matrix(points, half_width, n),
+                              out_of_place_sinc_matrix(points, half_width, n))
+
+    @pytest.mark.parametrize(
+        "n_src, n_tgt, alpha, c", [(256, 128, 1.5, 1.7), (64, 32, 2.0, 0.8)]
+    )
+    def test_even_source_is_read_on_its_quarter(self, n_src, n_tgt, alpha, c):
+        # an even-even source, not band-limited below Nyquist: a gaussian plus
+        # white noise on the quarter, mirrored
+        src = SpectralGrid(nx=n_src, ny=n_src, lx=16.0, ly=16.0)
+        X, Y = meshes(src)
+        mirror = np.abs(np.arange(n_src) - n_src // 2)
+        noise = np.random.default_rng(5).standard_normal((n_src // 2 + 1,) * 2)
+        psi = RealField(src, np.exp(-(X**2 + 0.7 * Y**2) / 4.0) + 1e-3 * noise[np.ix_(mirror, mirror)])
+        assert psi.is_even_even
+        tgt = SpectralGrid(nx=n_tgt, ny=n_tgt, lx=8.0, ly=6.0)
+        out = rescale_solution(psi, alpha=alpha, c=c, target_grid=tgt).values
+        px = _periodic_sinc_matrix(c ** (1.0 / alpha) * tgt.x, src.lx, src.nx)
+        py = _periodic_sinc_matrix(c ** (1.0 / alpha + 0.5) * tgt.y, src.ly, src.ny)
+        unfolded = c * (px @ psi.values @ py.T)
+        assert np.max(np.abs(out - unfolded)) <= 1e-12 * np.max(np.abs(unfolded))
+        expected = complex_rescale(psi, alpha, c, tgt)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+    def test_parity_rule_at_its_boundary(self, monkeypatch):
+        # the source's quarter is read exactly when RealField.is_even_even holds
+        folds = []
+
+        def spy(values):
+            folds.append(values.shape)
+            return fold_quarter(values)
+
+        monkeypatch.setattr("fkplump.reference.fold_quarter", spy)
+        src = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        tgt = SpectralGrid(nx=32, ny=32, lx=8.0, ly=6.0)
+        for eps, quarter in ((1e-14, True), (1e-12, False)):
+            folds.clear()
+            rescale_solution(odd_perturbed(src, eps), alpha=2.0, c=1.2, target_grid=tgt)
+            assert folds == ([src.shape] if quarter else [])
 
     def test_out_of_domain_raises(self):
         src = SpectralGrid(nx=64, ny=64, lx=8.0, ly=8.0)

@@ -1,7 +1,6 @@
 """Petviashvili iteration: configuration, stabilizing factor, convergence."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -28,7 +27,7 @@ from fkplump.solver import (
     solve,
 )
 from fkplump.symbols import SymbolParams
-from oracles import complex_denominator, meshes
+from oracles import complex_denominator, meshes, odd_perturbed, peak_n2
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 EXACT_SEED = SeedSpec(kind="exact-kp1")
@@ -397,6 +396,17 @@ class TestSolve:
         _, report = solve(config)
         assert report.status is SolveStatus.DIVERGED
 
+    def test_first_step_overflow_is_refused_before_the_loop(self):
+        # 16^2 nodes, L = 8: the pairing bound N D_max (N s)^2 passes at a seed
+        # amplitude of 1e60 and fails at 1e150, where the loop's pairings overflowed
+        grid = SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0)
+        config = SolverConfig(params=PARAMS, grid=grid, seed=SeedSpec(amplitude=1e60))
+        _, report = solve(config)
+        assert report.converged()
+        config = replace(config, seed=SeedSpec(amplitude=1e150))
+        with pytest.raises(ValueError, match=r"^c = 1\.0 and seed amplitude 1e\+150 are too large"):
+            solve(config)
+
     def test_seed_amplitude_invariance(self):
         # with nu = 2 the limit does not depend on the seed amplitude
         grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
@@ -591,21 +601,6 @@ def half_lattice_only(monkeypatch):
     monkeypatch.setattr("fkplump.solver._is_even_even", lambda seed: False)
 
 
-def peak_n2(grid, call):
-    """call() and its tracemalloc peak, in float64 arrays of the grid's size (n^2).
-
-    The grid's coordinates, wavenumbers and column weights are cached first.
-    """
-    grid.x, grid.y, grid.xi1, grid.xi2_half, grid.column_weights
-    tracemalloc.start()
-    try:
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak / (grid.nx * grid.ny * 8)
-
-
 class TestLayouts:
     """The DCT-I quarter against the rfft2 half-lattice on even-even seeds."""
 
@@ -641,6 +636,16 @@ class TestLayouts:
                              (np.exp(-((X - 1e-3) ** 2) - Y**2), False)]:
             save_field(path, RealField(small_grid, values), 2.0, 1.0)
             assert solver._is_even_even(build_seed(config)) == even
+
+    def test_parity_rule_at_its_boundary(self, small_grid, tmp_path):
+        # the projected seed's defects against EVEN_EVEN_TOL = 1e-13 of its peak
+        path = tmp_path / "seed.fkpl"
+        config = SolverConfig(params=PARAMS, grid=small_grid, max_iter=2,
+                              seed=SeedSpec(kind="file", path=str(path)))
+        for eps, transform in ((1e-14, "dct1"), (1e-12, "rfft2")):
+            save_field(path, odd_perturbed(small_grid, eps), 2.0, 1.0)
+            _, report = solve(config)
+            assert report.transform == transform
 
     def test_fold_unfold_round_trip(self, small_grid):
         X, Y = meshes(small_grid)
@@ -722,8 +727,9 @@ class TestLayouts:
 
     def test_seed_stage_holds_two_fields(self):
         # build_seed drops the sampled field once its spectrum exists and the
-        # spectrum once it is inverted: two n^2 arrays and a finiteness mask
-        # (2.13 n^2; 3.13 while the unprojected seed outlived the projection)
+        # spectrum once it is inverted, and the fields adopt their arrays: two
+        # n^2 arrays (2.0 n^2; 2.13 with a copy and a finiteness mask, 3.13
+        # while the unprojected seed outlived the projection)
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         config = SolverConfig(params=PARAMS, grid=grid)
         even, peak = peak_n2(grid, lambda: solver._is_even_even(build_seed(config)))
