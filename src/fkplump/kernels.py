@@ -3,10 +3,10 @@
 The steady problem at speed 1 is equivalent to the convolution identity
 phi = (1/2) K * phi^2 where fft(K) samples the symbol m, and to
 phi = (1/2) H * (phi^2)_x for the odd companion kernel with symbol h.
-This module constructs both kernels on a lattice, as real inverse
-transforms (irfft2) of the half-lattice symbols symbol_m and symbol_h,
-measures their decay, and probes the L^p integrability of the symbols by
-quadrature over expanding domains:
+This module constructs both kernels, centred by the sign (-1)^(k1 + k2)
+on the half-lattice symbols symbol_m and symbol_h before their real inverse
+transform (irfft2), measures their decay, and probes the L^p integrability
+of the symbols by quadrature over expanding domains:
 
   * converging exponents stabilize (truncated norms grow by < 1% on the
     final radius doubling),
@@ -71,6 +71,13 @@ def _verdict(last_increment: float) -> str:
     return "diverging" if last_increment > DIVERGING_BAND else "inconclusive"
 
 
+def _centre_sign(spectrum: np.ndarray) -> np.ndarray:
+    """A half-lattice spectrum times (-1)^(k1 + k2), in place: its field shifted by (nx/2, ny/2)."""
+    np.negative(spectrum[1::2], out=spectrum[1::2])
+    np.negative(spectrum[:, 1::2], out=spectrum[:, 1::2])
+    return spectrum
+
+
 def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
     """Construct K or H by inverse transform of its symbol samples.
 
@@ -80,15 +87,16 @@ def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
     odd symbol h is purely imaginary, so H is the inverse transform of
     -i*h: the real odd-in-x kernel that satisfies phi = (1/2) H * (phi^2)_x.
     Both are real inverse transforms of half-lattice symbols, real by
-    construction, and fftshift moves the kernel's origin from node 0 to
-    the centre node (nx/2, ny/2), where convolve expects it.
+    construction; the sign (-1)^(k1 + k2) on the symbol moves the origin
+    from node 0 to the centre node (nx/2, ny/2), where convolve expects it.
     """
-    kind = which.upper()
+    kind = which.upper() if isinstance(which, str) else None
     if kind not in ("K", "H"):
         raise ValueError(f"which must be 'K' or 'H', got {which!r}")
-    sym_values = symbol_m(grid, alpha) if kind == "K" else -1j * symbol_h(grid, alpha)
-    scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
-    return RealField._adopt(grid, scale * np.fft.fftshift(irfft2(sym_values, grid.shape)))
+    sym_values = symbol_m(grid, alpha).copy() if kind == "K" else -1j * symbol_h(grid, alpha)
+    values = irfft2(_centre_sign(sym_values), grid.shape, overwrite_x=True)
+    values *= grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
+    return RealField._adopt(grid, values)
 
 
 def convolve(kernel: RealField, g: RealField) -> RealField:
@@ -100,9 +108,11 @@ def convolve(kernel: RealField, g: RealField) -> RealField:
     if kernel.grid != g.grid:
         raise GridMismatchError("kernel and field are on different grids")
     grid = kernel.grid
-    offset_kernel = np.fft.ifftshift(kernel.values)
-    product = rfft2(offset_kernel) * rfft2(g.values)
-    return RealField._adopt(grid, grid.cell_area * irfft2(product, grid.shape))
+    product = _centre_sign(rfft2(kernel.values))  # the kernel's origin back at node 0
+    product *= rfft2(g.values)
+    values = irfft2(product, grid.shape, overwrite_x=True)
+    values *= grid.cell_area
+    return RealField._adopt(grid, values)
 
 
 def kernel_decay(kernel: RealField, power: float, axis: str = "x") -> DecayProfile:

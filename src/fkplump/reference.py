@@ -11,8 +11,18 @@ from .grid import RealField, SpectralGrid, fold_quarter, quarter_nodes
 from .symbols import SymbolParams
 
 
-#: Nodes per row block of the exact lump's formula (128 KiB of float64).
+#: Nodes per row block of a closed-form array (128 KiB of float64).
 _BLOCK_NODES = 1 << 14
+
+
+def _by_rows(rows: np.ndarray, columns: np.ndarray, formula) -> np.ndarray:
+    """formula(rows[:, None], columns[None, :]) as a new array, evaluated in blocks
+    of whole rows of about _BLOCK_NODES entries, so its temporaries stay small."""
+    values = np.empty((rows.size, columns.size))
+    block = max(1, _BLOCK_NODES // columns.size)
+    for i in range(0, rows.size, block):
+        values[i : i + block] = formula(rows[i : i + block, None], columns[None, :])
+    return values
 
 
 class DomainRangeError(ValueError):
@@ -47,11 +57,10 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
         If c is too large for the grid: (c^2/3) y^2, the squared
         denominator or the numerator overflows at the grid's edge.
     """
-    x, y = grid.x[:, None], grid.y[None, :]
     c = p.c
     with np.errstate(over="ignore"):
-        xs2 = (c / 3.0) * (x - c * p.t) ** 2
-        ys2 = (c**2 / 3.0) * y**2
+        xs2 = (c / 3.0) * (grid.x - c * p.t) ** 2
+        ys2 = (c**2 / 3.0) * grid.y**2
     # both terms are >= 0, so the edge of the grid holds their largest sum
     edge = 1.0 + float(xs2.max()) + float(ys2.max())
     if not (math.isfinite(8.0 * c * edge) and math.isfinite(edge * edge)):
@@ -59,12 +68,7 @@ def exact_kp1_lump(grid: SpectralGrid, p: ExactLumpParams) -> RealField:
             f"c = {c!r} is too large for the grid: the lump's (c^2/3) y^2 or its "
             "squared denominator overflows at the grid's edge"
         )
-    # row blocks keep the temporaries of the formula out of n^2 arrays
-    values = np.empty(grid.shape)
-    block = max(1, _BLOCK_NODES // grid.ny)
-    for i in range(0, grid.nx, block):
-        a = xs2[i : i + block]
-        values[i : i + block] = 8.0 * c * (1.0 - a + ys2) / (1.0 + a + ys2) ** 2
+    values = _by_rows(xs2, ys2, lambda a, b: 8.0 * c * (1.0 - a + b) / (1.0 + a + b) ** 2)
     return RealField._adopt(grid, values)
 
 
@@ -89,15 +93,10 @@ def gaussian_seed(grid: SpectralGrid, amplitude: float, width: float) -> RealFie
     """
     _check_width(width)
     _check_amplitude(amplitude)
-    x, y = grid.x[:, None], grid.y[None, :]
-    # in place, to the bits of amplitude * exp(-(x^2 + y^2) / w^2); np.float64 ** 2
-    # has the bits of Python's width**2 but overflows to inf, not an error
-    values = np.add(x**2, y**2)
-    np.negative(values, out=values)
+    # np.float64 ** 2 has the bits of Python's width**2 but overflows to inf, not an error
     with np.errstate(over="ignore"):
-        values /= np.float64(width) ** 2
-    np.exp(values, out=values)
-    values *= amplitude
+        w2 = np.float64(width) ** 2
+        values = _by_rows(grid.x, grid.y, lambda x, y: amplitude * np.exp(-(x**2 + y**2) / w2))
     return RealField._adopt(grid, values)
 
 
@@ -110,27 +109,19 @@ def _periodic_sinc_matrix(points: np.ndarray, half_width: float, n: int) -> np.n
     lattice values exactly.  sin(pi d) = (-1)^j sin(pi u_i) is taken from
     u_i's offset to the nearest integer, and d is reduced to [-n/2, n/2],
     so entries near a node or half a period away keep full accuracy.
-    The matrix is built in two arrays, in place.
     """
-    u = (points + half_width) / (2.0 * half_width / n)
-    nearest = np.round(u)
-    sin_u = np.where(nearest % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (u - nearest))
-    nodes = np.arange(n)
-    offset = u[:, None] - nodes[None, :]
-    work = np.divide(offset, n)
-    np.round(work, out=work)
-    work *= n
-    offset -= work  # d reduced to [-n/2, n/2]
-    on_node = offset == 0.0
-    np.multiply(offset, np.pi, out=work)
-    work /= n
-    np.tan(work, out=work)
-    work *= n  # n tan(pi d / n)
-    values = np.multiply(np.where(nodes % 2 == 0, 1.0, -1.0), sin_u[:, None], out=offset)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values /= work
-    values[on_node] = 1.0
-    return values
+
+    def entries(u, j):
+        nearest = np.round(u)
+        sin_u = np.where(nearest % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (u - nearest))
+        d = u - j
+        d -= n * np.round(d / n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            values = np.where(j % 2 == 0, 1.0, -1.0) * sin_u / (n * np.tan(np.pi * d / n))
+        values[d == 0.0] = 1.0
+        return values
+
+    return _by_rows((points + half_width) / (2.0 * half_width / n), np.arange(n), entries)
 
 
 def _mirror_folded(matrix: np.ndarray) -> np.ndarray:
@@ -188,7 +179,9 @@ def rescale_solution(
     px = _periodic_sinc_matrix(ax * tx, src.lx, src.nx)
     py = _periodic_sinc_matrix(ay * ty, src.ly, src.ny)
     source = phi.values
-    if phi.is_even_even:
-        px, py, source = _mirror_folded(px), _mirror_folded(py), fold_quarter(source)
+    if phi.is_even_even:  # one at a time: each unfolded matrix is freed before the next fold
+        px = _mirror_folded(px)
+        py = _mirror_folded(py)
+        source = fold_quarter(source)
     values = c * (px @ source @ py.T)
     return RealField._adopt(target_grid, values)

@@ -382,16 +382,13 @@ class SteadyOperator:
         """
         # block tiles for the weights, |phi^|^2 and a product, reused by every block
         tiles = np.empty((3, *phi_hat[self.blocks[0]].shape))
-        shared = None  # the row weights in the weight tile, if the next block may reuse it
         num = den = scale = 0.0
         for rows in self.blocks:
             p, s, r = phi_hat[rows], sq_hat[rows], self.row_weights[rows]
             w, power, work = tiles[:, : len(r)]
-            if shared is None or not np.array_equal(r, shared[: len(r)]):
-                np.multiply(r, self.column_weights, out=w)
-                if rows.start == 0:
-                    w[0, 1:] = 0.0  # the constrained row
-                shared = None if rows.start == 0 else r
+            np.multiply(r, self.column_weights, out=w)
+            if rows.start == 0:
+                w[0, 1:] = 0.0  # the constrained row
             _real_product(p, p, out=power)
             np.sqrt(power, out=work)
             power *= self.denom[rows]

@@ -2,7 +2,8 @@
 
 The complex full-lattice formulas that the real half-lattice and real-space
 code replaced, and the post-processing formulas that built coordinate
-meshes, a spectral phase array, a frequency mask or separate cube powers.
+meshes, real-space shifted copies of the kernels, a spectral phase array, a
+frequency mask or separate cube powers.
 The coordinate meshes themselves are built here too, for the tests' fields,
 and so is the tracemalloc measure that the memory tests share.
 """
@@ -78,7 +79,7 @@ def complex_rescale(phi, alpha, c, target_grid):
 
 
 def out_of_place_sinc_matrix(points, half_width, n):
-    """The periodic sinc matrix of reference._periodic_sinc_matrix, with a new array per operation."""
+    """The periodic sinc matrix of reference._periodic_sinc_matrix, as one whole-matrix formula."""
     u = (points + half_width) / (2.0 * half_width / n)
     nearest = np.round(u)
     sin_u = np.where(nearest % 2 == 0, 1.0, -1.0) * np.sin(np.pi * (u - nearest))
@@ -103,6 +104,13 @@ def odd_perturbed(grid, eps):
     return RealField(grid, np.exp(-(X**2) - 2.0 * Y**2) + eps * np.sin(np.pi * X / grid.lx) * np.exp(-(Y**2)))
 
 
+def meshgrid_gaussian(grid, amplitude, width):
+    """The radial gaussian seed sampled on the 2D coordinate meshes."""
+    X, Y = meshes(grid)
+    with np.errstate(over="ignore"):
+        return amplitude * np.exp(-(X**2 + Y**2) / np.float64(width) ** 2)
+
+
 def meshgrid_exact_lump(grid, p):
     """The explicit alpha = 2 lump sampled on the 2D coordinate meshes."""
     X, Y = meshes(grid)
@@ -110,6 +118,21 @@ def meshgrid_exact_lump(grid, p):
     xs2 = (c / 3.0) * (X - c * p.t) ** 2
     ys2 = (c**2 / 3.0) * Y**2
     return 8.0 * c * (1.0 - xs2 + ys2) / (1.0 + xs2 + ys2) ** 2
+
+
+def shifted_kernel(grid, alpha, which):
+    """K or H, its origin moved from node 0 to the centre node by np.fft.fftshift in real space."""
+    sym_values = symbol_m(grid, alpha) if which == "K" else -1j * symbol_h(grid, alpha)
+    scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
+    return scale * np.fft.fftshift(irfft2(sym_values, grid.shape))
+
+
+def shifted_convolution(kernel, g):
+    """The cell-weighted circular convolution, with the kernel's origin moved back to node 0
+    by np.fft.ifftshift in real space."""
+    grid = kernel.grid
+    product = rfft2(np.fft.ifftshift(kernel.values)) * rfft2(g.values)
+    return grid.cell_area * irfft2(product, grid.shape)
 
 
 def phase_kernel(grid, alpha, which):

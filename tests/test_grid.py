@@ -1,5 +1,8 @@
 """Grid, field and transform contracts."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +273,30 @@ class TestRealTransformsOnly:
         build_kernel(grid, 1.5, "H")
         convolve(K, RealField(grid, rng.standard_normal(grid.shape)))
         rescale_solution(phi, 2.0, 1.5, SpectralGrid(nx=32, ny=32, lx=8.0, ly=4.0))
+
+    def test_every_transform_goes_through_grid(self):
+        # the package's source uses no numpy.fft function but fftfreq, and
+        # only grid.py imports scipy.fft
+        package = Path(__file__).resolve().parents[1] / "src" / "fkplump"
+        found = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [f"{node.module}.{alias.name}" for alias in node.names]
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                      and isinstance(node.value.value, ast.Name)):
+                    modules = [f"{node.value.value.id}.{node.value.attr}.{node.attr}"]
+                else:
+                    continue
+                for name in modules:
+                    if name.startswith(("numpy.fft", "np.fft")) and not name.endswith(".fftfreq"):
+                        found.append(f"{where} {name}")
+                    if name.startswith("scipy.fft") and path.name != "grid.py":
+                        found.append(f"{where} {name}")
+        assert found == []
 
 
 @st.composite

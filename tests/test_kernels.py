@@ -17,7 +17,7 @@ from fkplump.kernels import (
     integrability_probe,
     kernel_decay,
 )
-from oracles import non_square_grids, phase_kernel
+from oracles import non_square_grids, peak_n2, phase_kernel, shifted_convolution, shifted_kernel
 
 
 M_THRESHOLD = 2.0 / (4.0 / 3.0) + 0.5  # m's L^p threshold at alpha = 4/3
@@ -47,6 +47,11 @@ def kernel_grid():
     return SpectralGrid(nx=1024, ny=1024, lx=64.0, ly=64.0)
 
 
+#: The grids on which the kernels are checked against the real-space shift.
+SHIFT_GRIDS = non_square_grids() + [SpectralGrid(nx=1024, ny=1024, lx=64.0, ly=64.0)]
+SHIFT_IDS = ["64x32", "128x256", "1024x1024"]
+
+
 class TestBuildKernel:
     def test_k_parity(self, kernel_grid):
         K = build_kernel(kernel_grid, 1.5, "K").values
@@ -67,9 +72,24 @@ class TestBuildKernel:
         got = build_kernel(grid, alpha, which).values
         assert np.array_equal(got, phase_kernel(grid, alpha, which))
 
+    @pytest.mark.parametrize("which", ["K", "H"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=SHIFT_IDS)
+    def test_matches_shifted_formula(self, grid, alpha, which):
+        # the sign on the spectrum gives the bits of fftshift in real space
+        got = build_kernel(grid, alpha, which).values
+        assert np.array_equal(got, shifted_kernel(grid, alpha, which))
+
+    def test_h_holds_two_fields(self, kernel_grid):
+        # the sign and the scale act in place, and irfft2 overwrites the
+        # symbol (3.0 n^2 with an fftshift copy)
+        _, peak = peak_n2(kernel_grid, lambda: build_kernel(kernel_grid, 2.0, "H"))
+        assert peak <= 2.1
+
     def test_invalid_kind(self, kernel_grid):
-        with pytest.raises(ValueError):
-            build_kernel(kernel_grid, 1.0, "Q")
+        for which in ("Q", 3, None):
+            with pytest.raises(ValueError, match="which must be 'K' or 'H'"):
+                build_kernel(kernel_grid, 1.0, which)
 
     def test_k_decay_plateau(self, kernel_grid):
         prof = kernel_decay(build_kernel(kernel_grid, 2.0, "K"), 2, "x")
@@ -102,6 +122,21 @@ class TestConvolve:
         delta = RealField(kernel_grid, values)
         out = convolve(K, delta)
         assert np.max(np.abs(out.values - K.values)) <= 1e-10 * np.max(np.abs(K.values))
+
+    @pytest.mark.parametrize("which", ["K", "H"])
+    @pytest.mark.parametrize("grid", SHIFT_GRIDS, ids=SHIFT_IDS)
+    def test_matches_shifted_formula(self, grid, which, rng):
+        kernel = build_kernel(grid, 1.5, which)
+        g = RealField(grid, rng.standard_normal(grid.shape))
+        assert np.array_equal(convolve(kernel, g).values, shifted_convolution(kernel, g))
+
+    def test_holds_two_fields(self, kernel_grid, rng):
+        # the sign, the product and the scale act in place, and irfft2
+        # overwrites the product (4.0 n^2 with an ifftshift copy)
+        K = build_kernel(kernel_grid, 2.0, "K")
+        g = RealField(kernel_grid, rng.standard_normal(kernel_grid.shape))
+        _, peak = peak_n2(kernel_grid, lambda: convolve(K, g))
+        assert peak <= 2.1
 
 
 class TestIntegrabilityProbe:

@@ -6,6 +6,7 @@ from oracles import (
     complex_rescale,
     meshes,
     meshgrid_exact_lump,
+    meshgrid_gaussian,
     non_square_grids,
     odd_perturbed,
     out_of_place_sinc_matrix,
@@ -97,12 +98,21 @@ class TestGaussianSeed:
         assert f.values[iw, j0] == pytest.approx(3.0 / np.e, rel=1e-12)
 
     def test_holds_one_field(self):
-        # the exponential runs in place and the field adopts its array (was 2.13 n^2)
+        # the formula runs in row blocks and the field adopts its array (was 2.13 n^2)
         grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
         seed, peak = peak_n2(grid, lambda: gaussian_seed(grid, amplitude=3.0, width=2.0))
         assert peak <= 1.2
-        X, Y = meshes(grid)
-        assert np.array_equal(seed.values, 3.0 * np.exp(-(X**2 + Y**2) / 2.0**2))
+        assert np.array_equal(seed.values, meshgrid_gaussian(grid, 3.0, 2.0))
+
+    @pytest.mark.parametrize(
+        "amplitude, width", [(3.0, 2.0), (-1.0, 1.7), (1.0, 1e-100), (2.0, 1e200)]
+    )
+    @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
+    def test_matches_meshgrid_formula(self, grid, amplitude, width):
+        # one partial row block on 64x32, two whole ones on 128x256; at width
+        # 1e-100 the quotient overflows to inf, which gives exp's limit 0
+        seed = gaussian_seed(grid, amplitude=amplitude, width=width).values
+        assert np.array_equal(seed, meshgrid_gaussian(grid, amplitude, width))
 
     def test_even_in_both(self, lump_grid):
         f = gaussian_seed(lump_grid, amplitude=1.0, width=3.0)
@@ -180,7 +190,8 @@ class TestRescale:
 
     @pytest.mark.parametrize("n", [16, 64, 2048])
     def test_sinc_matrix_is_the_out_of_place_formula(self, n):
-        # built in place, with the same operations in the same order: the same bits
+        # built in row blocks, with the same operations in the same order: the same
+        # bits; at n = 2048 the 47 rows fill five blocks of 8 and end in one of 7
         half_width = 3.0
         dx = 2.0 * half_width / n
         points = np.concatenate([
