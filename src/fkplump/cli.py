@@ -334,12 +334,18 @@ def run_convergence_study(args: argparse.Namespace) -> int:
     if not all(math.isfinite(v) and v > 0 for v in l_values):
         raise ConfigError(f"--l values must be finite and positive, got {args.l!r}")
     base_l = l_values[0]
-    rows = []
-    for l in l_values:
+    params = SymbolParams(alpha=args.alpha, c=args.c)
+    configs = []  # every grid of the sweep is checked before the first solve
+    for text, l in zip(args.l.split(","), l_values):
         n = int(round(args.n * l / base_l))  # keep dx fixed across the sweep
-        grid = SpectralGrid(nx=n, ny=n, lx=l, ly=l)
-        params = SymbolParams(alpha=args.alpha, c=args.c)
-        config = SolverConfig(params=params, grid=grid, tol=args.tol)
+        try:
+            grid = SpectralGrid(nx=n, ny=n, lx=l, ly=l)
+        except ValueError as exc:
+            raise ConfigError(f"--l {text.strip()}: {exc}") from exc
+        configs.append(SolverConfig(params=params, grid=grid, tol=args.tol))
+    rows = []
+    for config in configs:
+        grid = config.grid
         field, report = solve(config)
         final = report.final
         if args.alpha == 2.0:
@@ -349,8 +355,8 @@ def run_convergence_study(args: argparse.Namespace) -> int:
             err = float("nan")
         rows.append(
             [
-                l,
-                n,
+                grid.lx,
+                grid.nx,
                 report.iterations,
                 report.status.value,
                 final.iter_error,

@@ -226,6 +226,15 @@ def fold_quarter(values: np.ndarray) -> np.ndarray:
     return values[np.ix_(quarter_nodes(values.shape[0]), quarter_nodes(values.shape[1]))]
 
 
+def unfold_quarter(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """A new array of the even-even field of the given n^2 shape whose quarter is values.
+
+    Node n/2 + k and its mirror n/2 - k read quarter entry k; node 0 reads the last.
+    """
+    nx, ny = shape
+    return values[np.ix_(np.abs(np.arange(nx) - nx // 2), np.abs(np.arange(ny) - ny // 2))]
+
+
 @dataclass(frozen=True)
 class RealField:
     """Real-space samples of a field on a SpectralGrid.

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, SpectralGrid, fold_quarter, quarter_nodes
+from .grid import RealField, SpectralGrid, fold_quarter, quarter_nodes, unfold_quarter
 from .symbols import SymbolParams
 
 
@@ -149,9 +149,13 @@ def rescale_solution(
     sinc matrices, which is accurate to the source grid's spectral tail;
     local polynomial interpolation of these peaked profiles would cost
     several orders of magnitude in accuracy.  An even-even source
-    (RealField.is_even_even) is read on its quarter, with each matrix's
-    mirror columns added onto the quarter's nodes; that cuts the 2048^2 to
-    512^2 product from 5.4 to 1.6 GFLOP.
+    (RealField.is_even_even) gives an even-even result, so both are held
+    by their quarters (grid.quarter_nodes): the sinc matrices are evaluated
+    only at the target's quarter nodes, their mirror columns are added onto
+    the source quarter's nodes, and the quarter product is mirrored back to
+    the whole target grid (grid.unfold_quarter), which is then exactly even.
+    That cuts the 2048^2 to 512^2 product from 5.4 GFLOP (whole fields) to
+    0.68 GFLOP and builds half of the sinc entries.
 
     Raises
     ------
@@ -176,12 +180,17 @@ def rescale_solution(
             "stretched target coordinates fall outside the source domain; "
             "use a larger source grid or a smaller speed ratio"
         )
+    even = phi.is_even_even
+    if even:  # the target's quarter; the rest of the target is its mirror
+        tx, ty = tx[quarter_nodes(tx.size)], ty[quarter_nodes(ty.size)]
     px = _periodic_sinc_matrix(ax * tx, src.lx, src.nx)
     py = _periodic_sinc_matrix(ay * ty, src.ly, src.ny)
     source = phi.values
-    if phi.is_even_even:  # one at a time: each unfolded matrix is freed before the next fold
+    if even:  # one at a time: each unfolded matrix is freed before the next fold
         px = _mirror_folded(px)
         py = _mirror_folded(py)
         source = fold_quarter(source)
     values = c * (px @ source @ py.T)
+    if even:
+        values = unfold_quarter(values, target_grid.shape)
     return RealField._adopt(target_grid, values)

@@ -77,6 +77,7 @@ from .grid import (  # noqa: F401
     irfft2,
     multiplicities,
     rfft2,
+    unfold_quarter,
 )
 from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
 from .symbols import (
@@ -331,10 +332,7 @@ class SteadyOperator:
 
     def unfold(self, values: np.ndarray) -> np.ndarray:
         """The n^2 values of an iterate of the layout, mirrored from the quarter."""
-        if not self.quarter:
-            return values
-        nx, ny = self.grid.shape
-        return values[np.ix_(np.abs(np.arange(nx) - nx // 2), np.abs(np.arange(ny) - ny // 2))]
+        return unfold_quarter(values, self.grid.shape) if self.quarter else values
 
     def forward(self, values: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         """The spectrum of an iterate of the layout.

@@ -625,3 +625,15 @@ class TestConvergenceStudy:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "--l" in err[0]
+
+    def test_every_grid_is_checked_before_the_first_solve(self, tmp_path, capsys, monkeypatch):
+        # 24 at 64 nodes per 16 is 96 nodes, not a power of two
+        solves = []
+        monkeypatch.setattr(cli, "solve", lambda config: solves.append(config))
+        code = run(["convergence-study", "--alpha", "2", "--n", "64", "--l", "16,24",
+                    "--out", tmp_path / "study"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: --l 24: nx must be a power of two >= 8, got 96"]
+        assert solves == []
+        assert not (tmp_path / "study").exists()

@@ -15,9 +15,11 @@ from fkplump.grid import (
     SpectralGrid,
     _sup,
     dct1,
+    fold_quarter,
     idct1,
     irfft2,
     rfft2,
+    unfold_quarter,
 )
 from oracles import meshes, odd_perturbed
 
@@ -152,6 +154,20 @@ class TestFields:
         near, far = odd_perturbed(small_grid, 1e-14), odd_perturbed(small_grid, 1e-12)
         assert near.reflection_defects == pytest.approx((2e-14, 0.0), rel=1e-3, abs=1e-16)
         assert near.is_even_even and not far.is_even_even
+
+    def test_quarter_round_trip(self, rng):
+        # a non-square grid: the quarter of an even-even field holds it, bit for bit
+        grid = SpectralGrid(nx=32, ny=16, lx=5.0, ly=3.0)
+        quarter = rng.standard_normal((17, 9))
+        values = unfold_quarter(quarter, grid.shape)
+        assert values.shape == grid.shape
+        assert np.array_equal(fold_quarter(values), quarter)
+        field = RealField(grid, values)
+        assert field.reflection_defects == (0.0, 0.0)
+        X, Y = meshes(grid)
+        even = np.exp(-(X**2) - 0.5 * Y**4) * np.cos(X)
+        assert RealField(grid, even).is_even_even
+        assert np.array_equal(unfold_quarter(fold_quarter(even), grid.shape), even)
 
     def test_sup_is_abs_max_bit_for_bit(self, small_grid, rng):
         # np.maximum(0.0, -0.0) is -0.0; the sup of zeros must be +0.0

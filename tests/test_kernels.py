@@ -173,6 +173,19 @@ class TestIntegrabilityProbe:
         assert probe.last_increment == pytest.approx(last, rel=1e-10, abs=0.0)
         assert probe.box_norm == pytest.approx(box, rel=1e-10)
 
+    def test_shipped_rule_matches_24_points(self, monkeypatch):
+        # the rules converge geometrically on the dyadic panels: 12 points
+        # reach the 24-point norms to about 1e-13
+        shipped = [integrability_probe(alpha, p, which) for alpha, p, which, *_ in PROBE_TABLE]
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        monkeypatch.setattr(kernels, "_GL_NODES", nodes)
+        monkeypatch.setattr(kernels, "_GL_WEIGHTS", weights)
+        for probe in shipped:
+            ref = integrability_probe(probe.alpha, probe.p, probe.which)
+            assert probe.verdict == ref.verdict
+            assert probe.box_norm == pytest.approx(ref.box_norm, rel=1e-12)
+            assert probe.truncated_norms[-1] == pytest.approx(ref.truncated_norms[-1], rel=1e-12)
+
     @pytest.mark.parametrize("which", ["m", "h"])
     def test_near_critical_exponent_is_warning_free(self, which):
         # p = 0.55 sits just above the p = 1/2 limit of the transverse integral

@@ -1,4 +1,4 @@
-"""Paper-scale reproductions, skipped unless --run-longrun is given.
+"""Paper-scale reproductions and slow sweeps, skipped unless --run-longrun is given.
 
 These mirror the published full-scale figures: the 2^13 grid on
 [-1024, 1024]^2 with c = 1, errors of order 1e-5 after about 50
@@ -9,8 +9,10 @@ memory and minutes to hours of compute, so they stay out of CI.
 import numpy as np
 import pytest
 
+from fkplump import kernels
 from fkplump.diagnostics import fourier_tail
 from fkplump.grid import SpectralGrid
+from fkplump.kernels import integrability_probe
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import SolverConfig, solve
 from fkplump.symbols import SymbolParams
@@ -52,3 +54,24 @@ def test_resolved_fourier_tail_alpha135():
     tail = fourier_tail(field)
     print(f"alpha=1.35 tail at dx=0.125: {tail:.2e}")
     assert tail <= 1e-3
+
+
+@pytest.mark.longrun
+def test_probe_rule_matches_24_points_on_a_sweep(monkeypatch):
+    # 144 probes: six alphas, twelve exponents from 0.55 to 10, both symbols.
+    # Below p = 1 the norms of rules from 12 to 96 points scatter by up to
+    # 1e-8 (alpha = 3, p = 0.55, h), so only the verdicts are compared there.
+    cases = [(alpha, p, which) for alpha in (0.85, 1.0, 4 / 3, 1.5, 2.0, 3.0)
+             for p in np.geomspace(0.55, 10.0, 12) for which in ("m", "h")]
+    shipped = [integrability_probe(*case) for case in cases]
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    monkeypatch.setattr(kernels, "_GL_NODES", nodes)
+    monkeypatch.setattr(kernels, "_GL_WEIGHTS", weights)
+    for case, probe in zip(cases, shipped):
+        ref = integrability_probe(*case)
+        assert probe.verdict == ref.verdict, case
+        if case[1] >= 1.0:
+            np.testing.assert_allclose(probe.truncated_norms, ref.truncated_norms, rtol=1e-11)
+            assert probe.box_norm == pytest.approx(ref.box_norm, rel=1e-11), case
+            # a relative growth already: compared absolutely
+            assert probe.last_increment == pytest.approx(ref.last_increment, rel=0.0, abs=1e-11), case

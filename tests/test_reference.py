@@ -239,6 +239,41 @@ class TestRescale:
             rescale_solution(odd_perturbed(src, eps), alpha=2.0, c=1.2, target_grid=tgt)
             assert folds == ([src.shape] if quarter else [])
 
+    def test_even_source_is_written_on_the_targets_quarter(self, monkeypatch):
+        # a non-square target: the sinc matrices hold nx/2 + 1 and ny/2 + 1
+        # target points, and the result is the mirror of its quarter
+        points = []
+
+        def spy(targets, half_width, n):
+            points.append(targets.size)
+            return _periodic_sinc_matrix(targets, half_width, n)
+
+        monkeypatch.setattr("fkplump.reference._periodic_sinc_matrix", spy)
+        src = SpectralGrid(nx=128, ny=64, lx=16.0, ly=8.0)
+        tgt = SpectralGrid(nx=64, ny=32, lx=8.0, ly=4.0)
+        for eps, quarter in ((1e-14, True), (1e-12, False)):
+            points.clear()
+            out = rescale_solution(odd_perturbed(src, eps), alpha=2.0, c=1.2, target_grid=tgt)
+            assert points == ([33, 17] if quarter else [64, 32])
+        psi = exact_kp1_lump(src, ExactLumpParams(c=1.0))
+        out = rescale_solution(psi, alpha=2.0, c=1.2, target_grid=tgt)
+        assert out.reflection_defects == (0.0, 0.0)
+        px = _periodic_sinc_matrix(1.2**0.5 * tgt.x, src.lx, src.nx)
+        py = _periodic_sinc_matrix(1.2 * tgt.y, src.ly, src.ny)
+        whole = 1.2 * (px @ psi.values @ py.T)
+        assert np.max(np.abs(out.values - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    def test_end_node_outside_the_source_raises_for_an_even_source(self):
+        # only the target node x = -lx, the last of its quarter, is stretched
+        # past the source's edge: -8 * 1.01^(1/2) < -8, while 6 * 1.01^(1/2) < 7.75
+        src = SpectralGrid(nx=64, ny=64, lx=8.0, ly=8.0)
+        psi = exact_kp1_lump(src, ExactLumpParams(c=1.0))
+        assert psi.is_even_even
+        tgt = SpectralGrid(nx=8, ny=8, lx=8.0, ly=2.0)
+        with pytest.raises(DomainRangeError):
+            rescale_solution(psi, alpha=2.0, c=1.01, target_grid=tgt)
+        rescale_solution(psi, alpha=2.0, c=0.99, target_grid=tgt)
+
     def test_out_of_domain_raises(self):
         src = SpectralGrid(nx=64, ny=64, lx=8.0, ly=8.0)
         psi = exact_kp1_lump(src, ExactLumpParams(c=1.0))
