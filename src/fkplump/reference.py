@@ -7,21 +7,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, SpectralGrid, fold_quarter, quarter_nodes, unfold_quarter
+from .grid import RealField, SpectralGrid, fold_quarter, quarter_nodes, row_blocks, unfold_quarter
 from .symbols import SymbolParams
 
 
-#: Nodes per row block of a closed-form array (128 KiB of float64).
-_BLOCK_NODES = 1 << 14
-
-
 def _by_rows(rows: np.ndarray, columns: np.ndarray, formula) -> np.ndarray:
-    """formula(rows[:, None], columns[None, :]) as a new array, evaluated in blocks
-    of whole rows of about _BLOCK_NODES entries, so its temporaries stay small."""
+    """formula(rows[:, None], columns[None, :]) as a new array, evaluated in
+    blocks of whole rows (grid.row_blocks), so its temporaries stay small."""
     values = np.empty((rows.size, columns.size))
-    block = max(1, _BLOCK_NODES // columns.size)
-    for i in range(0, rows.size, block):
-        values[i : i + block] = formula(rows[i : i + block, None], columns[None, :])
+    for block in row_blocks(rows.size, columns.size):
+        values[block] = formula(rows[block, None], columns[None, :])
     return values
 
 

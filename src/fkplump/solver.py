@@ -77,6 +77,7 @@ from .grid import (  # noqa: F401
     irfft2,
     multiplicities,
     rfft2,
+    row_blocks,
     unfold_quarter,
 )
 from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
@@ -109,17 +110,6 @@ ACCEL_COND_MAX = 1e12
 #: and depth 1 at nu = 5 (128^2) collapsed the iterate
 #: (DegenerateIterateError) where the plain map reports divergence.
 ACCEL_GATE = 0.1
-
-#: Size of the row blocks in which M's pairings are summed, the residual's
-#: spectrum is formed and the mixed spectrum is updated, so that their
-#: temporaries stay in cache instead of taking full spectra.  Blocks are
-#: counted in complex rows on both layouts, so a quarter block, whose rows
-#: are real, holds 256 KiB.  Whole-
-#: array sums are slower on the half-lattice (9.6 ms per call against 7.8
-#: ms at 1024^2), and they change the summation order, to which the layout
-#: comparison test is sensitive: its 256^2, alpha = 1.5 iter_error then
-#: moves by 1.8e-6 relative, past its 1e-6 bound.
-BLOCK_BYTES = 1 << 19
 
 
 class DegenerateIterateError(ArithmeticError):
@@ -313,8 +303,7 @@ class SteadyOperator:
             )
         self.row_weights = multiplicities(grid.nx)[:, None] if quarter else np.ones((rows, 1))
         self.column_weights = grid.column_weights
-        block = max(1, BLOCK_BYTES // (16 * xi2.size))  # complex rows
-        self.blocks = [slice(i, i + block) for i in range(0, rows, block)]
+        self.blocks = row_blocks(rows, xi2.size)
 
     @cached_property
     def denom(self) -> np.ndarray:
@@ -457,13 +446,12 @@ class SteadyOperator:
 class _AndersonMixer:
     """Type-II Anderson mixing of depth m of the Petviashvili map on spectra.
 
-    The history is the last f and g and a ring of at most m - 1 difference
-    pairs (df, dg), oldest first, with the Gram matrix <df_i, df_j> of the
-    operator's dot product.  A step turns the last f and g into a new pair
-    in place, adds its row to the Gram matrix and solves the normal
-    equations for gamma.  The mixed spectrum g - sum gamma_i dg_i is built
-    in the dg of the oldest pair, which then leaves the ring, or in a new
-    array while the ring is not yet full.
+    The history is the last f and g and at most m - 1 difference pairs
+    (df, dg), oldest first.  A step turns the last f and g into a new pair
+    in place, builds the Gram matrix <df_i, df_j> of its pairs with the
+    operator's dot product and solves the normal equations for gamma.  The
+    mixed spectrum g - sum gamma_i dg_i is a new array; a full history then
+    drops its oldest pair.
     """
 
     def __init__(self, op: SteadyOperator, depth: int) -> None:
@@ -472,7 +460,6 @@ class _AndersonMixer:
         self.depth = depth
         self.last: tuple[np.ndarray, np.ndarray] | None = None  # f, g of the last step
         self.pairs: list[tuple[np.ndarray, np.ndarray]] = []
-        self.gram = np.zeros((depth, depth))
         self.mixed_steps = 0
 
     def reset(self) -> None:
@@ -485,31 +472,25 @@ class _AndersonMixer:
         last, self.last = self.last, (f, g)
         if last is None:
             return g.copy()
-        df = np.subtract(f, last[0], out=last[0])
-        dg = np.subtract(g, last[1], out=last[1])
         pairs = self.pairs
-        pairs.append((df, dg))
-        k = len(pairs)
-        gram = self.gram[:k, :k]
-        for i, (df_i, _) in enumerate(pairs):
-            gram[i, -1] = gram[-1, i] = self.dot(df, df_i)
-        gamma = _mixing_coefficients(gram, np.array([self.dot(df_i, f) for df_i, _ in pairs]))
+        pairs.append((np.subtract(f, last[0], out=last[0]), np.subtract(g, last[1], out=last[1])))
+        dfs = [df_i for df_i, _ in pairs]
+        gram = np.empty((len(dfs), len(dfs)))
+        for i, newer in enumerate(dfs):
+            for j, older in enumerate(dfs[: i + 1]):
+                gram[i, j] = gram[j, i] = self.dot(newer, older)
+        gamma = _mixing_coefficients(gram, np.array([self.dot(df_i, f) for df_i in dfs]))
         if gamma is None:
             pairs.clear()
             return g.copy()  # the plain step; f and g stay in the history
         self.mixed_steps += 1
-        dgs, coefs = [dg_i for _, dg_i in pairs], -gamma
-        if k == self.depth:  # the oldest pair leaves the ring; its dg takes the mixed spectrum
-            del pairs[0]
-            self.gram[: k - 1, : k - 1] = self.gram[1:k, 1:k]
-            out = dgs[0]
-            out *= coefs[0]
-        else:
-            out = dgs[0] * coefs[0]
-        for dg_i, coef in zip(dgs[1:], coefs[1:]):
+        out = pairs[0][1] * -gamma[0]
+        for (_, dg_i), coef in zip(pairs[1:], -gamma[1:]):
             for rows in self.blocks:
                 out[rows] += dg_i[rows] * coef
         out += g
+        if len(pairs) == self.depth:
+            del pairs[0]
         return out
 
 

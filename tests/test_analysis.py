@@ -5,7 +5,7 @@ import pytest
 
 from fkplump.analysis import cross_section, decay_profile, symmetry_report
 from fkplump.grid import RealField, SpectralGrid
-from fkplump.reference import DomainRangeError, ExactLumpParams, exact_kp1_lump
+from fkplump.reference import DomainRangeError, ExactLumpParams, exact_kp1_lump, gaussian_seed
 from oracles import abs_max_symmetry_defects, meshes
 
 
@@ -111,3 +111,8 @@ class TestDecayProfile:
         prof = decay_profile(f, "y")
         assert prof.plateau_value == pytest.approx(12.0, rel=0.02)
 
+    def test_zero_window_has_a_zero_plateau(self):
+        # a gaussian of width 0.1 underflows to 0 long before L/4 = 4
+        grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
+        prof = decay_profile(gaussian_seed(grid, 1.0, 0.1), "x")
+        assert prof.plateau_value == 0.0 and prof.plateau_rel_variation == 0.0

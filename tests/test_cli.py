@@ -541,6 +541,12 @@ class TestKernelProbe:
         code = run(["kernel-probe", "--alpha", "1", "--p", "0.7", "--out", tmp_path])
         assert code == EXIT_CONFIG
 
+    def test_unparseable_p_list_is_named(self, tmp_path, capsys):
+        code = run(["kernel-probe", "--alpha", "1", "--p", "2,x", "--out", tmp_path])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: cannot parse --p list '2,x'"]
+        assert not (tmp_path / "kernel_probe_m.csv").exists()
+
     @pytest.mark.parametrize(
         "alpha, p", [("1", "nan"), ("nan", "2"), ("inf", "2"), ("1", "1e300")]
     )
@@ -617,6 +623,23 @@ class TestConvergenceStudy:
         assert got == [abs_max_relative_error(f, e).hex() for f, e in fields]
         if which == "exact":
             assert [line.split(",")[7] for line in lines] == ["0", "0"]
+
+    def test_no_exact_error_below_alpha_2(self, tmp_path):
+        # only alpha = 2 has a closed form to compare against
+        out = tmp_path / "study"
+        code = run(["convergence-study", "--alpha", "1.5", "--n", "64", "--l", "16,32",
+                    "--out", out])
+        assert code == EXIT_OK
+        header, *lines = (out / "convergence_study.csv").read_text().splitlines()
+        assert header.split(",")[7] == "error_vs_exact"
+        assert [line.split(",")[7] for line in lines] == ["nan", "nan"]
+
+    def test_unparseable_l_list_is_named(self, tmp_path, capsys):
+        code = run(["convergence-study", "--alpha", "2", "--n", "16", "--l", "64,abc",
+                    "--out", tmp_path / "study"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == ["error: cannot parse --l list '64,abc'"]
+        assert not (tmp_path / "study").exists()
 
     @pytest.mark.parametrize("l_list", ["8,inf", "8,nan", "8,0", "-8,16"])
     def test_rejects_bad_half_widths(self, tmp_path, capsys, l_list):

@@ -476,6 +476,33 @@ class TestSolve:
             with pytest.raises(DivergenceError):
                 op.image(sq_hat, m, nu)
 
+    @pytest.mark.parametrize("quarter", [False, True])
+    def test_non_finite_iterate_is_refused(self, small_grid, quarter):
+        op = SteadyOperator(small_grid, PARAMS, quarter=quarter)
+        phi_hat, _ = op.spectra(op.fold(build_seed(SolverConfig(params=PARAMS, grid=small_grid)).values))
+        phi_hat[1, 1] = math.inf
+        with pytest.raises(DivergenceError, match="^iteration produced non-finite values$"):
+            op.realize(phi_hat)
+
+    def test_non_finite_image_ends_diverged(self, small_grid, monkeypatch):
+        # the third image gets an inf mode, so its iterate is not finite
+        real_image, calls = SteadyOperator.image, []
+
+        def image(self, sq_hat, m, nu):
+            calls.append(m)
+            out = real_image(self, sq_hat, m, nu)
+            if len(calls) == 3:
+                out[1, 1] = math.inf
+            return out
+
+        monkeypatch.setattr(SteadyOperator, "image", image)
+        _, report = solve(SolverConfig(params=PARAMS, grid=small_grid))
+        assert report.status is SolveStatus.DIVERGED and report.iterations == 3
+        assert report.reason == "iteration produced non-finite values"
+        final = report.final
+        assert final.iter_error == final.residual == math.inf
+        assert final.m_factor == calls[-1] and math.isfinite(final.factor_error)
+
     def test_empty_report_has_no_final(self):
         report = IterationReport(records=(), status=SolveStatus.MAX_ITER, tol=1e-5)
         with pytest.raises(ValueError):
@@ -532,6 +559,26 @@ class TestAcceleration:
                 expected = gs[-1] - (dg @ gamma).reshape(g.shape)
             assert np.allclose(mixed, expected, rtol=1e-10, atol=1e-12)
         assert mixer.mixed_steps == 6
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_singular_history_restarts(self, depth):
+        # a repeated (phi_hat, g) gives df = 0, a singular Gram matrix: the
+        # plain step, with the pairs dropped and the last f and g kept
+        rng = np.random.default_rng(depth)
+        op = SimpleNamespace(dot=solver._real_dot, blocks=[slice(0, 4), slice(4, 8)])
+        mixer = solver._AndersonMixer(op, depth)
+        phi_hat, g = rng.standard_normal((2, 8, 5))
+        mixer.mix(phi_hat.copy(), g.copy())
+        again = g.copy()
+        plain = mixer.mix(phi_hat.copy(), again)
+        assert np.array_equal(plain, g) and not np.shares_memory(plain, again)
+        assert mixer.pairs == [] and mixer.mixed_steps == 0
+        assert mixer.last[1] is again and np.array_equal(mixer.last[0], g - phi_hat)
+        for step in range(1, 6):
+            phi_hat, g = rng.standard_normal((2, 8, 5))
+            mixed = mixer.mix(phi_hat, g)
+            assert mixer.mixed_steps == step and not np.array_equal(mixed, g)
+            assert len(mixer.pairs) <= depth - 1
 
     def test_mixing_coefficients(self):
         # a 1 x 1 system gives depth 1's division to the bit; a singular,
@@ -724,6 +771,28 @@ class TestLayouts:
         assert peak <= 0.1
         _, peak = peak_n2(grid, lambda: op.denom)
         assert peak <= 1.0
+
+    def test_stabilizing_factor_holds_three_blocks(self):
+        # three row tiles of 127 x 257 reused by every block (0.37 n^2) and
+        # numpy's ufunc buffer (0.06 n^2): 0.435 n^2; new temporaries in
+        # every block measured 0.62
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        op = SteadyOperator(grid, PARAMS, quarter=True)
+        op.denom
+        phi_hat, sq_hat = op.spectra(op.fold(build_seed(SolverConfig(params=PARAMS, grid=grid)).values))
+        _, peak = peak_n2(grid, lambda: op.stabilizing_factor(phi_hat, sq_hat))
+        assert peak <= 0.45
+
+    def test_residual_holds_one_spectrum_and_one_block(self):
+        # the quarter spectrum of S phi (0.25 n^2), one 127 x 257 scratch
+        # block (0.12 n^2) and numpy's ufunc buffer (0.06 n^2): 0.438 n^2;
+        # whole-array temporaries, or new ones for every term of a block,
+        # measured 0.535
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        op = SteadyOperator(grid, PARAMS, quarter=True)
+        phi_hat, sq_hat = op.spectra(op.fold(build_seed(SolverConfig(params=PARAMS, grid=grid)).values))
+        _, peak = peak_n2(grid, lambda: op.residual(phi_hat, sq_hat))
+        assert peak <= 0.45
 
     def test_seed_stage_holds_two_fields(self):
         # build_seed drops the sampled field once its spectrum exists and the

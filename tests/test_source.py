@@ -1,0 +1,35 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import fkplump
+
+#: Imported names that no code of their module uses: perfbench reads them
+#: as attributes of the module (perfbench/selftest.py).
+RE_EXPORTS = {("solver", "fft2"), ("symbols", "_frozen_array")}
+
+
+def unused_imports(path):
+    """The names a module imports and never reads (names in __all__ count as read)."""
+    tree = ast.parse(path.read_text())
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used |= {entry.value for entry in node.value.elts}
+    return imported - used
+
+
+def test_no_dead_imports():
+    modules = sorted(Path(fkplump.__file__).parent.glob("*.py"))
+    assert modules
+    dead = {(path.stem, name) for path in modules for name in unused_imports(path)}
+    assert dead <= RE_EXPORTS
