@@ -13,17 +13,19 @@ of the symbols by quadrature over expanding domains:
   * diverging exponents keep growing (> 5% per doubling),
   * anything in between is reported as inconclusive rather than asserted.
 
-Each truncated norm is computed two independent ways, both with one
-12-point Gauss-Legendre rule on dyadic xi1 panels: 2D quadrature of
-|symbols.kernel_symbol|^p in (xi1, xi2), and a 1D reduction in which the
-xi2 integral is an incomplete-beta factor of the scaled variable
-z = xi2 / (xi1 sqrt(1 + xi1^alpha)).  The integrands are analytic on each
-dyadic panel, where a Gauss rule converges geometrically: for p >= 1 the
-12-point norms agree with those of a 24-point rule to about 1e-12
-relative, with the same verdicts.  The domains carry a shrinking inner
-cutoff |xi1| >= 1/R^3 alongside the growing box |xi1|, |xi2| <= R, so
-divergence at the origin (the h symbol for p >= 2) is detected by the
-same increment criterion as divergence at infinity.
+All truncated norms come from one nested 2D quadrature of
+|symbols.kernel_symbol|^p in (xi1, xi2), with a 12-point Gauss-Legendre
+rule on each cell.  The xi1 panels are dyadic, so every cutoff and radius
+is a panel edge; the xi2 panels double from the symbol's transverse scale
+xi1 sqrt(1 + xi1^alpha) and are split at every radius.  Each truncated
+domain is then a union of cells, and one pass over the cells at the final
+radius gives every norm.  The integrands are analytic on each cell, where
+a Gauss rule converges geometrically: the 12-point norms agree with those
+of a 24-point rule to about 1e-12 relative, down to p = 0.55, with the
+same verdicts.  The domains carry a shrinking inner cutoff |xi1| >= 1/R^3
+alongside the growing box |xi1|, |xi2| <= R, so divergence at the origin
+(the h symbol for p >= 2) is detected by the same increment criterion as
+divergence at infinity.
 """
 
 from __future__ import annotations
@@ -31,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import beta as beta_fn
-from scipy.special import betainc
 
 from .analysis import DecayProfile, decay_profile
 from .grid import GridMismatchError, RealField, SpectralGrid, irfft2, rfft2
@@ -45,7 +45,7 @@ DIVERGING_BAND = 0.05
 #: Dyadic truncation radii 2^2 .. 2^16; inner cutoff is radius**-3.
 PROBE_EXPONENTS = range(2, 17)
 
-#: The 12-point Gauss-Legendre rule on [-1, 1] that both routes use.
+#: The 12-point Gauss-Legendre rule on [-1, 1] of every panel.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
 
 
@@ -64,7 +64,11 @@ class IntegrabilityProbe:
     truncated_norms: np.ndarray
     verdict: str
     last_increment: float
-    box_norm: float  # independent 2D quadrature at the final radius
+
+    @property
+    def box_norm(self) -> float:
+        """The truncated norm at the final radius (the 2D box quadrature's norm)."""
+        return float(self.truncated_norms[-1])
 
 
 def _verdict(last_increment: float) -> str:
@@ -132,35 +136,6 @@ def kernel_decay(kernel: RealField, power: float, axis: str = "x") -> DecayProfi
 # --- symbol integrability probes ------------------------------------------
 
 
-def _z_factor(p: float, zeta: np.ndarray) -> np.ndarray:
-    """integral of (1 + z^2)^-p over |z| <= zeta, via the incomplete beta."""
-    t = zeta**2 / (1.0 + zeta**2)
-    return beta_fn(0.5, p - 0.5) * betainc(0.5, p - 0.5, t)
-
-
-def _weight(which: str, alpha: float, p: float, xi1: np.ndarray) -> np.ndarray:
-    """xi2-reduced weight of |symbol|^p at positive xi1."""
-    base = xi1 * (1.0 + xi1**alpha) ** (0.5 - p)
-    if which == "m":
-        return base
-    return base * xi1 ** (-p)
-
-
-def _zeta(alpha: float, xi1: np.ndarray, radius: float) -> np.ndarray:
-    """Scaled xi2 box limit: z at xi2 = radius."""
-    return radius / (xi1 * np.sqrt(1.0 + xi1**alpha))
-
-
-def _dyadic_panels(lo: float, hi: float) -> np.ndarray:
-    """Panel edges from lo to hi, splitting at powers of two."""
-    lo_e = int(np.ceil(np.log2(lo)))
-    hi_e = int(np.floor(np.log2(hi)))
-    edges = [lo]
-    edges.extend(float(2.0**e) for e in range(lo_e, hi_e + 1) if lo < 2.0**e < hi)
-    edges.append(hi)
-    return np.array(edges)
-
-
 def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on the panels between consecutive edges."""
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -170,62 +145,35 @@ def _panel_rule(edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pts.ravel(), wts.ravel()
 
 
-def _panel_integral(f, lo: float, hi: float) -> float:
-    """Integral of the vectorised f over [lo, hi] on dyadic Gauss-Legendre panels."""
-    x, w = _panel_rule(_dyadic_panels(lo, hi))
-    return float(np.dot(w, f(x)))
+def _box_increments(which: str, alpha: float, p: float) -> np.ndarray:
+    """Mass of |symbol|^p that each truncation step adds to the one before.
 
-
-def _separated_increment(
-    which: str,
-    alpha: float,
-    p: float,
-    r_prev: float,
-    r_new: float,
-    d_prev: float,
-    d_new: float,
-) -> float:
-    """Norm-power mass added when the domain grows from (r_prev, d_prev).
-
-    Three disjoint pieces: the new outer xi1 band, the newly uncovered
-    inner xi1 sliver, and the xi2 extension over the old band.  Each is
-    nonnegative, so cumulative norms are nondecreasing by construction.
-    The factor 2 accounts for +-xi1; the z factor already covers +-xi2.
+    One 2D quadrature over the final domain (times 4 by symmetry).  Each
+    xi1 panel's xi2 cells double from the transverse scale at its lower
+    edge and are split at the radii from the first step whose domain holds
+    the panel on; each cell's mass goes to the first step that holds it.
     """
-
-    def band(xi1: np.ndarray) -> np.ndarray:
-        return _weight(which, alpha, p, xi1) * _z_factor(p, _zeta(alpha, xi1, r_new))
-
-    def extension(xi1: np.ndarray) -> np.ndarray:
-        znew = _z_factor(p, _zeta(alpha, xi1, r_new))
-        zold = _z_factor(p, _zeta(alpha, xi1, r_prev))
-        return _weight(which, alpha, p, xi1) * (znew - zold)
-
-    total = _panel_integral(band, r_prev, r_new)
-    total += _panel_integral(band, d_new, d_prev)
-    total += _panel_integral(extension, d_prev, r_prev)
-    return 2.0 * total
-
-
-def _box_quadrature(which: str, alpha: float, p: float, radius: float, cutoff: float) -> float:
-    """Direct 2D panel-Gauss quadrature of |symbol|^p over the domain.
-
-    Integrates over {cutoff <= xi1 <= radius, 0 <= xi2 <= radius} in the
-    original coordinates (times 4 by symmetry) on dyadic xi1 panels, with
-    xi2 panels laid out from the local transverse scale of the symbol.
-    """
-    total = 0.0
-    x1_edges = _dyadic_panels(cutoff, radius)
-    for a, b in zip(x1_edges[:-1], x1_edges[1:]):
-        x1_pts, x1_wts = _panel_rule(np.array([a, b]))
-        s = a * np.sqrt(1.0 + a**alpha)  # transverse scale at the panel edge
-        inner_edges = [0.0, min(s, radius)]
-        while inner_edges[-1] < radius:
-            inner_edges.append(min(2.0 * inner_edges[-1], radius))
-        x2_pts, x2_wts = _panel_rule(np.array(inner_edges))
-        vals = kernel_symbol(x1_pts[:, None], x2_pts[None, :], alpha, which) ** p
-        total += float(np.sum(x1_wts[:, None] * x2_wts[None, :] * vals))
-    return 4.0 * total
+    radii = 2.0 ** np.array(PROBE_EXPONENTS, dtype=float)
+    cutoffs = radii**-3.0
+    # dyadic xi1 panels from the last cutoff to the last radius
+    x1_edges = 2.0 ** np.arange(-3 * PROBE_EXPONENTS[-1], PROBE_EXPONENTS[-1] + 1)
+    x1_pts, x1_wts = (v.reshape(-1, _GL_NODES.size) for v in _panel_rule(x1_edges))
+    # the first step whose domain {cutoff <= xi1 <= radius} holds each panel
+    firsts = np.maximum(
+        np.searchsorted(radii, x1_edges[1:]), np.searchsorted(-cutoffs, -x1_edges[:-1])
+    )
+    # transverse scales, at most the last radius (they overflow at large alpha)
+    scales = np.minimum(x1_edges[:-1] * np.sqrt(1.0 + x1_edges[:-1] ** alpha), radii[-1])
+    increments = np.zeros(radii.size)
+    for pts, wts, first, s in zip(x1_pts, x1_wts, firsts, scales):
+        doublings = s * 2.0 ** np.arange(np.ceil(np.log2(radii[-1] / s)))
+        x2_edges = np.unique(np.concatenate(([0.0], doublings[doublings < radii[-1]], radii[first:])))
+        x2_pts, x2_wts = _panel_rule(x2_edges)
+        vals = kernel_symbol(pts[:, None], x2_pts[None, :], alpha, which) ** p
+        cells = (wts @ vals * x2_wts).reshape(-1, _GL_NODES.size).sum(axis=1)
+        steps = np.maximum(first, np.searchsorted(radii, x2_edges[1:]))
+        increments += np.bincount(steps, weights=cells, minlength=radii.size)
+    return 4.0 * increments
 
 
 def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProbe:
@@ -234,9 +182,10 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     Truncated L^p norms are accumulated over nested domains with outer
     radius doubling from 4 to 2^16 (inner cutoff radius**-3).  The verdict
     is converging when the final doubling grows the norm by less than 1%,
-    diverging above 5%, inconclusive between.  A 2D box quadrature at the
-    final radius is recorded alongside as an independent check of the
-    separated reduction.
+    diverging above 5%, inconclusive between.  All 15 norms come from one
+    2D box quadrature at the final radius, nested so that each truncated
+    domain is a union of its cells; each step's increment is a sum of
+    nonnegative cells, so the norms never decrease.
 
     Raises
     ------
@@ -244,8 +193,8 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
         For p <= 1/2, where the transverse integral diverges identically.
     ValueError
         If alpha (checked by SymbolParams) or p is not finite, or the running
-        sum of |symbol|^p or the box norm is not finite and positive: p is
-        too large for float64 (as p = 1e300, or p = 50 for h).
+        sum of |symbol|^p is not finite and positive: p is too large for
+        float64 (as p = 1e300, or p = 50 for h).
     """
     SymbolParams(alpha)  # raises unless alpha is finite and positive
     if not np.isfinite(p):
@@ -257,25 +206,15 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
     if which not in ("m", "h"):
         raise ValueError(f"which must be 'm' or 'h', got {which!r}")
 
-    radii = np.array([2.0**k for k in PROBE_EXPONENTS])
-    cutoffs = radii**-3.0
-    powers = []
-    running = 0.0
-    r_prev = cutoffs[0] * 2.0  # degenerate start: first increment covers all
-    d_prev = r_prev
-    with np.errstate(over="ignore", invalid="ignore"):  # the results are checked below
-        for r_new, d_new in zip(radii, cutoffs):
-            increment = _separated_increment(which, alpha, p, r_prev, r_new, d_prev, d_new)
-            running += increment
-            powers.append(running)
-            r_prev, d_prev = r_new, d_new
-        box = _box_quadrature(which, alpha, p, radii[-1], cutoffs[-1]) ** (1.0 / p)
-    for name, value in (("running sum", running), ("box norm", box)):
-        if not (np.isfinite(value) and value > 0.0):
-            raise ValueError(f"the {name} of |{which}|^p at p = {p!r} is {value!r}, not "
-                             "finite and positive: outside the float64 range")
+    with np.errstate(over="ignore", invalid="ignore"):  # the sum is checked below
+        increments = _box_increments(which, alpha, p)
+    powers = np.cumsum(increments)
+    running, increment = float(powers[-1]), increments[-1]
+    if not (np.isfinite(running) and running > 0.0):
+        raise ValueError(f"the running sum of |{which}|^p at p = {p!r} is {running!r}, not "
+                         "finite and positive: outside the float64 range")
 
-    norms = np.array(powers) ** (1.0 / p)
+    norms = powers ** (1.0 / p)
     # 1 - (1 - increment/running)^(1/p), without the cancellation of the
     # difference of the last two norms
     last_increment = float(-np.expm1(np.log1p(-increment / running) / p))
@@ -283,9 +222,8 @@ def integrability_probe(alpha: float, p: float, which: str) -> IntegrabilityProb
         alpha=alpha,
         p=p,
         which=which,
-        truncation_radii=radii,
+        truncation_radii=2.0 ** np.array(PROBE_EXPONENTS, dtype=float),
         truncated_norms=norms,
         verdict=_verdict(last_increment),
         last_increment=last_increment,
-        box_norm=box,
     )

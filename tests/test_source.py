@@ -33,3 +33,24 @@ def test_no_dead_imports():
     assert modules
     dead = {(path.stem, name) for path in modules for name in unused_imports(path)}
     assert dead <= RE_EXPORTS
+
+
+def imports_scipy_special(path):
+    """Whether a module imports scipy.special or anything from it, in any spelling."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("scipy.special") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            if node.module.startswith("scipy.special"):
+                return True
+            if node.module == "scipy" and any(alias.name == "special" for alias in node.names):
+                return True
+    return False
+
+
+def test_no_scipy_special():
+    # scipy.fft loads scipy.special itself, so sys.modules cannot tell:
+    # the symbol probes integrate |symbol|^p directly, with no special function
+    modules = sorted(Path(fkplump.__file__).parent.glob("*.py"))
+    assert [path.stem for path in modules if imports_scipy_special(path)] == []
