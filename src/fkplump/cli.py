@@ -108,7 +108,7 @@ _SOLVE_OPTIONS: dict[str, tuple[Callable[[str], object], object]] = {
     "seed-amplitude": (float, None),
     "seed-width": (float, 2.0),
     "allow-supercritical": (_parse_bool, False),
-    "accel-depth": (int, 2),
+    "accel-depth": (int, 3),
     "out": (str, "."),
 }
 
@@ -116,7 +116,8 @@ _SOLVE_HELP = {
     "tol": "absolute bound on all three monitors; at speed c the step error "
     "scales like c, the residual like c^(2+2/alpha)",
     "seed": "gaussian | exact-kp1 | file:PATH",
-    "accel-depth": "Anderson mixing depth; 0 is the plain map",
+    "accel-depth": "Anderson mixing depth, 0 to 3; 0 is the plain map, and each depth "
+    "holds two more spectra than the one below",
 }
 
 
@@ -216,7 +217,8 @@ def run_solve(args: argparse.Namespace) -> int:
                         "numpy": np.__version__, "scipy": scipy.__version__},
         "run": {"status": report.status.value, "reason": report.reason,
                 "iterations": report.iterations, "accel_depth": config.accel_depth,
-                "mixed_steps": report.mixed_steps},
+                "mixed_steps": report.mixed_steps,
+                "first_within_tol": report.first_within_tol()},
         "software_version": __version__,
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")

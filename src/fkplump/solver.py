@@ -48,12 +48,14 @@ gamma = <df, f_n> / <df, df>.  A Gram matrix that is not finite or whose
 restarts the history.  Mixing runs only while |1 - M_n| <= ACCEL_GATE;
 elsewhere the plain step is taken and the history is cleared.
 accel_depth = 0 is the paper's plain map, 1 mixes with one pair and the
-default is 2.  The dot
-product counts each quarter row as often as the half-lattice holds it,
-so both layouts mix alike.  Either way one iteration costs one forward
-and two inverse transforms of the layout (one rfft2 and two irfft2, or
-one dct1 and two idct1), and the three monitors are those of the
-accepted iterate.
+default is 3.  The dot product counts each quarter row as often as the
+half-lattice holds it, so both layouts mix alike.  A full history builds
+the mixed spectrum in its oldest dg, which the step drops, and D is
+formed per row block where it is used, not held: between steps depth m
+holds 2m + 3 arrays of the layout (the iterate and 2m + 2 spectra).
+Either way one iteration costs one forward and two inverse transforms of
+the layout (one rfft2 and two irfft2, or one dct1 and two idct1), and
+the three monitors are those of the accepted iterate.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -78,27 +79,23 @@ from .grid import (  # noqa: F401
     multiplicities,
     rfft2,
     row_blocks,
+    small_ufunc_buffers,
     unfold_quarter,
 )
 from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
-from .symbols import (
-    ALPHA_ENERGY_CRITICAL,
-    SymbolParams,
-    dispersion_symbol,
-    petviashvili_denominator,
-)
+from .symbols import ALPHA_ENERGY_CRITICAL, SymbolParams, dispersion_symbol
 
 #: Sup-norm blow-up guard, in units of the wave speed.
 DIVERGENCE_AMPLITUDE = 1e6
 
 #: The Anderson mixing depths: 0 is the plain map, m >= 1 mixes with the
-#: last m difference pairs.  Depth 2 keeps two more spectra than depth 1:
-#: 0.5 n^2 float64 arrays on the quarter (4 B per node), 2 n^2 on the
-#: half-lattice (16 B per node).  Iterations at depths 1 and 2: 25 and 24
-#: on the 1024^2, alpha = 2 desk grid; 42 and 28 on 512^2, alpha = 1.5;
-#: 68 and 76 on 2048^2, L = 32, alpha = 0.9.  The mixer takes any depth;
-#: deeper ones wait for a rule that picks the depth from the run.
-ACCEL_DEPTHS = (0, 1, 2)
+#: last m difference pairs.  Each depth keeps two more spectra than the one
+#: below: 0.5 n^2 float64 arrays on the quarter (4 B per node), 2 n^2 on
+#: the half-lattice (16 B per node).  Iterations at depths 1, 2 and 3: 25,
+#: 24 and 19 on the 1024^2, alpha = 2 desk grid; 42, 28 and 24 on 512^2,
+#: alpha = 1.5.  The mixer takes any depth; deeper ones wait for a rule
+#: that picks the depth from the run, and for the memory to hold it.
+ACCEL_DEPTHS = (0, 1, 2, 3)
 
 #: A mixing system whose Gram matrix has a 1-norm condition number above
 #: this takes the plain step and restarts the history.
@@ -110,6 +107,9 @@ ACCEL_COND_MAX = 1e12
 #: and depth 1 at nu = 5 (128^2) collapsed the iterate
 #: (DegenerateIterateError) where the plain map reports divergence.
 ACCEL_GATE = 0.1
+
+#: The three monitors of an IterationRecord, by field name.
+MONITORS = ("iter_error", "factor_error", "residual")
 
 
 class DegenerateIterateError(ArithmeticError):
@@ -167,7 +167,7 @@ class SolverConfig:
     max_iter: int = 200
     seed: SeedSpec = field(default_factory=SeedSpec)
     allow_supercritical: bool = False
-    accel_depth: int = 2
+    accel_depth: int = 3
 
     def __post_init__(self) -> None:
         depth = self.accel_depth
@@ -230,6 +230,13 @@ class IterationReport:
     def converged(self) -> bool:
         return self.status is SolveStatus.CONVERGED
 
+    def first_within_tol(self) -> dict[str, int | None]:
+        """For each monitor, the first iteration whose value was at most tol (None if none was)."""
+        return {
+            name: next((r.iteration for r in self.records if getattr(r, name) <= self.tol), None)
+            for name in MONITORS
+        }
+
 
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Real dot product of two spectra, as float64 views."""
@@ -264,11 +271,14 @@ class SteadyOperator:
     and the weights also carry the row multiplicities (1 at k1 = 0 and
     nx/2, 2 elsewhere).
 
-    D is the one 2-D array held, built on first use: the residual never
-    reads it.  A is held as its row term xi1^2 (c + |xi1|^alpha) and its
-    column term xi2^2, and the weights as row and column factors; both are
-    formed per row block where they are used, to the bits of 2-D arrays (a
-    sum, and exact products of 1 and 2).
+    No 2-D array is held.  D is formed per row block where M and the
+    image use it (denominator), to the bits of petviashvili_denominator.
+    A is held as its row term xi1^2 (c + |xi1|^alpha) and its column term
+    xi2^2, and the weights as row and column factors; both are formed per
+    row block where they are used, to the bits of 2-D arrays (a sum, and
+    exact products of 1 and 2).  The block loops run with small ufunc
+    buffers (grid.small_ufunc_buffers), so that only the block tiles sit
+    on top of the spectra.
 
     Raises
     ------
@@ -285,8 +295,9 @@ class SteadyOperator:
         rows = grid.nx // 2 + 1 if quarter else grid.nx
         xi1, xi2 = self._wavenumbers = grid.xi1[:rows, None], grid.xi2_half[None, :]
         self.half_xi1sq = 0.5 * xi1**2
+        self.dispersion = dispersion_symbol(xi1, params.alpha)
         with np.errstate(over="ignore"):
-            self.residual_rows = xi1**2 * (params.c + dispersion_symbol(xi1, params.alpha))
+            self.residual_rows = xi1**2 * (params.c + self.dispersion)
         self.residual_columns = xi2**2
         # both terms are >= 0, so A's largest value is the sum of theirs
         row_max = float(self.residual_rows.max())
@@ -305,10 +316,26 @@ class SteadyOperator:
         self.column_weights = grid.column_weights
         self.blocks = row_blocks(rows, xi2.size)
 
-    @cached_property
-    def denom(self) -> np.ndarray:
-        """D on the layout's rows, read-only."""
-        return petviashvili_denominator(*self._wavenumbers, self.params)
+    def denominator(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """D on a block of the layout's rows, written into out (a real array of the block's shape).
+
+        The formula and the order of operations are petviashvili_denominator's,
+        so the bits are too; T = xi2/xi1 is 0 on the layout's first row, the
+        only one where xi1 = 0.
+        """
+        xi1, xi2 = self._wavenumbers
+        skip = int(rows.start == 0)
+        out[:skip] = 0.0
+        np.divide(xi2, xi1[rows][skip:], out=out[skip:])
+        np.square(out, out=out)
+        out += self.params.c
+        out += self.dispersion[rows]
+        out *= 2.0
+        return out
+
+    def _tiles(self, count: int, like: np.ndarray) -> np.ndarray:
+        """count real tiles of the first row block of like, for every block to reuse."""
+        return np.empty((count, *like[self.blocks[0]].shape))
 
     @property
     def transform(self) -> str:
@@ -352,6 +379,7 @@ class SteadyOperator:
             return _real_dot(a, b)
         return 2.0 * _real_dot(a, b) - _real_dot(a[0], b[0]) - _real_dot(a[-1], b[-1])
 
+    @small_ufunc_buffers()
     def stabilizing_factor(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
         """Stabilizing factor M from the spectra of phi and phi^2.
 
@@ -367,18 +395,18 @@ class SteadyOperator:
             If the cubic pairing is below 1e-14 of its natural scale, as
             for a zero or odd-in-x iterate.
         """
-        # block tiles for the weights, |phi^|^2 and a product, reused by every block
-        tiles = np.empty((3, *phi_hat[self.blocks[0]].shape))
+        # block tiles for D and then the weights, |phi^|^2 and a product
+        tiles = self._tiles(3, phi_hat)
         num = den = scale = 0.0
         for rows in self.blocks:
-            p, s, r = phi_hat[rows], sq_hat[rows], self.row_weights[rows]
-            w, power, work = tiles[:, : len(r)]
-            np.multiply(r, self.column_weights, out=w)
-            if rows.start == 0:
-                w[0, 1:] = 0.0  # the constrained row
+            p, s = phi_hat[rows], sq_hat[rows]
+            w, power, work = tiles[:, : len(p)]
             _real_product(p, p, out=power)
             np.sqrt(power, out=work)
-            power *= self.denom[rows]
+            power *= self.denominator(rows, out=w)
+            np.multiply(self.row_weights[rows], self.column_weights, out=w)
+            if rows.start == 0:
+                w[0, 1:] = 0.0  # the constrained row
             num += float(np.vdot(w, power))
             work *= np.abs(s, out=power)
             scale += float(np.vdot(w, work))
@@ -391,10 +419,12 @@ class SteadyOperator:
             )
         return num / den
 
+    @small_ufunc_buffers()
     def image(self, sq_hat: np.ndarray, m: float, nu: float) -> np.ndarray:
         """Overwrite sq_hat with the Petviashvili image M^nu (phi^2)^ / D.
 
         The constrained row xi1 = 0, xi2 != 0 of the image is set to 0.
+        The image is formed row block by row block, with D in one tile.
 
         Raises
         ------
@@ -408,9 +438,13 @@ class SteadyOperator:
             gain = math.nan
         if not (math.isfinite(gain) and gain > 0.0):
             raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive")
-        np.divide(sq_hat, self.denom, out=sq_hat)
-        sq_hat[0, 1:] = 0.0
-        sq_hat *= gain
+        (tile,) = self._tiles(1, sq_hat)
+        for rows in self.blocks:
+            block = sq_hat[rows]
+            block /= self.denominator(rows, out=tile[: len(block)])
+            if rows.start == 0:
+                block[0, 1:] = 0.0
+            block *= gain
         return sq_hat
 
     def realize(self, next_hat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -427,6 +461,7 @@ class SteadyOperator:
             raise DivergenceError("iteration produced non-finite values")
         return values, peak
 
+    @small_ufunc_buffers()
     def residual(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
         """Sup norm of S phi = (-c phi + phi^2/2 - Dx^alpha phi)_xx - phi_yy.
 
@@ -450,8 +485,8 @@ class _AndersonMixer:
     (df, dg), oldest first.  A step turns the last f and g into a new pair
     in place, builds the Gram matrix <df_i, df_j> of its pairs with the
     operator's dot product and solves the normal equations for gamma.  The
-    mixed spectrum g - sum gamma_i dg_i is a new array; a full history then
-    drops its oldest pair.
+    mixed spectrum g - sum gamma_i dg_i is a new array, or, when the
+    history is full, is built in the oldest dg, whose pair it then drops.
     """
 
     def __init__(self, op: SteadyOperator, depth: int) -> None:
@@ -484,7 +519,9 @@ class _AndersonMixer:
             pairs.clear()
             return g.copy()  # the plain step; f and g stay in the history
         self.mixed_steps += 1
-        out = pairs[0][1] * -gamma[0]
+        # a full history drops its oldest pair below, so its dg takes the mixed spectrum
+        oldest = pairs[0][1]
+        out = np.multiply(oldest, -gamma[0], out=oldest if len(pairs) == self.depth else None)
         for (_, dg_i), coef in zip(pairs[1:], -gamma[1:]):
             for rows in self.blocks:
                 out[rows] += dg_i[rows] * coef
@@ -575,13 +612,7 @@ def _check_first_step(config: SolverConfig, peak: float) -> None:
 def _stalled(record: IterationRecord, tol: float) -> str:
     """The monitors of a record that are still above tol, as text."""
     above = [
-        f"{name} {value:.3e}"
-        for name, value in (
-            ("iter_error", record.iter_error),
-            ("factor_error", record.factor_error),
-            ("residual", record.residual),
-        )
-        if not value <= tol
+        f"{name} {getattr(record, name):.3e}" for name in MONITORS if not getattr(record, name) <= tol
     ]
     return ", ".join(above) + f" above tol {tol:.3e}"
 

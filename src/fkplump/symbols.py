@@ -83,7 +83,9 @@ def petviashvili_denominator(xi1: np.ndarray, xi2: np.ndarray, p: SymbolParams) 
     """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, pointwise and read-only.
 
     T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
-    is finite there; SteadyOperator projects that row out of the iteration.
+    is finite there; SteadyOperator projects that row out of the iteration,
+    and forms D per row block by this formula, to its bits, instead of
+    holding it.
     """
     transverse = transverse_multiplier(xi1, xi2) ** 2
     denom = 2.0 * (p.c + transverse + dispersion_symbol(xi1, p.alpha))

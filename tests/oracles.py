@@ -3,8 +3,9 @@
 The complex full-lattice formulas that the real half-lattice and real-space
 code replaced, and the post-processing formulas that built coordinate
 meshes, real-space shifted copies of the kernels, a spectral phase array, a
-frequency mask or separate cube powers, and the 1D incomplete-beta
-reduction of the symbol probes that the nested box rule replaced.
+frequency mask or separate cube powers, the 1D incomplete-beta
+reduction of the symbol probes that the nested box rule replaced, and
+the fancy-indexed quarter fold and unfold that strided slices replaced.
 The coordinate meshes themselves are built here too, for the tests' fields,
 and so is the tracemalloc measure that the memory tests share.
 """
@@ -16,7 +17,7 @@ from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
 from fkplump.diagnostics import FunctionalValues
-from fkplump.grid import RealField, SpectralGrid, irfft2, rfft2
+from fkplump.grid import RealField, SpectralGrid, irfft2, quarter_nodes, rfft2
 from fkplump.kernels import PROBE_EXPONENTS, _panel_rule
 from fkplump.symbols import dispersion_symbol, symbol_h, symbol_m, symbol_t
 
@@ -208,6 +209,17 @@ def abs_max_symmetry_defects(phi):
 def abs_max_relative_error(field, exact):
     """sup|field - exact| / sup|exact| as maxima of np.abs temporaries."""
     return float(np.max(np.abs(field.values - exact.values))) / float(np.abs(exact.values).max())
+
+
+def ix_fold_quarter(values):
+    """The quarter x, y >= 0 of n^2 values, by np.ix_ on grid.quarter_nodes."""
+    return values[np.ix_(quarter_nodes(values.shape[0]), quarter_nodes(values.shape[1]))]
+
+
+def ix_unfold_quarter(values, shape):
+    """The even-even n^2 field whose quarter is values: node n/2 +- k reads entry k, by np.ix_."""
+    nx, ny = shape
+    return values[np.ix_(np.abs(np.arange(nx) - nx // 2), np.abs(np.arange(ny) - ny // 2))]
 
 
 def non_square_grids():

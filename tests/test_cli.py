@@ -287,8 +287,16 @@ class TestSolve:
         assert record["status"] == "converged"
         assert record["reason"].startswith("all three monitors")
         assert record["iterations"] == len(rows)
-        assert record["accel_depth"] == manifest["config"]["accel-depth"] == 2
+        assert record["accel_depth"] == manifest["config"]["accel-depth"] == 3
         assert 0 < record["mixed_steps"] < record["iterations"]
+        # the first iteration at which each monitor met tol, read from the log
+        columns = {"iter_error": 1, "factor_error": 3, "residual": 4}
+        first = {name: next(int(row.split(",")[0]) for row in rows
+                            if float(row.split(",")[column]) <= 1e-5)
+                 for name, column in columns.items()}
+        assert record["first_within_tol"] == first
+        assert first["residual"] == record["iterations"]
+        assert max(first["iter_error"], first["factor_error"]) <= record["iterations"]
 
     def test_accel_depth_zero_is_plain_map(self, tmp_path):
         out = tmp_path / "run"
@@ -298,7 +306,7 @@ class TestSolve:
         assert record["mixed_steps"] == 0
         assert record["iterations"] == 57
 
-    @pytest.mark.parametrize("depth", ["-1", "3", "6"])
+    @pytest.mark.parametrize("depth", ["-1", "4", "6"])
     def test_bad_accel_depth_rejected(self, tmp_path, capsys, depth):
         code = run(FAST_SOLVE + ["--accel-depth", depth, "--out", tmp_path])
         assert code == EXIT_CONFIG

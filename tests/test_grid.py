@@ -21,7 +21,7 @@ from fkplump.grid import (
     rfft2,
     unfold_quarter,
 )
-from oracles import meshes, odd_perturbed
+from oracles import ix_fold_quarter, ix_unfold_quarter, meshes, non_square_grids, odd_perturbed
 
 
 class TestSpectralGrid:
@@ -168,6 +168,17 @@ class TestFields:
         even = np.exp(-(X**2) - 0.5 * Y**4) * np.cos(X)
         assert RealField(grid, even).is_even_even
         assert np.array_equal(unfold_quarter(fold_quarter(even), grid.shape), even)
+
+    def test_slices_match_fancy_indexing(self, small_grid, rng):
+        # four strided slice copies each way, against the np.ix_ formulas
+        for grid in (small_grid, SpectralGrid(nx=8, ny=8, lx=1.0, ly=1.0), *non_square_grids()):
+            values = rng.standard_normal(grid.shape)
+            quarter = fold_quarter(values)
+            assert quarter.flags.c_contiguous and not np.shares_memory(quarter, values)
+            assert np.array_equal(quarter, ix_fold_quarter(values))
+            field = unfold_quarter(quarter, grid.shape)
+            assert field.flags.c_contiguous and not np.shares_memory(field, quarter)
+            assert np.array_equal(field, ix_unfold_quarter(quarter, grid.shape))
 
     def test_sup_is_abs_max_bit_for_bit(self, small_grid, rng):
         # np.maximum(0.0, -0.0) is -0.0; the sup of zeros must be +0.0

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from fkplump import solver
 from fkplump.diagnostics import residual
 from fkplump.fieldio import save_field
-from fkplump.grid import RealField, SpectralGrid, fft2, ifft2, irfft2, rfft2
+from fkplump.grid import (
+    RealField,
+    SpectralGrid,
+    fft2,
+    ifft2,
+    irfft2,
+    rfft2,
+    small_ufunc_buffers,
+)
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import (
     ACCEL_GATE,
@@ -26,7 +34,7 @@ from fkplump.solver import (
     build_seed,
     solve,
 )
-from fkplump.symbols import SymbolParams
+from fkplump.symbols import SymbolParams, petviashvili_denominator
 from oracles import complex_denominator, meshes, odd_perturbed, peak_n2
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
@@ -526,7 +534,7 @@ class TestAcceleration:
         assert plain.mixed_steps == 0 < mixed.mixed_steps < gated
 
     def test_default_depth_beats_depth_1(self):
-        # 30 iterations against 42, to the same lump
+        # 22 iterations against 42, to the same lump
         grid = SpectralGrid(nx=128, ny=128, lx=32.0, ly=32.0)
         params = SymbolParams(alpha=1.5, c=1.0)
         field, report = solve(SolverConfig(params=params, grid=grid))
@@ -560,7 +568,21 @@ class TestAcceleration:
             assert np.allclose(mixed, expected, rtol=1e-10, atol=1e-12)
         assert mixer.mixed_steps == 6
 
-    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize(
+        "alpha, c, n, lx, iterations",
+        [(3.0, 1.0, 512, 128.0, (18, 14)), (2.0, 1.7, 256, 64.0, (27, 22))],
+    )
+    def test_default_depth_beats_depth_2(self, alpha, c, n, lx, iterations):
+        # depth 3 takes the iterations above against depth 2's, to the same lump
+        grid = SpectralGrid(nx=n, ny=n, lx=lx, ly=lx)
+        params = SymbolParams(alpha=alpha, c=c)
+        field, report = solve(SolverConfig(params=params, grid=grid))
+        two_field, two = solve(SolverConfig(params=params, grid=grid, accel_depth=2))
+        assert report.converged() and two.converged()
+        assert (two.iterations, report.iterations) == iterations
+        assert np.max(np.abs(field.values - two_field.values)) <= 1e-5
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_singular_history_restarts(self, depth):
         # a repeated (phi_hat, g) gives df = 0, a singular Gram matrix: the
         # plain step, with the pairs dropped and the last f and g kept
@@ -599,7 +621,7 @@ class TestAcceleration:
         _, report = solve(SolverConfig(params=PARAMS, grid=grid, nu=2.5))
         assert report.converged()
 
-    @pytest.mark.parametrize("depth", [-1, 1.5, 3, 6])
+    @pytest.mark.parametrize("depth", [-1, 1.5, 4, 6])
     def test_rejects_bad_depth(self, small_grid, depth):
         with pytest.raises(ValueError, match="accel_depth"):
             SolverConfig(params=PARAMS, grid=small_grid, accel_depth=depth)
@@ -651,7 +673,7 @@ def half_lattice_only(monkeypatch):
 class TestLayouts:
     """The DCT-I quarter against the rfft2 half-lattice on even-even seeds."""
 
-    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3])
     @pytest.mark.parametrize("alpha", [2.0, 1.5])
     @pytest.mark.parametrize("n", [128, 256])
     def test_layouts_agree(self, monkeypatch, n, alpha, depth):
@@ -673,6 +695,35 @@ class TestLayouts:
             assert rec.residual == pytest.approx(old.residual, rel=1e-6, abs=0.0)
             assert rec.factor_error == pytest.approx(old.factor_error, rel=1e-6, abs=1e-12)
         assert np.max(np.abs(field.values - ref_field.values)) <= 1e-13 * ref_field.max_abs()
+
+    @pytest.mark.parametrize("layout", ["dct1", "rfft2"])
+    def test_transforms_per_iteration(self, monkeypatch, small_grid, layout):
+        # the seed's projection takes one rfft2 and one irfft2; then 2 forward
+        # transforms of the layout before the loop, and 1 forward and 2 inverse
+        # per iteration: D formed per block adds none
+        if layout == "rfft2":
+            half_lattice_only(monkeypatch)
+        calls = dict.fromkeys(("rfft2", "irfft2", "dct1", "idct1"), 0)
+
+        def counted(name):
+            transform = getattr(solver, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counted(name))
+        _, report = solve(SolverConfig(params=PARAMS, grid=small_grid))
+        assert report.transform == layout and report.converged()
+        n = report.iterations
+        if layout == "dct1":
+            expected = {"rfft2": 1, "irfft2": 1, "dct1": 2 + n, "idct1": 2 * n}
+        else:
+            expected = {"rfft2": 1 + 2 + n, "irfft2": 1 + 2 * n, "dct1": 0, "idct1": 0}
+        assert calls == expected
 
     def test_seeds_choose_layout(self, small_grid, tmp_path):
         X, Y = meshes(small_grid)
@@ -734,19 +785,36 @@ class TestLayouts:
 
 
     def test_quarter_rows_are_half_lattice_rows(self):
-        # each layout builds D, A's row term and xi1^2/2 on its own rows, to the same bits
+        # each layout builds A's row term and xi1^2/2 on its own rows, to the same bits
         grid = SpectralGrid(nx=64, ny=32, lx=20.0, ly=10.0)
         params = SymbolParams(alpha=1.7, c=1.3)
         half = SteadyOperator(grid, params)
         quarter = SteadyOperator(grid, params, quarter=True)
         rows = grid.nx // 2 + 1
-        for name in ("denom", "half_xi1sq", "residual_rows"):
+        for name in ("half_xi1sq", "residual_rows"):
             assert np.array_equal(getattr(quarter, name), getattr(half, name)[:rows])
         assert np.array_equal(quarter.residual_columns, half.residual_columns)
         # A is the sum of its row and column terms, as the 2-D symbol was built
         xi1, xi2 = grid.xi1[:, None], grid.xi2_half[None, :]
         symbol = xi1**2 * (params.c + np.abs(xi1) ** params.alpha) + xi2**2
         assert np.array_equal(half.residual_rows + half.residual_columns, symbol)
+
+    @pytest.mark.parametrize("quarter", [False, True])
+    def test_denominator_per_block_is_petviashvili_denominator(self, quarter):
+        # D formed block by block in one reused tile, row xi1 = 0 (D = 2c) included,
+        # equals the whole-lattice rule to the bit; 1024 x 512 gives several blocks
+        grid = SpectralGrid(nx=1024, ny=512, lx=90.0, ly=70.0)
+        params = SymbolParams(alpha=1.3, c=1.7)
+        op = SteadyOperator(grid, params, quarter=quarter)
+        rows = grid.nx // 2 + 1 if quarter else grid.nx
+        whole = petviashvili_denominator(grid.xi1[:rows, None], grid.xi2_half[None, :], params)
+        assert len(op.blocks) > 2 and op.blocks[-1].stop >= rows
+        tile = np.full((op.blocks[0].stop, grid.xi2_half.size), np.nan)
+        for block in op.blocks:
+            got = op.denominator(block, out=tile[: len(whole[block])])
+            assert np.shares_memory(got, tile)
+            assert np.array_equal(got, whole[block])
+        assert np.all(whole[0] == 2.0 * params.c)
 
     @pytest.mark.parametrize("quarter", [False, True])
     def test_overflowing_residual_symbol_names_the_half_widths(self, quarter):
@@ -763,36 +831,44 @@ class TestLayouts:
             SteadyOperator(grid, params, quarter=quarter)
 
     def test_quarter_build_holds_no_half_lattice(self):
-        # A and the weights are 1-D factors, and D waits for its first use
-        # (0.005 n^2); D is a quarter array of 0.25 n^2 (0.79 n^2 with its
-        # temporaries), and a half-lattice temporary would push that past 1.5 n^2
+        # A and the weights are 1-D factors and D is formed per block (0.005
+        # n^2); forming D on every block in one 127 x 257 tile, in the block
+        # loops' small ufunc buffers, holds the tile (0.125 n^2; 0.19 with
+        # numpy's default buffers), where D held was a quarter array (0.25
+        # n^2, 0.79 n^2 with its temporaries)
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         op, peak = peak_n2(grid, lambda: SteadyOperator(grid, PARAMS, quarter=True))
         assert peak <= 0.1
-        _, peak = peak_n2(grid, lambda: op.denom)
-        assert peak <= 1.0
+
+        @small_ufunc_buffers()
+        def every_block():
+            tile = np.empty((op.blocks[0].stop, 257))
+            for rows in op.blocks:
+                op.denominator(rows, out=tile[: len(op.half_xi1sq[rows])])
+
+        _, peak = peak_n2(grid, every_block)
+        assert peak <= 0.13
 
     def test_stabilizing_factor_holds_three_blocks(self):
-        # three row tiles of 127 x 257 reused by every block (0.37 n^2) and
-        # numpy's ufunc buffer (0.06 n^2): 0.435 n^2; new temporaries in
-        # every block measured 0.62
+        # three row tiles of 127 x 257 reused by every block, which also take
+        # D: 0.376 n^2 (0.435 n^2 with numpy's default ufunc buffers); new
+        # temporaries in every block measured 0.62
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         op = SteadyOperator(grid, PARAMS, quarter=True)
-        op.denom
         phi_hat, sq_hat = op.spectra(op.fold(build_seed(SolverConfig(params=PARAMS, grid=grid)).values))
         _, peak = peak_n2(grid, lambda: op.stabilizing_factor(phi_hat, sq_hat))
-        assert peak <= 0.45
+        assert peak <= 0.4
 
     def test_residual_holds_one_spectrum_and_one_block(self):
-        # the quarter spectrum of S phi (0.25 n^2), one 127 x 257 scratch
-        # block (0.12 n^2) and numpy's ufunc buffer (0.06 n^2): 0.438 n^2;
-        # whole-array temporaries, or new ones for every term of a block,
-        # measured 0.535
+        # the quarter spectrum of S phi (0.25 n^2) and one 127 x 257 scratch
+        # block (0.12 n^2): 0.378 n^2 (0.438 with numpy's default ufunc
+        # buffers); whole-array temporaries, or new ones for every term of a
+        # block, measured 0.535
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         op = SteadyOperator(grid, PARAMS, quarter=True)
         phi_hat, sq_hat = op.spectra(op.fold(build_seed(SolverConfig(params=PARAMS, grid=grid)).values))
         _, peak = peak_n2(grid, lambda: op.residual(phi_hat, sq_hat))
-        assert peak <= 0.45
+        assert peak <= 0.4
 
     def test_seed_stage_holds_two_fields(self):
         # build_seed drops the sampled field once its spectrum exists and the
@@ -805,18 +881,28 @@ class TestLayouts:
         assert even and peak <= 2.3
 
     def test_default_solve_peak_at_1024(self):
-        # the default depth keeps two more quarter spectra than depth 1 (2.31 n^2)
+        # the default depth 3 keeps four more quarter spectra than depth 1 (2.54 n^2)
         grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
         config = SolverConfig(params=PARAMS, grid=grid)
         (_, report), peak = peak_n2(grid, lambda: solve(config))
         assert report.transform == "dct1" and report.converged()
         assert peak <= 3.0
 
+    def test_depth_2_peak_at_1024_holds_no_denominator(self):
+        # D is formed per block and the ufunc buffers are small: the residual's
+        # step holds 8 quarters and one 63 x 513 block (2.04 n^2; 2.31 with
+        # D held)
+        grid = SpectralGrid(nx=1024, ny=1024, lx=256.0, ly=256.0)
+        config = SolverConfig(params=PARAMS, grid=grid, accel_depth=2)
+        (_, report), peak = peak_n2(grid, lambda: solve(config))
+        assert report.transform == "dct1" and report.converged()
+        assert peak <= 2.1
+
     def test_solve_frees_the_spectra_before_the_result(self):
         # the spectra, the operator and the quarter are released before the
-        # n^2 result is built, so the loop sets the peak (2.47 n^2 at the
-        # default depth 2; 3.14 while the seed stage and the final copy
-        # overlapped dead arrays)
+        # n^2 result is built, so the loop sets the peak (2.65 n^2 at the
+        # default depth 3: nine quarters and M's three tiles; 3.14 while the
+        # seed stage and the final copy overlapped dead arrays)
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         config = SolverConfig(params=PARAMS, grid=grid)
         (_, report), peak = peak_n2(grid, lambda: solve(config))
