@@ -4,14 +4,17 @@ Covers the steady-equation residual operator, the quadratic/cubic
 functionals of the associated minimization problem, the energy-space norm,
 the anisotropic Sobolev ratio, the mean (DC) mode, and the relative size
 of the outer Fourier tail.  All integrals are lattice sums times the cell
-area, which is spectrally accurate for smooth decaying integrands.
+area, which is spectrally accurate for smooth decaying integrands; the
+quadratic functional L and the energy norm are the Parseval sums of the
+field's cached half-lattice spectrum, so no inverse transform is made.
 
 The energy space requires dx^-1 dy phi in L^2, so the modes on the
 constrained row xi1 = 0, xi2 != 0 are not part of it.  The multipliers
 |xi1|^s and xi2/xi1 come from symbols; symbol_t is 0 on that row, as the
 solver's iterates are, and on the unpaired Nyquist row and column, where
-an odd multiplier would break conjugate symmetry and so the agreement of
-the real-space and Parseval routes of functionals.
+an odd multiplier would break conjugate symmetry, so that the Parseval
+sums equal the real-space quadrature of the three constituent fields
+(the tests' oracle) to roundoff.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, irfft2
+from .grid import RealField
 from .solver import SteadyOperator
 from .symbols import SymbolParams, dispersion_symbol, symbol_t
 
@@ -31,7 +34,8 @@ class FunctionalValues:
 
     l_value
         Quadratic functional (1/2) integral of phi^2 + (Dx^(a/2) phi)^2
-        + (dx^-1 dy phi)^2; equals energy_norm^2 / 2 identically.
+        + (dx^-1 dy phi)^2, by Parseval: half the sum whose square root
+        is energy_norm.
     n_value
         Cubic functional (1/6) integral of phi^3.
     energy_norm
@@ -70,34 +74,25 @@ def residual(phi: RealField, p: SymbolParams) -> float:
 def functionals(phi: RealField, alpha: float) -> FunctionalValues:
     """Evaluate the diagnostic functionals of a field.
 
-    The quadratic functional is computed by real-space quadrature of the
-    three constituent fields; the energy norm is computed independently by
-    a lattice Parseval sum.  The two routes agree to roundoff, which is
-    the discrete form of the identity L = ||phi||^2 / 2.
+    L and the energy norm come from one Parseval sum of the three squared
+    seminorms over the cached half-lattice spectrum, the discrete form of
+    L = ||phi||^2 / 2; N and the L^3 norm are real-space sums.
     """
     SymbolParams(alpha)  # raises unless alpha is finite and positive
     grid = phi.grid
     cell = grid.cell_area
     values = phi.values
     square = values * values
-    phi_hat = phi.spectrum
-    anti_sym = symbol_t(grid)
 
-    frac_field = irfft2(dispersion_symbol(grid.xi1[:, None], alpha / 2.0) * phi_hat, grid.shape)
-    anti_field = irfft2(anti_sym * phi_hat, grid.shape)
-
-    l2_sq = float(np.sum(square)) * cell
-    frac_sq = float(np.sum(frac_field**2)) * cell
-    anti_sq = float(np.sum(anti_field**2)) * cell
-    l_value = 0.5 * (l2_sq + frac_sq + anti_sq)
-
-    # the three squared seminorms again, by Parseval on the half-lattice
-    power = grid.column_weights * np.abs(phi_hat) ** 2
+    # the three squared seminorms, by Parseval on the half-lattice
+    power = grid.column_weights * np.abs(phi.spectrum) ** 2
     weight = cell / (grid.nx * grid.ny)
     s_l2 = float(np.sum(power)) * weight
     s_frac = float(np.sum(dispersion_symbol(grid.xi1[:, None], alpha) * power)) * weight
-    s_anti = float(np.sum(anti_sym**2 * power)) * weight
-    energy_norm = float(np.sqrt(s_l2 + s_frac + s_anti))
+    s_anti = float(np.sum(symbol_t(grid) ** 2 * power)) * weight
+    norm_sq = s_l2 + s_frac + s_anti
+    l_value = 0.5 * norm_sq
+    energy_norm = float(np.sqrt(norm_sq))
 
     n_value = float(np.vdot(square, values)) * cell / 6.0
     l3_cubed = float(np.vdot(square, np.abs(values))) * cell

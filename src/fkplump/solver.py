@@ -243,11 +243,13 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a.view(np.float64), b.view(np.float64)))
 
 
-def _real_product(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Re(a conj(b)) pointwise, in out or a new real array."""
-    out = np.multiply(a.real, b.real, out=out)
+def _real_product(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """Re(a conj(b)) pointwise, in out; a complex a also overwrites scratch (out's shape)."""
+    np.multiply(a.real, b.real, out=out)
     if np.iscomplexobj(a):
-        out += a.imag * b.imag
+        out += np.multiply(a.imag, b.imag, out=scratch)
     return out
 
 
@@ -271,8 +273,9 @@ class SteadyOperator:
     and the weights also carry the row multiplicities (1 at k1 = 0 and
     nx/2, 2 elsewhere).
 
-    No 2-D array is held.  D is formed per row block where M and the
-    image use it (denominator), to the bits of petviashvili_denominator.
+    No 2-D array is held.  D = 2 (c + T^2 + |xi1|^alpha), with T the
+    transverse multiplier of symbols, is formed per row block where M and
+    the image use it (denominator).
     A is held as its row term xi1^2 (c + |xi1|^alpha) and its column term
     xi2^2, and the weights as row and column factors; both are formed per
     row block where they are used, to the bits of 2-D arrays (a sum, and
@@ -319,9 +322,10 @@ class SteadyOperator:
     def denominator(self, rows: slice, out: np.ndarray) -> np.ndarray:
         """D on a block of the layout's rows, written into out (a real array of the block's shape).
 
-        The formula and the order of operations are petviashvili_denominator's,
-        so the bits are too; T = xi2/xi1 is 0 on the layout's first row, the
-        only one where xi1 = 0.
+        The order of operations is that of the whole-array formula
+        2.0 * (c + transverse_multiplier(xi1, xi2)**2 + |xi1|^alpha), so the
+        bits are too; T = xi2/xi1 is 0 on the layout's first row, the only
+        one where xi1 = 0.
         """
         xi1, xi2 = self._wavenumbers
         skip = int(rows.start == 0)
@@ -395,13 +399,14 @@ class SteadyOperator:
             If the cubic pairing is below 1e-14 of its natural scale, as
             for a zero or odd-in-x iterate.
         """
-        # block tiles for D and then the weights, |phi^|^2 and a product
+        # block tiles for D and then the weights, |phi^|^2 and a product; the
+        # last two take turns as scratch for the imaginary parts' products
         tiles = self._tiles(3, phi_hat)
         num = den = scale = 0.0
         for rows in self.blocks:
             p, s = phi_hat[rows], sq_hat[rows]
             w, power, work = tiles[:, : len(p)]
-            _real_product(p, p, out=power)
+            _real_product(p, p, out=power, scratch=work)
             np.sqrt(power, out=work)
             power *= self.denominator(rows, out=w)
             np.multiply(self.row_weights[rows], self.column_weights, out=w)
@@ -410,7 +415,7 @@ class SteadyOperator:
             num += float(np.vdot(w, power))
             work *= np.abs(s, out=power)
             scale += float(np.vdot(w, work))
-            den += float(np.vdot(w, _real_product(s, p, out=work)))
+            den += float(np.vdot(w, _real_product(s, p, out=work, scratch=power)))
         if abs(den) <= 1e-14 * scale:
             # A quarter iterate is even-even by construction: parity is no cause there.
             cause = "" if self.quarter else " (or has odd parity)"

@@ -79,20 +79,6 @@ def transverse_multiplier(xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
     return np.divide(xi2, xi1, out=np.zeros(shape), where=xi1 != 0)
 
 
-def petviashvili_denominator(xi1: np.ndarray, xi2: np.ndarray, p: SymbolParams) -> np.ndarray:
-    """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, pointwise and read-only.
-
-    T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
-    is finite there; SteadyOperator projects that row out of the iteration,
-    and forms D per row block by this formula, to its bits, instead of
-    holding it.
-    """
-    transverse = transverse_multiplier(xi1, xi2) ** 2
-    denom = 2.0 * (p.c + transverse + dispersion_symbol(xi1, p.alpha))
-    denom.setflags(write=False)
-    return denom
-
-
 def _sample(grid: SpectralGrid, formula, *args, origin=0.0, odd_in="") -> np.ndarray:
     """formula(xi1, xi2, *args) on the half-lattice, read-only, origin at (0, 0) and 0 on
     the unpaired Nyquist row ("x") or column ("y") of each variable it is odd in."""

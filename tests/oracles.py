@@ -1,7 +1,9 @@
 """Reference formulas that the library is checked against.
 
 The complex full-lattice formulas that the real half-lattice and real-space
-code replaced, and the post-processing formulas that built coordinate
+code replaced, the whole-array D that the solver forms per row block, the
+real-space quadrature of the quadratic functional that its Parseval sum
+replaced, and the post-processing formulas that built coordinate
 meshes, real-space shifted copies of the kernels, a spectral phase array, a
 frequency mask or separate cube powers, the 1D incomplete-beta
 reduction of the symbol probes that the nested box rule replaced, and
@@ -19,7 +21,13 @@ from scipy.special import betainc
 from fkplump.diagnostics import FunctionalValues
 from fkplump.grid import RealField, SpectralGrid, irfft2, quarter_nodes, rfft2
 from fkplump.kernels import PROBE_EXPONENTS, _panel_rule
-from fkplump.symbols import dispersion_symbol, symbol_h, symbol_m, symbol_t
+from fkplump.symbols import (
+    dispersion_symbol,
+    symbol_h,
+    symbol_m,
+    symbol_t,
+    transverse_multiplier,
+)
 
 #: Shift of the regularized reference: xi1 -> xi1 + i*LAMBDA.
 LAMBDA = 2.2e-16
@@ -43,6 +51,19 @@ def peak_n2(grid, call):
     finally:
         tracemalloc.stop()
     return result, peak / (grid.nx * grid.ny * 8)
+
+
+def petviashvili_denominator(xi1, xi2, p):
+    """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, whole and read-only.
+
+    T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
+    is finite there.  SteadyOperator.denominator forms it per row block by
+    the same formula and order of operations, so to the same bits.
+    """
+    transverse = transverse_multiplier(xi1, xi2) ** 2
+    denom = 2.0 * (p.c + transverse + dispersion_symbol(xi1, p.alpha))
+    denom.setflags(write=False)
+    return denom
 
 
 def complex_denominator(grid, p):
@@ -167,7 +188,11 @@ def mask_fourier_tail(phi):
 
 
 def cube_functionals(phi, alpha):
-    """The diagnostic functionals with phi^3 and |phi|^3 summed as separate powers."""
+    """The diagnostic functionals with phi^3 and |phi|^3 summed as separate powers.
+
+    L is the real-space quadrature of phi^2 and the squares of the two
+    fields Dx^(a/2) phi and dx^-1 dy phi, each inverted from the spectrum.
+    """
     grid = phi.grid
     cell = grid.cell_area
     phi_hat = rfft2(phi.values)

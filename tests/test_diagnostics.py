@@ -11,7 +11,14 @@ from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import SolverConfig, SteadyOperator, solve
 from fkplump.symbols import SymbolParams
-from oracles import cube_functionals, mask_fourier_tail, meshes, non_square_grids, odd_perturbed
+from oracles import (
+    cube_functionals,
+    mask_fourier_tail,
+    meshes,
+    non_square_grids,
+    odd_perturbed,
+    peak_n2,
+)
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 
@@ -106,17 +113,18 @@ class TestFunctionals:
             functionals(phi, alpha)
 
     def test_quadratic_identity_on_converged(self, unit_solve):
+        # L by Parseval against the oracle's real-space quadrature
         field, _ = unit_solve
         v = functionals(field, 2.0)
-        assert v.l_value == pytest.approx(0.5 * v.energy_norm**2, rel=1e-12)
+        assert v.l_value == pytest.approx(cube_functionals(field, 2.0).l_value, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_quadratic_identity_on_random_fields(self, seed):
         grid = SpectralGrid(nx=32, ny=32, lx=8.0, ly=8.0)
-        values = np.random.default_rng(seed).uniform(-1e3, 1e3, grid.shape)
-        v = functionals(RealField(grid, values), 1.2)
-        assert v.l_value == pytest.approx(0.5 * v.energy_norm**2, rel=1e-12)
+        phi = RealField(grid, np.random.default_rng(seed).uniform(-1e3, 1e3, grid.shape))
+        v = functionals(phi, 1.2)
+        assert v.l_value == pytest.approx(cube_functionals(phi, 1.2).l_value, rel=1e-12)
 
     def test_homogeneity(self, unit_solve):
         field, _ = unit_solve
@@ -155,12 +163,12 @@ class TestFunctionals:
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("grid", non_square_grids(), ids=["64x32", "128x256"])
     def test_matches_cube_formula(self, grid, alpha, c, t):
-        # one shared square against the separate powers phi^3 and |phi|^3
+        # one shared square against the separate powers phi^3 and |phi|^3,
+        # and L by Parseval against the real-space quadrature
         phi = exact_kp1_lump(grid, ExactLumpParams(c=c, t=t))
         got, ref = functionals(phi, alpha), cube_functionals(phi, alpha)
-        assert (got.l_value, got.energy_norm, got.dc_mode) == (
-            ref.l_value, ref.energy_norm, ref.dc_mode
-        )
+        assert (got.energy_norm, got.dc_mode) == (ref.energy_norm, ref.dc_mode)
+        assert got.l_value == pytest.approx(ref.l_value, rel=1e-12, abs=0.0)
         assert got.n_value == pytest.approx(ref.n_value, rel=1e-13, abs=0.0)
         assert got.sobolev_ratio == pytest.approx(ref.sobolev_ratio, rel=1e-13, abs=0.0)
 
@@ -171,11 +179,23 @@ class TestFunctionals:
         predicted = float(np.mean(field.values**2)) / 2.0
         assert v.dc_mode == pytest.approx(predicted, rel=1e-6)
 
+    def test_holds_the_square_and_three_half_spectra(self):
+        # the square (1.0 n^2), the weighted power spectrum and two product
+        # temporaries (0.5 n^2 each): 2.51 n^2 at 512^2 with the spectrum
+        # cached; inverting Dx^(a/2) phi and dx^-1 dy phi for a real-space
+        # quadrature of L measured 5.51
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        phi = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
+        phi.spectrum
+        _, peak = peak_n2(grid, lambda: functionals(phi, 2.0))
+        assert peak <= 3.1
+
 
 class TestSharedSpectrum:
     def test_non_even_field_is_transformed_once(self, monkeypatch):
         # functionals, fourier_tail and the half-lattice residual share the
-        # field's cached spectrum; only the residual's phi^2 is transformed too
+        # field's cached spectrum; only the residual's phi^2 is transformed
+        # too, and only the residual inverts a spectrum (S phi's)
         grid = SpectralGrid(nx=64, ny=32, lx=16.0, ly=12.0)
         phi = exact_kp1_lump(grid, ExactLumpParams(c=1.0, t=3.0))
         assert not phi.is_even_even
@@ -186,11 +206,21 @@ class TestSharedSpectrum:
             forward.append(values is phi.values)
             return rfft2(values, *args, **kwargs)
 
+        inverse = []
+        irfft = fkplump.grid._sfft.irfft
+
+        def inverse_spy(*args, **kwargs):
+            inverse.append(True)
+            return irfft(*args, **kwargs)
+
         monkeypatch.setattr(fkplump.grid._sfft, "rfft2", spy)
+        monkeypatch.setattr(fkplump.grid._sfft, "irfft", inverse_spy)
         functionals(phi, 1.5)
+        assert inverse == []
         fourier_tail(phi)
         residual(phi, PARAMS)
         assert forward == [True, False]
+        assert len(inverse) == 1
 
 
 class TestFourierTail:

@@ -34,8 +34,8 @@ from fkplump.solver import (
     build_seed,
     solve,
 )
-from fkplump.symbols import SymbolParams, petviashvili_denominator
-from oracles import complex_denominator, meshes, odd_perturbed, peak_n2
+from fkplump.symbols import SymbolParams
+from oracles import complex_denominator, meshes, odd_perturbed, peak_n2, petviashvili_denominator
 
 PARAMS = SymbolParams(alpha=2.0, c=1.0)
 EXACT_SEED = SeedSpec(kind="exact-kp1")
@@ -851,13 +851,17 @@ class TestLayouts:
 
     def test_stabilizing_factor_holds_three_blocks(self):
         # three row tiles of 127 x 257 reused by every block, which also take
-        # D: 0.376 n^2 (0.435 n^2 with numpy's default ufunc buffers); new
-        # temporaries in every block measured 0.62
+        # D and, on the half-lattice, the products of imaginary parts: 0.376
+        # n^2 on both layouts (0.435 n^2 with numpy's default ufunc buffers);
+        # new temporaries in every block measured 0.62, and a new block for
+        # each imaginary product 0.50 on the half-lattice
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
-        op = SteadyOperator(grid, PARAMS, quarter=True)
-        phi_hat, sq_hat = op.spectra(op.fold(build_seed(SolverConfig(params=PARAMS, grid=grid)).values))
-        _, peak = peak_n2(grid, lambda: op.stabilizing_factor(phi_hat, sq_hat))
-        assert peak <= 0.4
+        seed = build_seed(SolverConfig(params=PARAMS, grid=grid)).values
+        for quarter in (True, False):
+            op = SteadyOperator(grid, PARAMS, quarter=quarter)
+            phi_hat, sq_hat = op.spectra(op.fold(seed))
+            _, peak = peak_n2(grid, lambda: op.stabilizing_factor(phi_hat, sq_hat))
+            assert peak <= 0.4, f"quarter={quarter}: {peak:.3f} n^2"
 
     def test_residual_holds_one_spectrum_and_one_block(self):
         # the quarter spectrum of S phi (0.25 n^2) and one 127 x 257 scratch

@@ -21,11 +21,18 @@ def unused_imports(path):
             imported |= {alias.asname or alias.name for alias in node.names}
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
-        ):
-            used |= {entry.value for entry in node.value.elts}
-    return imported - used
+    return imported - used - all_entries(tree)
+
+
+def all_entries(tree):
+    """The names a module lists in __all__."""
+    return {
+        entry.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets)
+        for entry in node.value.elts
+    }
 
 
 def test_no_dead_imports():
@@ -54,3 +61,33 @@ def test_no_scipy_special():
     # the symbol probes integrate |symbol|^p directly, with no special function
     modules = sorted(Path(fkplump.__file__).parent.glob("*.py"))
     assert [path.stem for path in modules if imports_scipy_special(path)] == []
+
+
+def public_functions(tree):
+    """The public functions a module defines at its top level."""
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+
+
+def read_names(tree):
+    """The names a module reads: bare names, attributes and __all__ entries."""
+    read = all_entries(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_no_uncalled_functions():
+    # a public function that no module of the package reads is dead code or
+    # exists only for the tests, whose oracles (tests/oracles.py) hold those
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(fkplump.__file__).parent.glob("*.py"))}
+    read = set().union(*map(read_names, trees.values()))
+    defined = {(stem, name) for stem, tree in trees.items() for name in public_functions(tree)}
+    assert {(stem, name) for stem, name in defined if name not in read} == set()

@@ -10,13 +10,12 @@ from fkplump.symbols import (
     SymbolParams,
     dispersion_symbol,
     kernel_symbol,
-    petviashvili_denominator,
     symbol_h,
     symbol_m,
     symbol_t,
     transverse_multiplier,
 )
-from oracles import complex_denominator, meshes
+from oracles import complex_denominator, meshes, petviashvili_denominator
 
 
 def lattice_value(grid, values, k1, k2):
