@@ -47,6 +47,7 @@ from .grid import SpectralGrid, _sup, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
 from .solver import (
+    ACCEL_DEPTHS,
     DegenerateIterateError,
     SeedSpec,
     SolveStatus,
@@ -95,20 +96,21 @@ def _parse_bool(raw: str) -> bool:
 
 
 #: Every solve option, flag name = config key -> (type, default).  The table
-#: makes the argparse flags and casts the config file; alpha has no default.
+#: makes the argparse flags and casts the config file; alpha has no default,
+#: and only the grid's and out's are not those of the library's classes.
 _SOLVE_OPTIONS: dict[str, tuple[Callable[[str], object], object]] = {
     "alpha": (float, None),
-    "c": (float, 1.0),
-    "nu": (float, 2.0),
+    "c": (float, SymbolParams.c),
+    "nu": (float, SolverConfig.nu),
     "n": (int, 1024),
     "l": (float, 256.0),
-    "tol": (float, 1e-5),
-    "max-iter": (int, 200),
-    "seed": (str, "gaussian"),
-    "seed-amplitude": (float, None),
-    "seed-width": (float, 2.0),
-    "allow-supercritical": (_parse_bool, False),
-    "accel-depth": (int, 3),
+    "tol": (float, SolverConfig.tol),
+    "max-iter": (int, SolverConfig.max_iter),
+    "seed": (str, SeedSpec.kind),
+    "seed-amplitude": (float, SeedSpec.amplitude),
+    "seed-width": (float, SeedSpec.width),
+    "allow-supercritical": (_parse_bool, SolverConfig.allow_supercritical),
+    "accel-depth": (int, SolverConfig.accel_depth),
     "out": (str, "."),
 }
 
@@ -116,9 +118,24 @@ _SOLVE_HELP = {
     "tol": "absolute bound on all three monitors; at speed c the step error "
     "scales like c, the residual like c^(2+2/alpha)",
     "seed": "gaussian | exact-kp1 | file:PATH",
-    "accel-depth": "Anderson mixing depth, 0 to 3; 0 is the plain map, and each depth "
-    "holds two more spectra than the one below",
+    "accel-depth": f"Anderson mixing depth, {ACCEL_DEPTHS[0]} to {ACCEL_DEPTHS[-1]}; 0 is the "
+    "plain map, and each depth holds two more spectra than the one below",
 }
+
+
+def _float_list(flag: str, text: str) -> list[float]:
+    """The floats of a comma list given to flag; ConfigError if one does not parse."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {flag} list {text!r}") from exc
+
+
+def _out_dir(out: str) -> Path:
+    """The output directory, made with its parents if it is missing."""
+    path = Path(out)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -200,8 +217,7 @@ def run_solve(args: argparse.Namespace) -> int:
     t1 = time.perf_counter()
     # Made after the solve, so that a run that fails to start leaves no
     # directory; an unwritable --out is reported only now.
-    out_dir = Path(str(resolved["out"]))
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(resolved["out"])
     field_path = out_dir / "field.fkpl"
     log_path = out_dir / "iterations.csv"
     save_field(field_path, field, config.params.alpha, config.params.c)
@@ -249,8 +265,7 @@ def run_analyze(args: argparse.Namespace) -> int:
         params = SymbolParams(alpha=loaded.alpha, c=loaded.c)
         scalars = {**asdict(functionals(phi, loaded.alpha)), "residual": residual(phi, params),
                    "fourier_tail": fourier_tail(phi)}
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     if "functionals" in tasks:
         _write_keyvalues(out_dir / "functionals.txt", scalars)
     if "sections" in tasks:
@@ -284,29 +299,16 @@ def run_analyze(args: argparse.Namespace) -> int:
 
 
 def run_kernel_probe(args: argparse.Namespace) -> int:
-    try:
-        p_values = [float(p) for p in args.p.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --p list {args.p!r}") from exc
+    p_values = _float_list("--p", args.p)
     if any(p < 1.0 for p in p_values):
         raise ConfigError("--p values must be >= 1")
     rows = []
     for p in p_values:
         probe = integrability_probe(args.alpha, p, args.which)
-        rows.append(
-            [
-                probe.alpha,
-                probe.p,
-                probe.which,
-                probe.verdict,
-                probe.last_increment,
-                float(probe.truncation_radii[-1]),
-                float(probe.truncated_norms[-1]),
-                probe.box_norm,
-            ]
-        )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        rows.append([probe.alpha, probe.p, probe.which, probe.verdict, probe.last_increment,
+                     float(probe.truncation_radii[-1]), float(probe.truncated_norms[-1]),
+                     probe.box_norm])
+    out_dir = _out_dir(args.out)
     path = out_dir / f"kernel_probe_{args.which}.csv"
     _write_csv(
         path,
@@ -320,8 +322,7 @@ def run_kernel_probe(args: argparse.Namespace) -> int:
 def run_reference(args: argparse.Namespace) -> int:
     grid = SpectralGrid(nx=args.n, ny=args.n, lx=args.l, ly=args.l)
     field = exact_kp1_lump(grid, ExactLumpParams(c=args.c))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     path = out_dir / "exact_lump.fkpl"
     save_field(path, field, alpha=2.0, c=args.c)
     print(f"reference: wrote {path}")
@@ -329,10 +330,7 @@ def run_reference(args: argparse.Namespace) -> int:
 
 
 def run_convergence_study(args: argparse.Namespace) -> int:
-    try:
-        l_values = [float(v) for v in args.l.split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse --l list {args.l!r}") from exc
+    l_values = _float_list("--l", args.l)
     if not all(math.isfinite(v) and v > 0 for v in l_values):
         raise ConfigError(f"--l values must be finite and positive, got {args.l!r}")
     base_l = l_values[0]
@@ -355,20 +353,9 @@ def run_convergence_study(args: argparse.Namespace) -> int:
             err = _sup(field.values - exact.values) / exact.max_abs()
         else:
             err = float("nan")
-        rows.append(
-            [
-                grid.lx,
-                grid.nx,
-                report.iterations,
-                report.status.value,
-                final.iter_error,
-                final.factor_error,
-                final.residual,
-                err,
-            ]
-        )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+        rows.append([grid.lx, grid.nx, report.iterations, report.status.value,
+                     final.iter_error, final.factor_error, final.residual, err])
+    out_dir = _out_dir(args.out)
     path = out_dir / "convergence_study.csv"
     _write_csv(
         path,
@@ -420,18 +407,19 @@ def build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(func=run_kernel_probe)
 
     pr = sub.add_parser("reference", help="emit the explicit alpha = 2 lump")
-    pr.add_argument("--c", type=float, default=1.0)
-    pr.add_argument("--n", type=int, default=1024)
-    pr.add_argument("--l", type=float, default=256.0)
+    pr.add_argument("--c", type=float, default=SymbolParams.c)
+    pr.add_argument("--n", type=int, default=_SOLVE_OPTIONS["n"][1])
+    pr.add_argument("--l", type=float, default=_SOLVE_OPTIONS["l"][1])
     pr.add_argument("--out", type=str, default=".")
     pr.set_defaults(func=run_reference)
 
     pc = sub.add_parser("convergence-study", help="sweep domain sizes, tabulate errors")
     pc.add_argument("--alpha", type=float, required=True)
-    pc.add_argument("--c", type=float, default=1.0)
+    pc.add_argument("--c", type=float, default=SymbolParams.c)
     pc.add_argument("--n", type=int, default=256, help="node count at the first --l value")
     pc.add_argument("--l", type=str, required=True, help="comma list of half-widths")
-    pc.add_argument("--tol", type=float, default=1e-5, help="absolute, as for solve --tol")
+    pc.add_argument("--tol", type=float, default=SolverConfig.tol,
+                    help="absolute, as for solve --tol")
     pc.add_argument("--out", type=str, default=".")
     pc.set_defaults(func=run_convergence_study)
 

@@ -93,15 +93,17 @@ def build_kernel(grid: SpectralGrid, alpha: float, which: str) -> RealField:
     (symbol m) is real and even in both variables.  The transform of the
     odd symbol h is purely imaginary, so H is the inverse transform of
     -i*h: the real odd-in-x kernel that satisfies phi = (1/2) H * (phi^2)_x.
-    Both are real inverse transforms of half-lattice symbols, real by
-    construction; the sign (-1)^(k1 + k2) on the symbol moves the origin
-    from node 0 to the centre node (nx/2, ny/2), where convolve expects it.
+    Both are real inverse transforms of one new complex product, 1*m or
+    -i*h, in which irfft2's x pass runs in place.  The sign (-1)^(k1 + k2),
+    applied to a real copy of the symbol first (half the bytes of the
+    product), moves the origin from node 0 to the centre node (nx/2, ny/2),
+    where convolve expects it.
     """
     kind = which.upper() if isinstance(which, str) else None
     if kind not in ("K", "H"):
         raise ValueError(f"which must be 'K' or 'H', got {which!r}")
-    sym_values = symbol_m(grid, alpha).copy() if kind == "K" else -1j * symbol_h(grid, alpha)
-    values = irfft2(_centre_sign(sym_values), grid.shape, overwrite_x=True)
+    factor, symbol = (1 + 0j, symbol_m) if kind == "K" else (-1j, symbol_h)
+    values = irfft2(factor * _centre_sign(symbol(grid, alpha).copy()), grid.shape, overwrite_x=True)
     values *= grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
     return RealField._adopt(grid, values)
 

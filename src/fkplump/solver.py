@@ -66,6 +66,7 @@ from enum import Enum
 
 import numpy as np
 
+from .fieldio import load_field
 # fft2 is unused here; perfbench/selftest.py checks fkplump.solver.fft2.
 from .grid import (  # noqa: F401
     RealField,
@@ -273,9 +274,8 @@ class SteadyOperator:
     and the weights also carry the row multiplicities (1 at k1 = 0 and
     nx/2, 2 elsewhere).
 
-    No 2-D array is held.  D = 2 (c + T^2 + |xi1|^alpha), with T the
-    transverse multiplier of symbols, is formed per row block where M and
-    the image use it (denominator).
+    No 2-D array is held.  D = 2 (c + T^2 + |xi1|^alpha), with T = xi2/xi1,
+    is formed per row block where M and the image use it (denominator).
     A is held as its row term xi1^2 (c + |xi1|^alpha) and its column term
     xi2^2, and the weights as row and column factors; both are formed per
     row block where they are used, to the bits of 2-D arrays (a sum, and
@@ -323,9 +323,10 @@ class SteadyOperator:
         """D on a block of the layout's rows, written into out (a real array of the block's shape).
 
         The order of operations is that of the whole-array formula
-        2.0 * (c + transverse_multiplier(xi1, xi2)**2 + |xi1|^alpha), so the
-        bits are too; T = xi2/xi1 is 0 on the layout's first row, the only
-        one where xi1 = 0.
+        2.0 * (c + T**2 + |xi1|^alpha), so the bits are too.  T = xi2/xi1
+        is 0 on the layout's first row, the only one where xi1 = 0, so one
+        plain division fills the tile: symbols.transverse_multiplier's
+        masked one would make a zeroed array per block, and a copy.
         """
         xi1, xi2 = self._wavenumbers
         skip = int(rows.start == 0)
@@ -565,8 +566,6 @@ def build_seed(config: SolverConfig) -> RealField:
     elif spec.kind == "exact-kp1":
         seed = exact_kp1_lump(config.grid, ExactLumpParams(c=c))
     else:
-        from .fieldio import load_field
-
         seed = load_field(spec.path).field
         if seed.grid != config.grid:
             raise ValueError(f"seed file grid {seed.grid} does not match run grid {config.grid}")
@@ -583,7 +582,7 @@ def _is_even_even(seed: RealField) -> bool:
     return seed.is_even_even
 
 
-def _check_first_step(config: SolverConfig, peak: float) -> None:
+def _check_first_step(op: SteadyOperator, spec: SeedSpec, peak: float) -> None:
     """Raise ValueError unless the first iteration's arithmetic stays finite.
 
     With s the seed's sup and N the node count, |phi^| <= N s and
@@ -591,19 +590,20 @@ def _check_first_step(config: SolverConfig, peak: float) -> None:
     to N.  So phi^2, the spectra, D |phi^|^2 and the pairing sums of M are
     finite if s^2, (N s)^2, N D_max (N s)^2 and N (N s) (N s^2) are, with
     D_max at most 2 (c + (max|xi2| / min|xi1 != 0|)^2 + max|xi1|^alpha).
-    The bounds are Python floats, which reach inf without a warning.
+    The operator's rows hold the Nyquist |xi1| on either layout, so its
+    dispersion column holds max|xi1|^alpha.  The bounds are Python floats,
+    which reach inf without a warning.
     """
-    grid, c = config.grid, float(config.params.c)
+    grid, c = op.grid, float(op.params.c)
+    xi1, xi2 = op._wavenumbers
     nodes = float(grid.nx * grid.ny)
     spectrum = nodes * peak
-    transverse = float(np.abs(grid.xi2_half).max()) / float(grid.xi1[1])
-    d_max = 2.0 * (c + transverse * transverse
-                   + float(dispersion_symbol(grid.xi1, config.params.alpha).max()))
+    transverse = float(np.abs(xi2).max()) / float(xi1[1, 0])
+    d_max = 2.0 * (c + transverse * transverse + float(op.dispersion.max()))
     bounds = (peak * peak, spectrum * spectrum, nodes * d_max * spectrum * spectrum,
               nodes * spectrum * nodes * peak * peak)
     if all(math.isfinite(bound) for bound in bounds):
         return
-    spec = config.seed
     if spec.kind == "gaussian" and spec.amplitude is not None:
         seed = f"seed amplitude {spec.amplitude!r}"
     else:
@@ -646,7 +646,7 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     grid = config.grid
     seed = build_seed(config)
     op = SteadyOperator(grid, p, quarter=_is_even_even(seed))
-    _check_first_step(config, seed.max_abs())
+    _check_first_step(op, config.seed, seed.max_abs())
     # A writable copy of the seed: each iteration reuses the old iterate's
     # buffer for the step difference, then for the square and, on the
     # quarter, for the square's spectrum.

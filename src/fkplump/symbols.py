@@ -11,7 +11,8 @@ and symbol_m/symbol_h sample it, read-only, on the rfft2 half-lattice.
 transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy.  It is
 undefined on the constrained row xi1 = 0, xi2 != 0, whose modes lie
 outside the energy space (dx^-1 dy phi in L^2), so it is 0 there and the
-solver's SteadyOperator projects the row out; symbol_t samples it.  A
+solver's SteadyOperator projects the row out; symbol_t samples it, and
+SteadyOperator.denominator forms the same quotient inline per row block.  A
 symbol odd in xi1 (h, t) or xi2 (t) is 0 on the Nyquist row k1 = -nx/2 or
 column k2 = ny/2, modes that are their own mirrors, so that it keeps the
 conjugate symmetry of a real field's spectrum.  SymbolParams checks that

@@ -146,9 +146,14 @@ def meshgrid_exact_lump(grid, p):
     return 8.0 * c * (1.0 - xs2 + ys2) / (1.0 + xs2 + ys2) ** 2
 
 
+def kernel_spectrum(grid, alpha, which):
+    """The uncentred spectrum of K or H: 1 m or -i h, complex, as build_kernel transforms it."""
+    return (1 + 0j) * symbol_m(grid, alpha) if which == "K" else -1j * symbol_h(grid, alpha)
+
+
 def shifted_kernel(grid, alpha, which):
     """K or H, its origin moved from node 0 to the centre node by np.fft.fftshift in real space."""
-    sym_values = symbol_m(grid, alpha) if which == "K" else -1j * symbol_h(grid, alpha)
+    sym_values = kernel_spectrum(grid, alpha, which)
     scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
     return scale * np.fft.fftshift(irfft2(sym_values, grid.shape))
 
@@ -166,10 +171,7 @@ def phase_kernel(grid, alpha, which):
     sx = np.where(np.arange(grid.nx) % 2 == 0, 1.0, -1.0)
     sy = np.where(np.arange(grid.xi2_half.size) % 2 == 0, 1.0, -1.0)
     phase = sx[:, None] * sy[None, :]
-    if which == "K":
-        sym_values = symbol_m(grid, alpha) * phase
-    else:
-        sym_values = -1j * symbol_h(grid, alpha) * phase
+    sym_values = kernel_spectrum(grid, alpha, which) * phase
     scale = grid.nx * grid.ny / (4.0 * grid.lx * grid.ly)
     return scale * irfft2(sym_values, grid.shape)
 

@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per release criterion.
+"""Acceptance suite: one test per release criterion, and one lump above alpha = 2.
 
 Each test prints the measured numbers next to its threshold; the
 conftest summary hook prints a one-line pass/fail verdict per criterion
@@ -202,6 +202,32 @@ def test_peakedness_trend(desk_alpha2, desk_alpha17, desk_alpha135):
     )
     assert values[1.35] > values[1.7] > values[2.0]
     assert values[2.0] == pytest.approx(8.0, rel=0.01)
+
+
+def test_lump_above_alpha2():
+    # No criterion reaches above alpha = 2.  At alpha = 3 the lump is
+    # cheap (14 iterations on 512^2); its peak extends criterion 9's order
+    # below 8, and its far field meets the -/+ A/(4 pi) plateaus, with
+    # A = integral of phi^2, that the lumps below alpha = 2 meet.
+    grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+    field, report = solve(SolverConfig(params=SymbolParams(alpha=3.0), grid=grid))
+    peak = field.max_abs()
+    sym = symmetry_report(field)
+    predicted = float(np.sum(field.values**2)) * grid.cell_area / (4.0 * np.pi)
+    px, py = (decay_profile(field, axis).plateau_value for axis in "xy")
+    kernel = build_kernel(grid, 3.0, "K")
+    error = np.max(np.abs(field.values - 0.5 * convolve(kernel, RealField(grid, field.values**2)).values))
+    print(
+        f"[alpha=3] iterations={report.iterations}, peak={peak:.4f} (<8), "
+        f"defects={sym.x_defect:.1e}, {sym.y_defect:.1e} (<=1e-8), A/(4pi)={predicted:.3f}, "
+        f"plateaus {px:.3f}, {py:.3f} (within 4%), |phi - K*phi^2/2|/peak={error / peak:.1e} (<=1e-6)"
+    )
+    assert report.converged()
+    assert peak < 8.0
+    assert max(sym.x_defect, sym.y_defect) <= 1e-8
+    assert px == pytest.approx(-predicted, rel=0.04)
+    assert py == pytest.approx(predicted, rel=0.04)
+    assert error <= 1e-6 * peak
 
 
 @pytest.mark.criterion(10, "infrastructure: transforms, files, determinism")

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import fields
 import subprocess
 import sys
 
@@ -28,6 +29,8 @@ from fkplump.fieldio import load_field, save_field
 from fkplump import cli
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
+from fkplump.solver import ACCEL_DEPTHS, SeedSpec, SolverConfig
+from fkplump.symbols import SymbolParams
 from oracles import abs_max_relative_error, meshes
 
 FAST_SOLVE = ["solve", "--alpha", "2", "--c", "1", "--n", "128", "--l", "32"]
@@ -364,6 +367,49 @@ def test_import_leaves_out_scipy_linalg():
     code = "import sys, fkplump.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def library_default(cls, name):
+    """The default a library dataclass gives one of its fields."""
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
+class TestOneOwner:
+    """The CLI's solve defaults are the library's: a later change to one shows here."""
+
+    #: Every library-backed solve option: config key -> (class, field).
+    LIBRARY_KEYS = {
+        "c": (SymbolParams, "c"),
+        "nu": (SolverConfig, "nu"),
+        "tol": (SolverConfig, "tol"),
+        "max-iter": (SolverConfig, "max_iter"),
+        "allow-supercritical": (SolverConfig, "allow_supercritical"),
+        "accel-depth": (SolverConfig, "accel_depth"),
+        "seed": (SeedSpec, "kind"),
+        "seed-amplitude": (SeedSpec, "amplitude"),
+        "seed-width": (SeedSpec, "width"),
+    }
+
+    def test_manifest_records_library_defaults(self, tmp_path):
+        out = tmp_path / "run"
+        assert run(["solve", "--alpha", "2", "--n", "16", "--l", "8", "--out", out]) == EXIT_OK
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        for key, (cls, name) in self.LIBRARY_KEYS.items():
+            assert config[key] == library_default(cls, name), key
+
+    def test_other_subcommands_share_the_defaults(self):
+        parser = build_parser()
+        study = parser.parse_args(["convergence-study", "--alpha", "2", "--l", "8"])
+        reference = parser.parse_args(["reference"])
+        assert study.c == reference.c == library_default(SymbolParams, "c")
+        assert study.tol == library_default(SolverConfig, "tol")
+        assert (reference.n, reference.l) == (_SOLVE_OPTIONS["n"][1], _SOLVE_OPTIONS["l"][1])
+
+    def test_accel_depth_help_names_the_deepest(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["solve", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())  # as argparse wraps it
+        assert f"Anderson mixing depth, 0 to {ACCEL_DEPTHS[-1]};" in help_text
 
 
 class TestConfigFile:

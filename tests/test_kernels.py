@@ -86,10 +86,12 @@ class TestBuildKernel:
         got = build_kernel(grid, alpha, which).values
         assert np.array_equal(got, shifted_kernel(grid, alpha, which))
 
-    def test_h_holds_two_fields(self, kernel_grid):
+    @pytest.mark.parametrize("which", ["K", "H"])
+    def test_holds_two_fields(self, kernel_grid, which):
         # the sign and the scale act in place, and irfft2 overwrites the
-        # symbol (3.0 n^2 with an fftshift copy)
-        _, peak = peak_n2(kernel_grid, lambda: build_kernel(kernel_grid, 2.0, "H"))
+        # complex symbol (3.0 n^2 with an fftshift copy; 2.5 for a real m,
+        # which irfft2 copies to a complex array)
+        _, peak = peak_n2(kernel_grid, lambda: build_kernel(kernel_grid, 2.0, which))
         assert peak <= 2.1
 
     def test_invalid_kind(self, kernel_grid):

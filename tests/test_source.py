@@ -91,3 +91,16 @@ def test_no_uncalled_functions():
     read = set().union(*map(read_names, trees.values()))
     defined = {(stem, name) for stem, tree in trees.items() for name in public_functions(tree)}
     assert {(stem, name) for stem, name in defined if name not in read} == set()
+
+
+def test_no_imports_in_functions():
+    # every import stands at the top of its module, so that a cycle or a
+    # missing module shows when the package loads, not on one code path
+    nested = {
+        (path.stem, node.name)
+        for path in sorted(Path(fkplump.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
+    }
+    assert nested == set()
