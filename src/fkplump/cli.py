@@ -306,15 +306,10 @@ def run_kernel_probe(args: argparse.Namespace) -> int:
     for p in p_values:
         probe = integrability_probe(args.alpha, p, args.which)
         rows.append([probe.alpha, probe.p, probe.which, probe.verdict, probe.last_increment,
-                     float(probe.truncation_radii[-1]), float(probe.truncated_norms[-1]),
-                     probe.box_norm])
+                     float(probe.truncation_radii[-1]), float(probe.truncated_norms[-1])])
     out_dir = _out_dir(args.out)
     path = out_dir / f"kernel_probe_{args.which}.csv"
-    _write_csv(
-        path,
-        ["alpha", "p", "which", "verdict", "last_increment", "radius", "norm", "box_norm"],
-        rows,
-    )
+    _write_csv(path, ["alpha", "p", "which", "verdict", "last_increment", "radius", "norm"], rows)
     print(f"kernel-probe: wrote {path}")
     return EXIT_OK
 

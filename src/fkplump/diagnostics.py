@@ -99,7 +99,11 @@ def functionals(phi: RealField, alpha: float) -> FunctionalValues:
 
     e1 = (5.0 * alpha - 4.0) / (alpha + 2.0)
     e2 = (18.0 - 5.0 * alpha) / (2.0 * (alpha + 2.0))
-    denom = np.sqrt(s_l2) ** e1 * np.sqrt(s_frac) ** e2 * np.sqrt(s_anti) ** 0.5
+    # a zero seminorm makes the ratio inf; raised to a negative exponent
+    # (e1 for alpha < 4/5, e2 for alpha > 18/5) it would divide by zero
+    denom = 0.0
+    if min(s_l2, s_frac, s_anti) > 0.0:
+        denom = np.sqrt(s_l2) ** e1 * np.sqrt(s_frac) ** e2 * np.sqrt(s_anti) ** 0.5
     sobolev_ratio = float(l3_cubed / denom) if denom > 0 else float("inf")
 
     dc_mode = float(np.mean(phi.values))

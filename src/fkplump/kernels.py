@@ -67,7 +67,7 @@ class IntegrabilityProbe:
 
     @property
     def box_norm(self) -> float:
-        """The truncated norm at the final radius (the 2D box quadrature's norm)."""
+        """The final truncated norm (the 2D box quadrature's norm), as perfbench reads it."""
         return float(self.truncated_norms[-1])
 
 

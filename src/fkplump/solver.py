@@ -51,7 +51,7 @@ accel_depth = 0 is the paper's plain map, 1 mixes with one pair and the
 default is 3.  The dot product counts each quarter row as often as the
 half-lattice holds it, so both layouts mix alike.  A full history builds
 the mixed spectrum in its oldest dg, which the step drops, and D is
-formed per row block where it is used, not held: between steps depth m
+formed once per row block and step, not held: between steps depth m
 holds 2m + 3 arrays of the layout (the iterate and 2m + 2 spectra).
 Either way one iteration costs one forward and two inverse transforms of
 the layout (one rfft2 and two irfft2, or one dct1 and two idct1), and
@@ -118,7 +118,11 @@ class DegenerateIterateError(ArithmeticError):
 
 
 class DivergenceError(ArithmeticError):
-    """The iteration produced non-finite values or an unusable factor M^nu."""
+    """The iteration produced non-finite values or an unusable factor M^nu (m_factor is then M)."""
+
+    def __init__(self, message: str, m_factor: float | None = None) -> None:
+        super().__init__(message)
+        self.m_factor = m_factor
 
 
 class SolveStatus(str, Enum):
@@ -239,6 +243,17 @@ class IterationReport:
         }
 
 
+def _gain(m: float, nu: float) -> float:
+    """The step factor M^nu, or DivergenceError (carrying M) unless it is finite and positive."""
+    try:
+        gain = math.pow(m, nu)
+    except (ValueError, OverflowError):
+        gain = math.nan
+    if not (math.isfinite(gain) and gain > 0.0):
+        raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive", m)
+    return gain
+
+
 def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Real dot product of two spectra, as float64 views."""
     return float(np.vdot(a.view(np.float64), b.view(np.float64)))
@@ -275,7 +290,8 @@ class SteadyOperator:
     nx/2, 2 elsewhere).
 
     No 2-D array is held.  D = 2 (c + T^2 + |xi1|^alpha), with T = xi2/xi1,
-    is formed per row block where M and the image use it (denominator).
+    is formed once per row block (denominator) in image's one pass, which
+    sums the pairings of M and divides by D.
     A is held as its row term xi1^2 (c + |xi1|^alpha) and its column term
     xi2^2, and the weights as row and column factors; both are formed per
     row block where they are used, to the bits of 2-D arrays (a sum, and
@@ -338,10 +354,6 @@ class SteadyOperator:
         out *= 2.0
         return out
 
-    def _tiles(self, count: int, like: np.ndarray) -> np.ndarray:
-        """count real tiles of the first row block of like, for every block to reuse."""
-        return np.empty((count, *like[self.blocks[0]].shape))
-
     @property
     def transform(self) -> str:
         """The forward transform of the layout, as recorded in run reports."""
@@ -385,73 +397,54 @@ class SteadyOperator:
         return 2.0 * _real_dot(a, b) - _real_dot(a[0], b[0]) - _real_dot(a[-1], b[-1])
 
     @small_ufunc_buffers()
-    def stabilizing_factor(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
-        """Stabilizing factor M from the spectra of phi and phi^2.
+    def image(self, phi_hat: np.ndarray, sq_hat: np.ndarray, nu: float) -> float:
+        """Overwrite sq_hat with the Petviashvili image M^nu (phi^2)^ / D and return M.
 
-        The ratio of the D-weighted quadratic pairing of phi^ with itself
-        to the cubic pairing of (phi^2)^ with phi^.  It equals 1 at a true
-        solution and scales as 1/s when phi is replaced by s phi.  The sums
-        run in row blocks.  M may come out negative or non-finite; image()
-        rejects those.
+        M, the ratio of the D-weighted quadratic pairing of phi^ with itself
+        to the cubic pairing of (phi^2)^ with phi^, is 1 at a solution and
+        scales as 1/s when phi is replaced by s phi.  One pass over the row
+        blocks sums both pairings and divides each block by D, formed once;
+        the constrained row of the image is set to 0.  The gain M^nu then
+        multiplies the whole spectrum.  On either error sq_hat is undefined.
 
         Raises
         ------
         DegenerateIterateError
             If the cubic pairing is below 1e-14 of its natural scale, as
             for a zero or odd-in-x iterate.
+        DivergenceError
+            If M^nu is not a finite positive number, as for a negative M
+            and nu = 1.5; the error carries M.
         """
-        # block tiles for D and then the weights, |phi^|^2 and a product; the
-        # last two take turns as scratch for the imaginary parts' products
-        tiles = self._tiles(3, phi_hat)
+        # block tiles for the weights, |phi^|^2 and D, reused by every block;
+        # the last two take turns as scratch for the products and |(phi^2)^|
+        tiles = np.empty((3, *phi_hat[self.blocks[0]].shape))
         num = den = scale = 0.0
         for rows in self.blocks:
             p, s = phi_hat[rows], sq_hat[rows]
             w, power, work = tiles[:, : len(p)]
-            _real_product(p, p, out=power, scratch=work)
-            np.sqrt(power, out=work)
-            power *= self.denominator(rows, out=w)
             np.multiply(self.row_weights[rows], self.column_weights, out=w)
             if rows.start == 0:
                 w[0, 1:] = 0.0  # the constrained row
-            num += float(np.vdot(w, power))
+            np.sqrt(_real_product(p, p, out=power, scratch=work), out=work)
             work *= np.abs(s, out=power)
             scale += float(np.vdot(w, work))
             den += float(np.vdot(w, _real_product(s, p, out=work, scratch=power)))
+            _real_product(p, p, out=power, scratch=work)
+            power *= self.denominator(rows, out=work)
+            num += float(np.vdot(w, power))
+            s /= work
+            if rows.start == 0:
+                s[0, 1:] = 0.0
         if abs(den) <= 1e-14 * scale:
             # A quarter iterate is even-even by construction: parity is no cause there.
             cause = "" if self.quarter else " (or has odd parity)"
             raise DegenerateIterateError(
                 f"cubic pairing vanished; the iterate has collapsed{cause}"
             )
-        return num / den
-
-    @small_ufunc_buffers()
-    def image(self, sq_hat: np.ndarray, m: float, nu: float) -> np.ndarray:
-        """Overwrite sq_hat with the Petviashvili image M^nu (phi^2)^ / D.
-
-        The constrained row xi1 = 0, xi2 != 0 of the image is set to 0.
-        The image is formed row block by row block, with D in one tile.
-
-        Raises
-        ------
-        DivergenceError
-            If M^nu is not a finite positive number, as for a negative M
-            and nu = 1.5; sq_hat is then left unchanged.
-        """
-        try:
-            gain = math.pow(m, nu)
-        except (ValueError, OverflowError):
-            gain = math.nan
-        if not (math.isfinite(gain) and gain > 0.0):
-            raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive")
-        (tile,) = self._tiles(1, sq_hat)
-        for rows in self.blocks:
-            block = sq_hat[rows]
-            block /= self.denominator(rows, out=tile[: len(block)])
-            if rows.start == 0:
-                block[0, 1:] = 0.0
-            block *= gain
-        return sq_hat
+        m = num / den
+        sq_hat *= _gain(m, nu)
+        return m
 
     def realize(self, next_hat: np.ndarray) -> tuple[np.ndarray, float]:
         """The iterate of a spectrum and its sup norm.
@@ -657,10 +650,9 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     records: list[IterationRecord] = []
 
     for n in range(1, config.max_iter + 1):
-        m = op.stabilizing_factor(phi_hat, sq_hat)
-        factor_error = abs(1.0 - m)
         try:
-            op.image(sq_hat, m, config.nu)  # sq_hat now holds the image g
+            m = op.image(phi_hat, sq_hat, config.nu)  # sq_hat now holds the image g
+            factor_error = abs(1.0 - m)
             if config.accel_depth and factor_error <= ACCEL_GATE:
                 next_hat = mixer.mix(phi_hat, sq_hat)
             else:
@@ -668,7 +660,8 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
                 next_hat = sq_hat
             next_phi, peak = op.realize(next_hat)
         except DivergenceError as exc:
-            records.append(IterationRecord(n, math.inf, m, factor_error, math.inf))
+            m = m if exc.m_factor is None else exc.m_factor  # realize raised after image set m
+            records.append(IterationRecord(n, math.inf, m, abs(1.0 - m), math.inf))
             status, reason = SolveStatus.DIVERGED, str(exc)
             break
 

@@ -585,7 +585,7 @@ class TestKernelProbe:
         code = run(["kernel-probe", "--alpha", "1", "--p", "2,3", "--which", "m", "--out", out])
         assert code == EXIT_OK
         lines = (out / "kernel_probe_m.csv").read_text().splitlines()
-        assert lines[0].startswith("alpha,p,which,verdict")
+        assert lines[0] == "alpha,p,which,verdict,last_increment,radius,norm"
         rows = [line.split(",") for line in lines[1:]]
         verdicts = {float(r[1]): r[3] for r in rows}
         assert verdicts[2.0] == "diverging"

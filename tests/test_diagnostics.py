@@ -1,5 +1,7 @@
 """Residual operator, functionals, Fourier tail."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,20 @@ class TestFunctionals:
         assert v.n_value == 0.0
         assert v.energy_norm == 0.0
         assert v.dc_mode == 0.0
+
+    @pytest.mark.parametrize(
+        "field, alpha",
+        [("zero", 0.5), ("zero", 4.0), ("y-only", 4.0), ("constant", 4.0)],
+    )
+    def test_zero_seminorm_gives_infinite_ratio(self, small_grid, field, alpha):
+        # a zero seminorm under a negative exponent (e1 at alpha = 0.5, e2 at
+        # alpha = 4) used to warn of a division by zero on the way to inf
+        _, Y = meshes(small_grid)
+        values = {"zero": 0.0 * Y, "y-only": np.exp(-(Y**2)), "constant": 1.0 + 0.0 * Y}[field]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = functionals(RealField(small_grid, values), alpha)
+        assert v.sobolev_ratio == np.inf
 
     @pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
     def test_rejects_invalid_alpha(self, small_grid, alpha):

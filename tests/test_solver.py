@@ -127,11 +127,10 @@ def padded_solve(config):
     phi_hat = rfft2(phi)
     sq_hat = padded_square_hat(phi_hat, shape)
     for _ in range(config.max_iter):
-        m = op.stabilizing_factor(phi_hat, sq_hat)
-        next_hat = op.image(sq_hat, m, config.nu)
-        next_phi, _ = op.realize(next_hat)
+        m = op.image(phi_hat, sq_hat, config.nu)
+        next_phi, _ = op.realize(sq_hat)
         iter_error = np.max(np.abs(next_phi - phi))
-        phi, phi_hat = next_phi, next_hat
+        phi, phi_hat = next_phi, sq_hat
         sq_hat = padded_square_hat(phi_hat, shape)
         if max(iter_error, abs(1.0 - m), op.residual(phi_hat, sq_hat)) <= config.tol:
             return phi
@@ -141,15 +140,15 @@ def padded_solve(config):
 def factor(field):
     """M of a field, from an operator built for it."""
     op = SteadyOperator(field.grid, PARAMS)
-    return op.stabilizing_factor(*op.spectra(field.values))
+    return op.image(*op.spectra(field.values), 2.0)
 
 
 def step(field):
     """One Petviashvili update (nu = 2) of a field: the next iterate's values and M."""
     op = SteadyOperator(field.grid, PARAMS)
     phi_hat, sq_hat = op.spectra(field.values)
-    m = op.stabilizing_factor(phi_hat, sq_hat)
-    return op.realize(op.image(sq_hat, m, 2.0))[0], m
+    m = op.image(phi_hat, sq_hat, 2.0)
+    return op.realize(sq_hat)[0], m
 
 
 @pytest.fixture(scope="module")
@@ -296,7 +295,7 @@ class TestStabilizingFactor:
             factor(odd)
         quarter = SteadyOperator(small_grid, PARAMS, quarter=True)
         with pytest.raises(DegenerateIterateError) as caught:
-            quarter.stabilizing_factor(*quarter.spectra(np.zeros((33, 33))))
+            quarter.image(*quarter.spectra(np.zeros((33, 33))), 2.0)
         assert "collapsed" in str(caught.value) and "parity" not in str(caught.value)
 
     def test_degenerate_threshold_on_nearly_odd_iterates(self, small_grid):
@@ -313,7 +312,7 @@ class TestStabilizingFactor:
             den = np.vdot(weights, (sq_hat * np.conj(phi_hat)).real)
             scale = np.vdot(weights, np.abs(sq_hat) * np.abs(phi_hat))
             try:
-                op.stabilizing_factor(phi_hat, sq_hat)
+                op.image(phi_hat, sq_hat, 2.0)
                 accepted.append(True)
             except DegenerateIterateError:
                 accepted.append(False)
@@ -327,20 +326,20 @@ class TestConstrainedRow:
     def test_image_is_zero_on_constrained_row(self, small_grid):
         op = SteadyOperator(small_grid, PARAMS)
         seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
-        _, sq_hat = op.spectra(seed.values)
+        phi_hat, sq_hat = op.spectra(seed.values)
         assert np.any(sq_hat[0, 1:] != 0.0)  # the square does not keep zero x-mass
-        image = op.image(sq_hat, 1.3, 2.0)
-        assert np.all(image[0, 1:] == 0.0)
-        assert image[0, 0] != 0.0
+        op.image(phi_hat, sq_hat, 2.0)
+        assert np.all(sq_hat[0, 1:] == 0.0)
+        assert sq_hat[0, 0] != 0.0
 
     def test_factor_ignores_constrained_row(self, small_grid):
         op = SteadyOperator(small_grid, PARAMS)
         seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
         phi_hat, sq_hat = op.spectra(seed.values)
-        m = op.stabilizing_factor(phi_hat, sq_hat)
+        m = op.image(phi_hat, sq_hat.copy(), 2.0)
         perturbed = phi_hat.copy()
         perturbed[0, 1:] += 1e3 * (1.0 + 1.0j)
-        assert op.stabilizing_factor(perturbed, sq_hat) == m
+        assert op.image(perturbed, sq_hat, 2.0) == m
 
 
 class TestStep:
@@ -477,12 +476,11 @@ class TestSolve:
         assert report.status is status
         assert report.records[0].m_factor < 0
 
-    def test_step_rejects_unusable_factor(self, small_grid):
-        op = SteadyOperator(small_grid, PARAMS)
-        phi_hat, sq_hat = op.spectra(build_seed(SolverConfig(params=PARAMS, grid=small_grid)).values)
+    def test_step_rejects_unusable_factor(self):
         for m, nu in [(-0.5, 1.5), (-0.5, 3.0), (math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0)]:
-            with pytest.raises(DivergenceError):
-                op.image(sq_hat, m, nu)
+            with pytest.raises(DivergenceError, match=r"^step factor M\^nu") as caught:
+                solver._gain(m, nu)
+            assert caught.value.m_factor is m
 
     @pytest.mark.parametrize("quarter", [False, True])
     def test_non_finite_iterate_is_refused(self, small_grid, quarter):
@@ -496,12 +494,11 @@ class TestSolve:
         # the third image gets an inf mode, so its iterate is not finite
         real_image, calls = SteadyOperator.image, []
 
-        def image(self, sq_hat, m, nu):
-            calls.append(m)
-            out = real_image(self, sq_hat, m, nu)
+        def image(self, phi_hat, sq_hat, nu):
+            calls.append(real_image(self, phi_hat, sq_hat, nu))
             if len(calls) == 3:
-                out[1, 1] = math.inf
-            return out
+                sq_hat[1, 1] = math.inf
+            return calls[-1]
 
         monkeypatch.setattr(SteadyOperator, "image", image)
         _, report = solve(SolverConfig(params=PARAMS, grid=small_grid))
@@ -725,6 +722,27 @@ class TestLayouts:
             expected = {"rfft2": 1 + 2 + n, "irfft2": 1 + 2 * n, "dct1": 0, "idct1": 0}
         assert calls == expected
 
+    @pytest.mark.parametrize("layout", ["dct1", "rfft2"])
+    def test_denominator_once_per_block_and_iteration(self, monkeypatch, layout):
+        # image forms D once per row block, where M and the image both use it;
+        # 512^2 gives 3 blocks on the quarter and 5 on the half-lattice
+        if layout == "rfft2":
+            half_lattice_only(monkeypatch)
+        real_denominator, ops, calls = SteadyOperator.denominator, set(), []
+
+        def denominator(self, rows, out):
+            ops.add(self)
+            calls.append(rows)
+            return real_denominator(self, rows, out)
+
+        monkeypatch.setattr(SteadyOperator, "denominator", denominator)
+        grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
+        _, report = solve(SolverConfig(params=PARAMS, grid=grid))
+        assert report.transform == layout and report.converged()
+        (op,) = ops
+        assert len(op.blocks) > 2
+        assert calls == op.blocks * report.iterations
+
     def test_seeds_choose_layout(self, small_grid, tmp_path):
         X, Y = meshes(small_grid)
         path = tmp_path / "seed.fkpl"
@@ -771,16 +789,17 @@ class TestLayouts:
         quarter = SteadyOperator(small_grid, PARAMS, quarter=True)
         phi_hat, sq_hat = half.spectra(seed.values)
         q_hat, q_sq_hat = quarter.spectra(quarter.fold(seed.values))
-        m = half.stabilizing_factor(phi_hat, sq_hat)
-        assert quarter.stabilizing_factor(q_hat, q_sq_hat) == pytest.approx(m, rel=1e-13)
         assert quarter.residual(q_hat, q_sq_hat) == pytest.approx(
             half.residual(phi_hat, sq_hat), rel=1e-10
         )
         assert quarter.dot(q_hat, q_sq_hat) == pytest.approx(
             half.dot(phi_hat, sq_hat), rel=1e-13
         )
-        image, _ = half.realize(half.image(sq_hat, m, 2.0))
-        q_image, _ = quarter.realize(quarter.image(q_sq_hat, m, 2.0))
+        # image overwrites the squares' spectra, so it comes after the residual
+        m = half.image(phi_hat, sq_hat, 2.0)
+        assert quarter.image(q_hat, q_sq_hat, 2.0) == pytest.approx(m, rel=1e-13)
+        image, _ = half.realize(sq_hat)
+        q_image, _ = quarter.realize(q_sq_hat)
         assert np.max(np.abs(quarter.unfold(q_image) - image)) <= 1e-13 * np.max(np.abs(image))
 
 
@@ -849,18 +868,20 @@ class TestLayouts:
         _, peak = peak_n2(grid, every_block)
         assert peak <= 0.13
 
-    def test_stabilizing_factor_holds_three_blocks(self):
-        # three row tiles of 127 x 257 reused by every block, which also take
-        # D and, on the half-lattice, the products of imaginary parts: 0.376
-        # n^2 on both layouts (0.435 n^2 with numpy's default ufunc buffers);
-        # new temporaries in every block measured 0.62, and a new block for
-        # each imaginary product 0.50 on the half-lattice
+    def test_image_holds_three_blocks(self):
+        # M and the image in one pass, in three row tiles of 127 x 257 reused
+        # by every block, which take the weights, |phi^|^2 and D, and on the
+        # half-lattice the products of imaginary parts: 0.375 n^2 on the
+        # quarter and 0.379 on the half-lattice, where M alone measured 0.376
+        # (0.435 n^2 with numpy's default ufunc buffers); new temporaries in
+        # every block measured 0.62, and a new block for each imaginary
+        # product 0.50 on the half-lattice
         grid = SpectralGrid(nx=512, ny=512, lx=128.0, ly=128.0)
         seed = build_seed(SolverConfig(params=PARAMS, grid=grid)).values
         for quarter in (True, False):
             op = SteadyOperator(grid, PARAMS, quarter=quarter)
             phi_hat, sq_hat = op.spectra(op.fold(seed))
-            _, peak = peak_n2(grid, lambda: op.stabilizing_factor(phi_hat, sq_hat))
+            _, peak = peak_n2(grid, lambda: op.image(phi_hat, sq_hat, 2.0))
             assert peak <= 0.4, f"quarter={quarter}: {peak:.3f} n^2"
 
     def test_residual_holds_one_spectrum_and_one_block(self):

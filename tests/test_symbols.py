@@ -221,11 +221,15 @@ class TestApplyMultiplier:
 
     def test_impulse_response_matches_kernel(self):
         # the Petviashvili image at M = 1 (1/D, constrained row zeroed)
-        # applied to a delta impulse samples K/2
+        # applied to a delta impulse samples K/2; D is the operator's, formed
+        # on all rows as one block
         grid = SpectralGrid(nx=256, ny=256, lx=64.0, ly=64.0)
         delta = np.zeros(grid.shape)
         delta[grid.nx // 2, grid.ny // 2] = 1.0 / grid.cell_area
         op = SteadyOperator(grid, SymbolParams(alpha=2.0, c=1.0))
-        out = irfft2(op.image(rfft2(delta), 1.0, 2.0), grid.shape)
+        image = rfft2(delta)
+        image /= op.denominator(slice(0, grid.nx), out=np.empty(image.shape))
+        image[0, 1:] = 0.0
+        out = irfft2(image, grid.shape)
         kernel = build_kernel(grid, 2.0, "K")
         assert np.max(np.abs(out - 0.5 * kernel.values)) <= 1e-12
