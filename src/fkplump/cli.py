@@ -17,8 +17,10 @@ convergence-study
 
 Exit codes: 0 converged / success, 1 invalid configuration, a usage
 error, a file that cannot be read or written or a run that does not fit
-in memory, 2 stopped at max-iter, 3 diverged or an iterate whose
-stabilizing factor is undefined (a collapsed or odd seed).
+in memory, 2 stopped at max-iter, 3 diverged.  Exit 3 is always a
+DIVERGED status (a blow-up, an unusable M^nu, the constant state or a
+collapsed iterate, as from an odd seed), whose reason solve prints and
+keeps in the manifest with the field and the iteration log.
 Configuration can come from a flat "key = value" file (keys equal to
 flag names) with flags taking precedence.  CSV output uses 17
 significant digits so doubles round-trip exactly.
@@ -46,14 +48,7 @@ from .fieldio import FieldFileError, load_field, save_field
 from .grid import SpectralGrid, _sup, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
-from .solver import (
-    ACCEL_DEPTHS,
-    DegenerateIterateError,
-    SeedSpec,
-    SolveStatus,
-    SolverConfig,
-    solve,
-)
+from .solver import ACCEL_DEPTHS, SeedSpec, SolveStatus, SolverConfig, solve
 from .symbols import SymbolParams
 
 EXIT_OK = 0
@@ -241,6 +236,7 @@ def run_solve(args: argparse.Namespace) -> int:
 
     print(f"status={report.status.value} iterations={report.iterations} "
           f"residual={report.final.residual:.3e}")
+    print(f"reason: {report.reason}")
     if report.status is SolveStatus.CONVERGED:
         return EXIT_OK
     if report.status is SolveStatus.MAX_ITER:
@@ -431,9 +427,6 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DegenerateIterateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

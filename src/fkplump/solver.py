@@ -19,9 +19,10 @@ On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
 outside the energy space (zero mass in x); build_seed projects them out
 of the seed, and the image is exactly 0 there.  D and the pairings are
 real by construction.  A step whose M^nu is not a finite positive number
-ends the run as DIVERGED, and so does a run that converges to within c
-of the constant steady state phi = 2c, where a lump, about 0 at the
-domain edge, never comes.
+or whose cubic pairing vanishes (a collapsed iterate) ends the run as
+DIVERGED, and so does a run that converges to within c of the constant
+steady state phi = 2c, where a lump, about 0 at the domain edge, never
+comes.
 
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
@@ -105,16 +106,12 @@ ACCEL_COND_MAX = 1e12
 #: Anderson mixing runs only while |1 - M| is at most this.  Farther from
 #: the fixed point a mixed step can overshoot: without the gate, depth 2 at
 #: nu = 2.5 (256^2) diverged at iteration 4 where the plain map converges,
-#: and depth 1 at nu = 5 (128^2) collapsed the iterate
-#: (DegenerateIterateError) where the plain map reports divergence.
+#: and depth 1 at nu = 5 (128^2) collapsed the iterate (its cubic pairing
+#: vanished) where the plain map stops at the blow-up guard.
 ACCEL_GATE = 0.1
 
 #: The three monitors of an IterationRecord, by field name.
 MONITORS = ("iter_error", "factor_error", "residual")
-
-
-class DegenerateIterateError(ArithmeticError):
-    """The cubic pairing in the stabilizing factor vanished (dead iterate)."""
 
 
 class DivergenceError(ArithmeticError):
@@ -123,6 +120,13 @@ class DivergenceError(ArithmeticError):
     def __init__(self, message: str, m_factor: float | None = None) -> None:
         super().__init__(message)
         self.m_factor = m_factor
+
+
+class DegenerateIterateError(DivergenceError):
+    """The cubic pairing of M vanished (dead iterate), so M is nan; solve reports it as DIVERGED."""
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message, math.nan)
 
 
 class SolveStatus(str, Enum):
@@ -620,8 +624,8 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
 
     Iterates until all three monitors (step difference, |1 - M|, residual)
     are at or below config.tol, or max_iter is reached, or the iterate
-    blows up.  Divergence and exhausted iterations are reported as
-    statuses with a reason, not exceptions; a degenerate iterate raises.
+    blows up or collapses.  Divergence, a collapsed iterate and exhausted
+    iterations are reported as statuses with a reason, not exceptions.
 
     Returns
     -------
@@ -659,7 +663,7 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
                 mixer.reset()
                 next_hat = sq_hat
             next_phi, peak = op.realize(next_hat)
-        except DivergenceError as exc:
+        except DivergenceError as exc:  # a collapse too: its m_factor is nan
             m = m if exc.m_factor is None else exc.m_factor  # realize raised after image set m
             records.append(IterationRecord(n, math.inf, m, abs(1.0 - m), math.inf))
             status, reason = SolveStatus.DIVERGED, str(exc)

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
 import struct
 from dataclasses import fields
+from pathlib import Path
 import subprocess
 import sys
 
@@ -12,6 +14,7 @@ import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fkplump
 from fkplump.cli import (
     _SOLVE_OPTIONS,
     EXIT_CONFIG,
@@ -54,8 +57,6 @@ class TestSolve:
         assert manifest["environment"]["transform"] == "dct1"
         assert manifest["environment"]["numpy"] == np.__version__
         assert manifest["environment"]["scipy"] == scipy.__version__
-        from pathlib import Path
-
         for entry in manifest["outputs"]:
             assert Path(entry["path"]).exists()
             assert entry["role"] in ("field", "iteration-log")
@@ -159,28 +160,43 @@ class TestSolve:
         assert len(err) == 1 and err[0].startswith("error:") and "byte 48" in err[0]
         assert not (tmp_path / "run").exists()
 
-    def test_odd_seed_is_an_error_line(self, tmp_path, capsys):
+    def assert_collapsed(self, capsys, out, parity, iterations):
+        """A collapse is a diverged status with every output written, nothing on stderr."""
+        captured = capsys.readouterr()
+        assert "status=diverged" in captured.out and captured.err == ""
+        reason = json.loads((out / "manifest.json").read_text())["run"]["reason"]
+        assert reason.startswith("cubic pairing vanished")
+        assert ("odd parity" in reason) == parity
+        _, *rows = (out / "iterations.csv").read_text().splitlines()
+        assert [int(row.split(",")[0]) for row in rows] == list(range(1, iterations + 1))
+        assert rows[-1].split(",")[2] == "nan"  # m_factor of the collapsed step
+        load_field(out / "field.fkpl")  # the last accepted iterate, readable
+
+    def test_odd_seed_ends_diverged(self, tmp_path, capsys):
         # x exp(-x^2 - y^2) has a vanishing cubic pairing: the stabilizing
-        # factor is undefined, so the run cannot start
+        # factor is undefined at the first step, which ends the run
         grid = SpectralGrid(nx=64, ny=64, lx=16.0, ly=16.0)
         X, Y = meshes(grid)
         seed = tmp_path / "odd.fkpl"
         save_field(seed, RealField(grid, X * np.exp(-(X**2) - Y**2)), 2.0, 1.0)
+        out = tmp_path / "run"
         code = run(["solve", "--alpha", "2", "--n", "64", "--l", "16",
-                    "--seed", f"file:{seed}", "--out", tmp_path / "run"])
+                    "--seed", f"file:{seed}", "--out", out])
         assert code == EXIT_DIVERGED
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "cubic pairing" in err
-        assert len(err.splitlines()) == 1
+        self.assert_collapsed(capsys, out, parity=True, iterations=1)
 
-    @pytest.mark.parametrize("nu", ["0", "-1"])
-    def test_quarter_collapse_does_not_blame_parity(self, tmp_path, capsys, nu):
-        # the unstabilized map collapses the even seed; parity is no cause
-        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", "--nu", nu,
-                    "--out", tmp_path / "run"])
+    @pytest.mark.parametrize(
+        "option, iterations",
+        [(["--nu", "0"], 10), (["--nu", "-1"], 6), (["--c", "1e-300"], 1)],
+        ids=["0", "-1", "c-1e-300"],
+    )
+    def test_quarter_collapse_does_not_blame_parity(self, tmp_path, capsys, option, iterations):
+        # the unstabilized map collapses the even seed, and a seed of
+        # amplitude 3e-300 has a square that underflows; parity is no cause
+        out = tmp_path / "run"
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", *option, "--out", out])
         assert code == EXIT_DIVERGED
-        err = capsys.readouterr().err
-        assert "cubic pairing vanished" in err and "parity" not in err
+        self.assert_collapsed(capsys, out, parity=False, iterations=iterations)
 
     def test_non_even_seed_runs_on_the_half_lattice(self, tmp_path):
         # a gaussian off x = 0 is not even in x: the run keeps the rfft2 layout
@@ -367,6 +383,16 @@ def test_import_leaves_out_scipy_linalg():
     code = "import sys, fkplump.cli; print('scipy.linalg' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_python_m_runs_the_cli():
+    # the package runs as a module, as the installed fkplump script does
+    src = str(Path(fkplump.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-m", "fkplump", "--version"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0
+    assert out.stdout.strip() == f"fkplump {fkplump.__version__}"
 
 
 def library_default(cls, name):
@@ -687,6 +713,19 @@ class TestConvergenceStudy:
         header, *lines = (out / "convergence_study.csv").read_text().splitlines()
         assert header.split(",")[7] == "error_vs_exact"
         assert [line.split(",")[7] for line in lines] == ["nan", "nan"]
+
+    def test_goes_on_past_a_collapse(self, tmp_path):
+        # at c = 1e-300 the seed's square underflows, so every solve of the
+        # sweep collapses at its first step: a row each, not a stopped study
+        out = tmp_path / "study"
+        code = run(["convergence-study", "--alpha", "2", "--c", "1e-300", "--n", "16",
+                    "--l", "8,16", "--out", out])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in
+                (out / "convergence_study.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[1], r[2], r[3]) for r in rows] == [
+            ("8", "16", "1", "diverged"), ("16", "32", "1", "diverged")
+        ]
 
     def test_unparseable_l_list_is_named(self, tmp_path, capsys):
         code = run(["convergence-study", "--alpha", "2", "--n", "16", "--l", "64,abc",

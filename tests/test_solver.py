@@ -46,6 +46,7 @@ REASON_PREFIXES = {
     SolveStatus.MAX_ITER: ("max-iter",),
     SolveStatus.DIVERGED: (
         "step factor M^nu", "iteration produced non-finite", "sup|phi|", "constant state",
+        "cubic pairing vanished",
     ),
 }
 
@@ -508,6 +509,23 @@ class TestSolve:
         assert final.iter_error == final.residual == math.inf
         assert final.m_factor == calls[-1] and math.isfinite(final.factor_error)
 
+    def test_collapse_ends_diverged(self):
+        # nu = 0 is the unstabilized map, which collapses the seed at step 10;
+        # the field is the last accepted iterate, the one of a 9-step run
+        grid = SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0)
+        config = SolverConfig(params=PARAMS, grid=grid, nu=0.0)
+        field, report = solve(config)
+        assert report.status is SolveStatus.DIVERGED
+        assert report.reason == "cubic pairing vanished; the iterate has collapsed"
+        final = report.final
+        assert final.iteration == report.iterations == 10
+        assert final.iter_error == final.residual == math.inf
+        assert math.isnan(final.m_factor) and math.isnan(final.factor_error)
+        before, _ = solve(replace(config, max_iter=9))
+        assert field.values.tobytes() == before.values.tobytes()
+        assert issubclass(DegenerateIterateError, DivergenceError)
+        assert math.isnan(DegenerateIterateError("collapsed").m_factor)
+
     def test_empty_report_has_no_final(self):
         report = IterationReport(records=(), status=SolveStatus.MAX_ITER, tol=1e-5)
         with pytest.raises(ValueError):
@@ -649,17 +667,14 @@ class TestAcceleration:
         config = SolverConfig(
             params=PARAMS, grid=grid, nu=nu, max_iter=60, seed=seed, accel_depth=depth
         )
-        try:
-            _, report = solve(config)
-        except DegenerateIterateError:
-            # allowed only where the plain map collapses too, not by mixing
-            if depth:
-                with pytest.raises(DegenerateIterateError):
-                    solve(replace(config, accel_depth=0))
-            return
+        _, report = solve(config)
         assert report.reason.startswith(REASON_PREFIXES[report.status])
         assert 1 <= report.iterations <= config.max_iter
         assert report.mixed_steps <= report.iterations
+        if depth and report.reason.startswith("cubic pairing vanished"):
+            # a collapse is allowed only where the plain map collapses too, not by mixing
+            _, plain = solve(replace(config, accel_depth=0))
+            assert plain.reason.startswith("cubic pairing vanished")
 
 
 def half_lattice_only(monkeypatch):
@@ -686,6 +701,15 @@ class TestLayouts:
         assert report.converged() and ref.converged()
         assert report.iterations == ref.iterations
         assert report.mixed_steps == ref.mixed_steps
+        # Largest relative gap over the records, iter_error / residual, by
+        # depth 0-3 (measured with numpy 2.4 and scipy 1.17):
+        #   128^2 alpha 2:   2.4e-8/3.6e-8  2.6e-9/3.0e-8  6.4e-9/7.6e-9  1.3e-7/1.2e-7
+        #   128^2 alpha 1.5: 2.0e-7/4.9e-8  5.6e-7/2.8e-7  3.9e-8/6.9e-8  1.1e-8/5.2e-8
+        #   256^2 alpha 2:   3.7e-8/2.0e-8  1.2e-8/1.9e-8  1.0e-7/1.0e-7  1.6e-8/1.9e-7
+        #   256^2 alpha 1.5: 1.2e-7/2.5e-8  7.0e-7/5.1e-7  4.8e-7/7.0e-8  3.3e-7/3.6e-7
+        # The final iter_error (~1e-7) is a difference of O(10) values: a
+        # change of summation order or of the seed's roundoff alone has taken
+        # [128-1.5-1] and [256-1.5-1] past the 1e-6 bound (2.7e-6, 1.8e-6).
         for rec, old in zip(report.records, ref.records):
             assert rec.m_factor == pytest.approx(old.m_factor, rel=1e-12, abs=0.0)
             assert rec.iter_error == pytest.approx(old.iter_error, rel=1e-6, abs=0.0)

@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import fkplump
+from fkplump import cli, solver
 
 #: Imported names that no code of their module uses: perfbench reads them
 #: as attributes of the module (perfbench/selftest.py).
@@ -104,3 +105,19 @@ def test_no_imports_in_functions():
         and any(isinstance(inner, (ast.Import, ast.ImportFrom)) for inner in ast.walk(node))
     }
     assert nested == set()
+
+
+def test_cli_names_no_solver_exception():
+    # solve ends every failed iteration in a status with a reason, and exit 3
+    # comes from that status alone: a solver exception caught in the CLI
+    # would be a second failure path
+    errors = {
+        name for name, value in vars(solver).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == solver.__name__
+    }
+    assert errors
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert (read_names(tree) | imported) & errors == set()
