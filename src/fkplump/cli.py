@@ -44,7 +44,7 @@ import scipy
 from . import __version__
 from .analysis import cross_section, decay_profile, symmetry_report
 from .diagnostics import fourier_tail, functionals, residual
-from .fieldio import FieldFileError, load_field, save_field
+from .fieldio import load_field, save_field
 from .grid import SpectralGrid, _sup, fft_workers
 from .kernels import integrability_probe
 from .reference import ExactLumpParams, exact_kp1_lump
@@ -176,21 +176,17 @@ def _seed_spec(resolved: dict[str, object]) -> SeedSpec:
 
 
 def _solver_config(resolved: dict[str, object]) -> SolverConfig:
-    try:
-        params = SymbolParams(alpha=resolved["alpha"], c=resolved["c"])
-        n, l = resolved["n"], resolved["l"]
-        return SolverConfig(
-            params=params,
-            grid=SpectralGrid(nx=n, ny=n, lx=l, ly=l),
-            nu=resolved["nu"],
-            tol=resolved["tol"],
-            max_iter=resolved["max-iter"],
-            seed=_seed_spec(resolved),
-            allow_supercritical=resolved["allow-supercritical"],
-            accel_depth=resolved["accel-depth"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    n, l = resolved["n"], resolved["l"]
+    return SolverConfig(
+        params=SymbolParams(alpha=resolved["alpha"], c=resolved["c"]),
+        grid=SpectralGrid(nx=n, ny=n, lx=l, ly=l),
+        nu=resolved["nu"],
+        tol=resolved["tol"],
+        max_iter=resolved["max-iter"],
+        seed=_seed_spec(resolved),
+        allow_supercritical=resolved["allow-supercritical"],
+        accel_depth=resolved["accel-depth"],
+    )
 
 
 def _write_iteration_log(path: Path, report) -> None:
@@ -421,7 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, FieldFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError and FieldFileError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except MemoryError as exc:

@@ -18,11 +18,12 @@ means all three fall below the configured tolerance simultaneously.
 On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
 outside the energy space (zero mass in x); build_seed projects them out
 of the seed, and the image is exactly 0 there.  D and the pairings are
-real by construction.  A step whose M^nu is not a finite positive number
-or whose cubic pairing vanishes (a collapsed iterate) ends the run as
-DIVERGED, and so does a run that converges to within c of the constant
-steady state phi = 2c, where a lump, about 0 at the domain edge, never
-comes.
+real by construction.  A step fails when its cubic pairing vanishes (a
+collapsed iterate), its M^nu is not finite and positive, or its iterate
+is not finite or blows up past DIVERGENCE_AMPLITUDE c; the run then ends
+DIVERGED with an inf record and the last accepted iterate.  A run that
+converges to within c of the constant steady state phi = 2c, where a
+lump, about 0 at the domain edge, never comes, is DIVERGED too.
 
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
@@ -87,7 +88,8 @@ from .grid import (  # noqa: F401
 from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
 from .symbols import ALPHA_ENERGY_CRITICAL, SymbolParams, dispersion_symbol
 
-#: Sup-norm blow-up guard, in units of the wave speed.
+#: Sup-norm blow-up guard, in units of the wave speed.  A larger iterate is a
+#: failed step (SteadyOperator.realize): an inf record and the last accepted iterate.
 DIVERGENCE_AMPLITUDE = 1e6
 
 #: The Anderson mixing depths: 0 is the plain map, m >= 1 mixes with the
@@ -115,18 +117,11 @@ MONITORS = ("iter_error", "factor_error", "residual")
 
 
 class DivergenceError(ArithmeticError):
-    """The iteration produced non-finite values or an unusable factor M^nu (m_factor is then M)."""
+    """A failed step; m_factor is M for an unusable M^nu, nan for a collapse, else None."""
 
     def __init__(self, message: str, m_factor: float | None = None) -> None:
         super().__init__(message)
         self.m_factor = m_factor
-
-
-class DegenerateIterateError(DivergenceError):
-    """The cubic pairing of M vanished (dead iterate), so M is nan; solve reports it as DIVERGED."""
-
-    def __init__(self, message: str) -> None:
-        super().__init__(message, math.nan)
 
 
 class SolveStatus(str, Enum):
@@ -139,22 +134,25 @@ class SolveStatus(str, Enum):
 class SeedSpec:
     """Initial-guess descriptor.
 
-    kind is one of "gaussian" (default A = 3c, w = 2), "exact-kp1" (the
-    closed-form alpha = 2 lump at the configured speed), or "file" with a
-    path to a saved field.  amplitude = None resolves to 3c at solve time.
+    kind is one of "gaussian", "exact-kp1" (the closed-form alpha = 2 lump
+    at the configured speed) or "file" with a path to a saved field.  Only
+    the gaussian takes an amplitude and a width; None is 3c and 2.
     """
 
     kind: str = "gaussian"
     amplitude: float | None = None
-    width: float = 2.0
+    width: float | None = None
     path: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "exact-kp1", "file"):
             raise ValueError(f"unknown seed kind {self.kind!r}")
-        if self.amplitude is not None:
-            _check_amplitude(self.amplitude, "seed amplitude")
-        _check_width(self.width, "seed width")
+        for name, value, check in (("amplitude", self.amplitude, _check_amplitude),
+                                   ("width", self.width, _check_width)):
+            if value is not None and self.kind != "gaussian":
+                raise ValueError(f"seed {name} applies only to the gaussian seed, not {self.kind!r}")
+            if value is not None:
+                check(value, f"seed {name}")
         if self.kind == "file" and not self.path:
             raise ValueError("seed kind 'file' requires a path")
 
@@ -413,12 +411,11 @@ class SteadyOperator:
 
         Raises
         ------
-        DegenerateIterateError
-            If the cubic pairing is below 1e-14 of its natural scale, as
-            for a zero or odd-in-x iterate.
         DivergenceError
-            If M^nu is not a finite positive number, as for a negative M
-            and nu = 1.5; the error carries M.
+            If the cubic pairing is below 1e-14 of its natural scale, as
+            for a zero or odd-in-x iterate (the error carries M = nan), or
+            if M^nu is not a finite positive number, as for a negative M
+            and nu = 1.5 (the error carries M).
         """
         # block tiles for the weights, |phi^|^2 and D, reused by every block;
         # the last two take turns as scratch for the products and |(phi^2)^|
@@ -443,26 +440,30 @@ class SteadyOperator:
         if abs(den) <= 1e-14 * scale:
             # A quarter iterate is even-even by construction: parity is no cause there.
             cause = "" if self.quarter else " (or has odd parity)"
-            raise DegenerateIterateError(
-                f"cubic pairing vanished; the iterate has collapsed{cause}"
+            raise DivergenceError(
+                f"cubic pairing vanished; the iterate has collapsed{cause}", math.nan
             )
         m = num / den
         sq_hat *= _gain(m, nu)
         return m
 
-    def realize(self, next_hat: np.ndarray) -> tuple[np.ndarray, float]:
-        """The iterate of a spectrum and its sup norm.
+    def realize(self, next_hat: np.ndarray) -> np.ndarray:
+        """The iterate of a spectrum.
 
         Raises
         ------
         DivergenceError
-            If the iterate is not finite.
+            If the iterate is not finite or exceeds the blow-up guard.
         """
         values = self.inverse(next_hat)
         peak = _sup(values)
         if not math.isfinite(peak):
             raise DivergenceError("iteration produced non-finite values")
-        return values, peak
+        if peak > DIVERGENCE_AMPLITUDE * self.params.c:
+            raise DivergenceError(
+                f"sup|phi| = {peak:.3e} exceeds the blow-up guard {DIVERGENCE_AMPLITUDE:g} c"
+            )
+        return values
 
     @small_ufunc_buffers()
     def residual(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
@@ -559,7 +560,8 @@ def build_seed(config: SolverConfig) -> RealField:
     c = config.params.c
     if spec.kind == "gaussian":
         amplitude = 3.0 * c if spec.amplitude is None else spec.amplitude
-        seed = gaussian_seed(config.grid, amplitude, spec.width)
+        width = 2.0 if spec.width is None else spec.width
+        seed = gaussian_seed(config.grid, amplitude, width)
     elif spec.kind == "exact-kp1":
         seed = exact_kp1_lump(config.grid, ExactLumpParams(c=c))
     else:
@@ -601,7 +603,7 @@ def _check_first_step(op: SteadyOperator, spec: SeedSpec, peak: float) -> None:
               nodes * spectrum * nodes * peak * peak)
     if all(math.isfinite(bound) for bound in bounds):
         return
-    if spec.kind == "gaussian" and spec.amplitude is not None:
+    if spec.amplitude is not None:  # only a gaussian has one
         seed = f"seed amplitude {spec.amplitude!r}"
     else:
         seed = f"seed peak {peak:.3g}"
@@ -623,9 +625,10 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     """Run the Petviashvili iteration to convergence.
 
     Iterates until all three monitors (step difference, |1 - M|, residual)
-    are at or below config.tol, or max_iter is reached, or the iterate
-    blows up or collapses.  Divergence, a collapsed iterate and exhausted
-    iterations are reported as statuses with a reason, not exceptions.
+    are at or below config.tol, or max_iter is reached, or a step fails (a
+    collapse, an unusable M^nu, a non-finite or blown-up iterate), which
+    ends the run DIVERGED with a record (n, inf, M, |1 - M|, inf) and the
+    last accepted iterate.  Every stop is a status with a reason.
 
     Returns
     -------
@@ -662,8 +665,8 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
             else:
                 mixer.reset()
                 next_hat = sq_hat
-            next_phi, peak = op.realize(next_hat)
-        except DivergenceError as exc:  # a collapse too: its m_factor is nan
+            next_phi = op.realize(next_hat)
+        except DivergenceError as exc:
             m = m if exc.m_factor is None else exc.m_factor  # realize raised after image set m
             records.append(IterationRecord(n, math.inf, m, abs(1.0 - m), math.inf))
             status, reason = SolveStatus.DIVERGED, str(exc)
@@ -677,10 +680,6 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         residual = op.residual(phi_hat, sq_hat)
         records.append(IterationRecord(n, iter_error, m, factor_error, residual))
 
-        if peak > DIVERGENCE_AMPLITUDE * p.c:
-            status = SolveStatus.DIVERGED
-            reason = f"sup|phi| = {peak:.3e} exceeds the blow-up guard {DIVERGENCE_AMPLITUDE:g} c"
-            break
         if max(iter_error, factor_error, residual) <= config.tol:
             offset = max(float(phi.max()) - 2.0 * p.c, 2.0 * p.c - float(phi.min()))
             if offset < p.c:

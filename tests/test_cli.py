@@ -20,7 +20,6 @@ from fkplump.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
-    ConfigError,
     _parse_bool,
     _read_config_file,
     _resolve_options,
@@ -105,9 +104,20 @@ class TestSolve:
         code = run(FAST_SOLVE + ["--max-iter", "3", "--out", tmp_path])
         assert code == 2
 
-    def test_divergence_exit_code(self, tmp_path):
-        code = run(FAST_SOLVE + ["--nu", "5", "--max-iter", "50", "--out", tmp_path])
-        assert code == 3
+    def test_divergence_exit_code(self, tmp_path, capsys):
+        # the third iterate passes the blow-up guard: a failed step, whose
+        # row is inf, and the field written is the second iterate
+        out = tmp_path / "run"
+        code = run(FAST_SOLVE + ["--nu", "5", "--max-iter", "50", "--out", out])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == ""
+        reason = json.loads((out / "manifest.json").read_text())["run"]["reason"]
+        assert reason == "sup|phi| = 1.740e+35 exceeds the blow-up guard 1e+06 c"
+        _, *rows = (out / "iterations.csv").read_text().splitlines()
+        assert len(rows) == 3
+        iteration, iter_error, _, _, residual = rows[-1].split(",")
+        assert (iteration, iter_error, residual) == ("3", "inf", "inf")
+        assert load_field(out / "field.fkpl").field.max_abs() < 1.0
 
     def test_manifest_records_fft_workers(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FKP_THREADS", "2")
@@ -137,6 +147,34 @@ class TestSolve:
         err = capsys.readouterr().err.splitlines()
         what = flag[2:].replace("-", " ")
         assert len(err) == 1 and err[0].startswith("error:") and what in err[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("flag", ["--seed-amplitude", "--seed-width"])
+    @pytest.mark.parametrize("kind", ["exact-kp1", "file"])
+    def test_gaussian_option_on_another_seed_is_refused(self, tmp_path, capsys, kind, flag):
+        # only the gaussian has an amplitude and a width: another seed given
+        # one is an error, not a flag that is silently ignored
+        grid = SpectralGrid(nx=16, ny=16, lx=8.0, ly=8.0)
+        seed = tmp_path / "seed.fkpl"
+        save_field(seed, exact_kp1_lump(grid, ExactLumpParams(c=1.0)), 2.0, 1.0)
+        spelled = f"file:{seed}" if kind == "file" else kind
+        code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", "--seed", spelled,
+                    flag, "5", "--out", tmp_path / "run"])
+        assert code == EXIT_CONFIG
+        what = flag[2:].replace("-", " ")
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {what} applies only to the gaussian seed, not {kind!r}"
+        ]
+        assert not (tmp_path / "run").exists()
+
+    def test_gaussian_config_key_on_another_seed_is_refused(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("alpha = 2\nn = 16\nl = 8\nseed = exact-kp1\nseed-width = 7\n")
+        code = run(["solve", "--config", config, "--out", tmp_path / "run"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "error: seed width applies only to the gaussian seed, not 'exact-kp1'"
+        ]
         assert not (tmp_path / "run").exists()
 
     def test_missing_seed_file(self, tmp_path, capsys):
@@ -521,12 +559,13 @@ class TestConfigFile:
         ),
     )
     def test_any_known_key_resolves_or_is_a_config_error(self, tmp_path, key, value):
+        # main reports every ValueError (ConfigError is one) as one error line, exit 1
         config = tmp_path / "run.cfg"
         config.write_text(f"alpha = 2\n{key} = {value}\n", encoding="utf-8")
         args = build_parser().parse_args(["solve", "--config", str(config)])
         try:
             _solver_config(_resolve_options(args))
-        except ConfigError:
+        except ValueError:
             pass
 
 

@@ -107,17 +107,33 @@ def test_no_imports_in_functions():
     assert nested == set()
 
 
+def solver_exceptions():
+    """The exception classes solver.py defines, by name."""
+    return {
+        name: value for name, value in vars(solver).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+        and value.__module__ == solver.__name__
+    }
+
+
 def test_cli_names_no_solver_exception():
     # solve ends every failed iteration in a status with a reason, and exit 3
     # comes from that status alone: a solver exception caught in the CLI
     # would be a second failure path
-    errors = {
-        name for name, value in vars(solver).items()
-        if isinstance(value, type) and issubclass(value, BaseException)
-        and value.__module__ == solver.__name__
-    }
+    errors = set(solver_exceptions())
     assert errors
     tree = ast.parse(Path(cli.__file__).read_text())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert (read_names(tree) | imported) & errors == set()
+
+
+def test_solver_has_one_exception():
+    # a failed step raises DivergenceError and nothing else: a second class,
+    # or a subclass of it anywhere in the package, is a second failure path
+    assert solver_exceptions() == {"DivergenceError": solver.DivergenceError}
+    for path in sorted(Path(fkplump.__file__).parent.glob("*.py")):
+        bases = {base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.ClassDef) for base in node.bases}
+        assert "DivergenceError" not in bases, path.stem
