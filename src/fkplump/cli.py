@@ -213,6 +213,7 @@ def run_solve(args: argparse.Namespace) -> int:
     log_path = out_dir / "iterations.csv"
     save_field(field_path, field, config.params.alpha, config.params.c)
     _write_iteration_log(log_path, report)
+    amplitude, width = config.seed.resolve(config.params.c)
     manifest = {
         "config": {k: resolved[k] for k in sorted(resolved, key=str)},
         "outputs": [
@@ -223,6 +224,7 @@ def run_solve(args: argparse.Namespace) -> int:
         "environment": {"fft_workers": fft_workers(), "transform": report.transform,
                         "numpy": np.__version__, "scipy": scipy.__version__},
         "run": {"status": report.status.value, "reason": report.reason,
+                "seed": {"kind": config.seed.kind, "amplitude": amplitude, "width": width},
                 "iterations": report.iterations, "accel_depth": config.accel_depth,
                 "mixed_steps": report.mixed_steps,
                 "first_within_tol": report.first_within_tol()},

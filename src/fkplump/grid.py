@@ -147,6 +147,15 @@ def _sup(values: np.ndarray) -> float:
     return abs(float(np.maximum(values.max(), -values.min())))
 
 
+def _sup_of_difference(a: np.ndarray, b: np.ndarray) -> float:
+    """_sup(a - b), formed in whole-row blocks of one tile (about half of
+    BLOCK_BYTES for real rows), not as an a-sized temporary.  The max of the
+    blocks' sups is the sup of the whole, bit for bit."""
+    blocks = row_blocks(*a.shape)
+    tile = np.empty(a[blocks[0]].shape)
+    return max(_sup(np.subtract(a[s], b[s], out=tile[: len(a[s])])) for s in blocks)
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
@@ -339,7 +348,8 @@ class RealField:
         if scale == 0.0:
             return 0.0, 0.0
         hx, hy = v.shape[0] // 2, v.shape[1] // 2
-        return _sup(v[1:hx] - v[:hx:-1]) / scale, _sup(v[:, 1:hy] - v[:, :hy:-1]) / scale
+        return (_sup_of_difference(v[1:hx], v[:hx:-1]) / scale,
+                _sup_of_difference(v[:, 1:hy], v[:, :hy:-1]) / scale)
 
     @cached_property
     def is_even_even(self) -> bool:

@@ -136,7 +136,8 @@ class SeedSpec:
 
     kind is one of "gaussian", "exact-kp1" (the closed-form alpha = 2 lump
     at the configured speed) or "file" with a path to a saved field.  Only
-    the gaussian takes an amplitude and a width; None is 3c and 2.
+    the gaussian takes an amplitude and a width, None being 3c and 2
+    (resolve), and only the file seed takes a path.
     """
 
     kind: str = "gaussian"
@@ -153,8 +154,18 @@ class SeedSpec:
                 raise ValueError(f"seed {name} applies only to the gaussian seed, not {self.kind!r}")
             if value is not None:
                 check(value, f"seed {name}")
+        if self.path is not None and self.kind != "file":
+            raise ValueError(f"seed path applies only to the 'file' seed, not {self.kind!r}")
         if self.kind == "file" and not self.path:
             raise ValueError("seed kind 'file' requires a path")
+
+    def resolve(self, c: float) -> tuple[float | None, float | None]:
+        """The gaussian's (amplitude, width) at speed c, None read as 3c and 2;
+        (None, None) for the other kinds."""
+        if self.kind != "gaussian":
+            return None, None
+        return (3.0 * c if self.amplitude is None else self.amplitude,
+                2.0 if self.width is None else self.width)
 
 
 @dataclass(frozen=True)
@@ -559,9 +570,7 @@ def build_seed(config: SolverConfig) -> RealField:
     spec = config.seed
     c = config.params.c
     if spec.kind == "gaussian":
-        amplitude = 3.0 * c if spec.amplitude is None else spec.amplitude
-        width = 2.0 if spec.width is None else spec.width
-        seed = gaussian_seed(config.grid, amplitude, width)
+        seed = gaussian_seed(config.grid, *spec.resolve(c))
     elif spec.kind == "exact-kp1":
         seed = exact_kp1_lump(config.grid, ExactLumpParams(c=c))
     else:

@@ -9,7 +9,8 @@ frequency mask or separate cube powers, the 1D incomplete-beta
 reduction of the symbol probes that the nested box rule replaced, and
 the fancy-indexed quarter fold and unfold that strided slices replaced.
 The coordinate meshes themselves are built here too, for the tests' fields,
-and so is the tracemalloc measure that the memory tests share.
+and so are the tracemalloc measure that the memory tests share and the
+counter of the probes' symbol samplings.
 """
 
 import tracemalloc
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.special import beta as beta_fn
 from scipy.special import betainc
 
+from fkplump import kernels
 from fkplump.diagnostics import FunctionalValues
 from fkplump.grid import RealField, SpectralGrid, irfft2, quarter_nodes, rfft2
 from fkplump.kernels import PROBE_EXPONENTS, _panel_rule
@@ -51,6 +53,19 @@ def peak_n2(grid, call):
     finally:
         tracemalloc.stop()
     return result, peak / (grid.nx * grid.ny * 8)
+
+
+def count_symbol_calls(monkeypatch):
+    """A list that gets the (alpha, which) of each kernels.kernel_symbol call."""
+    calls = []
+    symbol = kernels.kernel_symbol
+
+    def counted(*args):
+        calls.append(args[2:])
+        return symbol(*args)
+
+    monkeypatch.setattr(kernels, "kernel_symbol", counted)
+    return calls
 
 
 def petviashvili_denominator(xi1, xi2, p):
@@ -288,7 +303,7 @@ def _dyadic_panels(lo: float, hi: float) -> np.ndarray:
 
 def _panel_integral(f, lo: float, hi: float) -> float:
     """Integral of the vectorised f over [lo, hi] on dyadic Gauss-Legendre panels."""
-    x, w = _panel_rule(_dyadic_panels(lo, hi))
+    x, w = _panel_rule(_dyadic_panels(lo, hi), kernels._GL_NODES, kernels._GL_WEIGHTS)
     return float(np.dot(w, f(x)))
 
 

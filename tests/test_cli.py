@@ -19,6 +19,7 @@ from fkplump.cli import (
     _SOLVE_OPTIONS,
     EXIT_CONFIG,
     EXIT_DIVERGED,
+    EXIT_MAX_ITER,
     EXIT_OK,
     _parse_bool,
     _read_config_file,
@@ -28,12 +29,12 @@ from fkplump.cli import (
     main,
 )
 from fkplump.fieldio import load_field, save_field
-from fkplump import cli
+from fkplump import cli, kernels
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import ACCEL_DEPTHS, SeedSpec, SolverConfig
 from fkplump.symbols import SymbolParams
-from oracles import abs_max_relative_error, meshes
+from oracles import abs_max_relative_error, count_symbol_calls, meshes
 
 FAST_SOLVE = ["solve", "--alpha", "2", "--c", "1", "--n", "128", "--l", "32"]
 
@@ -355,6 +356,20 @@ class TestSolve:
         assert first["residual"] == record["iterations"]
         assert max(first["iter_error"], first["factor_error"]) <= record["iterations"]
 
+    def test_manifest_records_the_resolved_seed(self, tmp_path):
+        # config keeps the options as given (null), run.seed the values solved from
+        out = tmp_path / "run"
+        argv = ["solve", "--alpha", "2", "--c", "1.7", "--n", "64", "--l", "32", "--max-iter", "1"]
+        assert run(argv + ["--out", out]) == EXIT_MAX_ITER
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["run"]["seed"] == {"kind": "gaussian", "amplitude": 3.0 * 1.7, "width": 2.0}
+        assert manifest["config"]["seed-amplitude"] is None
+        assert manifest["config"]["seed-width"] is None
+        out = tmp_path / "exact"
+        assert run(argv + ["--seed", "exact-kp1", "--out", out]) == EXIT_MAX_ITER
+        seed = json.loads((out / "manifest.json").read_text())["run"]["seed"]
+        assert seed == {"kind": "exact-kp1", "amplitude": None, "width": None}
+
     def test_accel_depth_zero_is_plain_map(self, tmp_path):
         out = tmp_path / "run"
         assert run(FAST_SOLVE + ["--accel-depth", "0", "--out", out]) == EXIT_OK
@@ -655,6 +670,18 @@ class TestKernelProbe:
         verdicts = {float(r[1]): r[3] for r in rows}
         assert verdicts[2.0] == "diverging"
         assert verdicts[3.0] == "converging"
+
+    def test_exponents_share_one_table(self, tmp_path, monkeypatch):
+        # the three exponents of one (symbol, alpha) sample the symbol once:
+        # one kernel_symbol call per xi1 panel of one quadrature table
+        kernels._quadrature_table.cache_clear()
+        calls = count_symbol_calls(monkeypatch)
+        out = tmp_path / "probes"
+        code = run(["kernel-probe", "--alpha", "1", "--p", "2,3,4", "--which", "m", "--out", out])
+        assert code == EXIT_OK
+        assert len((out / "kernel_probe_m.csv").read_text().splitlines()) == 1 + 3
+        assert calls == [(1.0, "m")] * 64
+        assert kernels._quadrature_table.cache_info().currsize == 1
 
     def test_rejects_p_below_one(self, tmp_path, capsys):
         code = run(["kernel-probe", "--alpha", "1", "--p", "0.7", "--out", tmp_path])

@@ -21,7 +21,15 @@ from fkplump.grid import (
     rfft2,
     unfold_quarter,
 )
-from oracles import ix_fold_quarter, ix_unfold_quarter, meshes, non_square_grids, odd_perturbed
+from oracles import (
+    abs_max_symmetry_defects,
+    ix_fold_quarter,
+    ix_unfold_quarter,
+    meshes,
+    non_square_grids,
+    odd_perturbed,
+    peak_n2,
+)
 
 
 class TestSpectralGrid:
@@ -154,6 +162,17 @@ class TestFields:
         near, far = odd_perturbed(small_grid, 1e-14), odd_perturbed(small_grid, 1e-12)
         assert near.reflection_defects == pytest.approx((2e-14, 0.0), rel=1e-3, abs=1e-16)
         assert near.is_even_even and not far.is_even_even
+
+    def test_reflection_defects_take_no_full_temporary(self, rng):
+        # both differences are formed in row blocks of one tile: as whole
+        # arrays they peaked at 0.52 n^2 at 1024^2; the sup keeps its bits
+        grid = SpectralGrid(nx=1024, ny=1024, lx=64.0, ly=64.0)
+        X, Y = meshes(grid)
+        for values in (rng.standard_normal(grid.shape), np.exp(-(X**2) - 2.0 * Y**2)):
+            field = RealField(grid, values)
+            defects, peak = peak_n2(grid, lambda: field.reflection_defects)
+            assert peak <= 0.1
+            assert [d.hex() for d in defects] == [e.hex() for e in abs_max_symmetry_defects(field)]
 
     def test_quarter_round_trip(self, rng):
         # a non-square grid: the quarter of an even-even field holds it, bit for bit

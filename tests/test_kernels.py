@@ -17,6 +17,7 @@ from fkplump.kernels import (
     kernel_decay,
 )
 from oracles import (
+    count_symbol_calls,
     non_square_grids,
     peak_n2,
     phase_kernel,
@@ -253,3 +254,57 @@ class TestIntegrabilityProbe:
             assert probe.verdict == "converging"
             assert probe.truncated_norms[-1] == pytest.approx(separated[-1], rel=1e-3)
             np.testing.assert_allclose(probe.truncated_norms, separated, rtol=1e-11, atol=0.0)
+
+
+def probe_bits(probe):
+    return probe.truncated_norms.tobytes(), probe.last_increment, probe.verdict
+
+
+class TestQuadratureTable:
+    """The p-independent table that every probe of one (symbol, alpha, rule) shares."""
+
+    PANELS = 64  # xi1 panels, one kernel_symbol call each
+
+    def test_second_probe_samples_no_symbol(self, monkeypatch):
+        kernels._quadrature_table.cache_clear()
+        calls = count_symbol_calls(monkeypatch)
+        integrability_probe(1.0, 3.0, "m")
+        assert len(calls) == self.PANELS and set(calls) == {(1.0, "m")}
+        integrability_probe(1.0, 2.0, "m")
+        assert len(calls) == self.PANELS
+
+    @pytest.mark.parametrize("alpha, p, which", [
+        (1.0, 3.0, "m"), (1.0, 1.9, "h"), (1.5, 2.2, "m"), (3.0, 0.55, "h"), (0.9, 5.0, "m"),
+    ])
+    def test_cold_and_warm_tables_give_the_same_bits(self, alpha, p, which):
+        kernels._quadrature_table.cache_clear()
+        cold = integrability_probe(alpha, p, which)
+        kernels._quadrature_table.cache_clear()
+        integrability_probe(alpha, 2.0 * p, which)  # builds the table
+        warm = integrability_probe(alpha, p, which)
+        assert probe_bits(warm) == probe_bits(cold)
+
+    def test_table_is_read_only(self):
+        rule = (kernels._GL_NODES.tobytes(), kernels._GL_WEIGHTS.tobytes())
+        table = kernels._quadrature_table("h", 1.0, rule)
+        assert len(table) == self.PANELS
+        arrays = [array for panel in table for array in panel]
+        assert sum(vals.size for _, _, vals, _ in table) == 371_520
+        assert not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError):
+            table[0][2][0, 0] = 1.0
+
+    def test_new_alpha_or_rule_builds_a_new_table(self, monkeypatch):
+        kernels._quadrature_table.cache_clear()
+        calls = count_symbol_calls(monkeypatch)
+        shipped = integrability_probe(1.5, 2.2, "m")
+        integrability_probe(2.0, 2.2, "m")
+        assert calls[self.PANELS:] == [(2.0, "m")] * self.PANELS
+        nodes, weights = np.polynomial.legendre.leggauss(24)
+        monkeypatch.setattr(kernels, "_GL_NODES", nodes)
+        monkeypatch.setattr(kernels, "_GL_WEIGHTS", weights)
+        finer = integrability_probe(1.5, 2.2, "m")
+        assert calls[2 * self.PANELS:] == [(1.5, "m")] * self.PANELS
+        assert finer.truncated_norms.tobytes() != shipped.truncated_norms.tobytes()
+        assert finer.box_norm == pytest.approx(shipped.box_norm, rel=1e-12)
+        assert kernels._quadrature_table.cache_info().maxsize == kernels.TABLE_CACHE_SIZE

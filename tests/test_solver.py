@@ -205,6 +205,14 @@ class TestConfig:
             for option in ("amplitude", "width"):
                 with pytest.raises(ValueError, match=f"^seed {option} applies only to the gaussian"):
                     SeedSpec(kind=kind, path="seed.fkpl", **{option: 2.0})
+        # and only the file seed reads a path
+        for kind in ("gaussian", "exact-kp1"):
+            message = f"^seed path applies only to the 'file' seed, not '{kind}'$"
+            with pytest.raises(ValueError, match=message):
+                SeedSpec(kind=kind, path="seed.fkpl")
+        assert SeedSpec().resolve(1.5) == (4.5, 2.0)
+        assert SeedSpec(amplitude=-1.0, width=3.0).resolve(1.5) == (-1.0, 3.0)
+        assert SeedSpec(kind="exact-kp1").resolve(1.5) == (None, None)
 
 
 class TestSeeds:

@@ -64,6 +64,79 @@ def test_no_scipy_special():
     assert [path.stem for path in modules if imports_scipy_special(path)] == []
 
 
+def int_constants(tree):
+    """The module-level names a module binds to an int literal."""
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        and type(node.value.value) is int
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+
+def unbounded_caches(source):
+    """The functions a module decorates with a functools cache other than
+    lru_cache(maxsize=N), N an int literal or a module-level name bound to one."""
+    tree = ast.parse(source)
+    local = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "functools"
+             for alias in node.names}
+    bounds = int_constants(tree)
+
+    def cache_kind(node):
+        if isinstance(node, ast.Name):
+            return local.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.attr if node.value.id == "functools" else None
+        return None
+
+    def bounded(node):
+        sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] if not node.args else []
+        return len(sizes) == 1 and (
+            isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int
+            or isinstance(sizes[0], ast.Name) and sizes[0].id in bounds)
+
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                kind = cache_kind(call.func if call else decorator)
+                if kind == "cache" or kind == "lru_cache" and not (call and bounded(call)):
+                    found.add(node.name)
+    return found
+
+
+def test_every_cache_is_bounded():
+    # a cache that holds arrays grows without limit unless its size is fixed
+    modules = sorted(Path(fkplump.__file__).parent.glob("*.py"))
+    assert {(path.stem, name) for path in modules
+            for name in unbounded_caches(path.read_text())} == set()
+    examples = """
+import functools
+from functools import cache, lru_cache as memo
+SIZE = 4
+@functools.cache
+def a(): pass
+@functools.lru_cache
+def b(): pass
+@memo(maxsize=None)
+def c(): pass
+@cache
+def d(): pass
+@memo(4)
+def e(): pass
+@functools.lru_cache(maxsize=SIZE * 2)
+def f(): pass
+@memo(maxsize=4)
+def ok(): pass
+@functools.lru_cache(maxsize=SIZE)
+def ok_too(): pass
+"""
+    assert unbounded_caches(examples) == set("abcdef")
+
+
 def public_functions(tree):
     """The public functions a module defines at its top level."""
     return {
