@@ -7,7 +7,9 @@ periodic images.  A fitted constant background is removed first; on the
 torus the steady problem feeds the mean of phi^2 into a small constant
 offset of the solution (there is no decaying periodic steady state
 without it), and that offset would masquerade as r^2 growth across the
-plateau window.
+plateau window.  The solver's mean mode sets its size:
+D(0,0) mean(phi) = mean(phi^2), with D(0,0) from
+symbols.mean_mode_denominator.
 """
 
 from __future__ import annotations

@@ -3,6 +3,9 @@
 The steady problem at speed 1 is equivalent to the convolution identity
 phi = (1/2) K * phi^2 where fft(K) samples the symbol m, and to
 phi = (1/2) H * (phi^2)_x for the odd companion kernel with symbol h.
+The integral of K over the box is m's origin, 2/D(0,0) at c = 1 (1 for
+D(0,0) = 2c; symbols.mean_mode_denominator), so the identity holds on
+the mean mode that the solver picks.
 This module constructs both kernels, centred by the sign (-1)^(k1 + k2)
 on the half-lattice symbols symbol_m and symbol_h before their real inverse
 transform (irfft2), measures their decay, and probes the L^p integrability

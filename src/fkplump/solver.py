@@ -21,9 +21,14 @@ of the seed, and the image is exactly 0 there.  D and the pairings are
 real by construction.  A step fails when its cubic pairing vanishes (a
 collapsed iterate), its M^nu is not finite and positive, or its iterate
 is not finite or blows up past DIVERGENCE_AMPLITUDE c; the run then ends
-DIVERGED with an inf record and the last accepted iterate.  A run that
-converges to within c of the constant steady state phi = 2c, where a
-lump, about 0 at the domain edge, never comes, is DIVERGED too.
+DIVERGED with an inf record and the last accepted iterate.
+
+The periodic problem leaves the mean of phi free.  D at the origin fixes
+it, D(0,0) mean(phi) = mean(phi^2), and symbols.mean_mode_denominator
+decides that value (2c); SteadyOperator.denominator writes it there.  It
+also makes phi = D(0,0) the constant steady state: a run that converges
+to within c of it, where a lump, about 0 at the domain edge, never comes,
+is DIVERGED too.
 
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
@@ -86,7 +91,7 @@ from .grid import (  # noqa: F401
     unfold_quarter,
 )
 from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
-from .symbols import ALPHA_ENERGY_CRITICAL, SymbolParams, dispersion_symbol
+from .symbols import ALPHA_ENERGY_CRITICAL, SymbolParams, dispersion_symbol, mean_mode_denominator
 
 #: Sup-norm blow-up guard, in units of the wave speed.  A larger iterate is a
 #: failed step (SteadyOperator.realize): an inf record and the last accepted iterate.
@@ -304,7 +309,8 @@ class SteadyOperator:
 
     No 2-D array is held.  D = 2 (c + T^2 + |xi1|^alpha), with T = xi2/xi1,
     is formed once per row block (denominator) in image's one pass, which
-    sums the pairings of M and divides by D.
+    sums the pairings of M and divides by D.  Its value at the origin,
+    mean_mode, is symbols.mean_mode_denominator's.
     A is held as its row term xi1^2 (c + |xi1|^alpha) and its column term
     xi2^2, and the weights as row and column factors; both are formed per
     row block where they are used, to the bits of 2-D arrays (a sum, and
@@ -326,6 +332,7 @@ class SteadyOperator:
         self.quarter = quarter
         rows = grid.nx // 2 + 1 if quarter else grid.nx
         xi1, xi2 = self._wavenumbers = grid.xi1[:rows, None], grid.xi2_half[None, :]
+        self.mean_mode = mean_mode_denominator(params.c)
         self.half_xi1sq = 0.5 * xi1**2
         self.dispersion = dispersion_symbol(xi1, params.alpha)
         with np.errstate(over="ignore"):
@@ -355,7 +362,8 @@ class SteadyOperator:
         2.0 * (c + T**2 + |xi1|^alpha), so the bits are too.  T = xi2/xi1
         is 0 on the layout's first row, the only one where xi1 = 0, so one
         plain division fills the tile: symbols.transverse_multiplier's
-        masked one would make a zeroed array per block, and a copy.
+        masked one would make a zeroed array per block, and a copy.  The
+        origin then takes mean_mode.
         """
         xi1, xi2 = self._wavenumbers
         skip = int(rows.start == 0)
@@ -365,6 +373,8 @@ class SteadyOperator:
         out += self.params.c
         out += self.dispersion[rows]
         out *= 2.0
+        if skip:
+            out[0, 0] = self.mean_mode
         return out
 
     @property
@@ -597,7 +607,8 @@ def _check_first_step(op: SteadyOperator, spec: SeedSpec, peak: float) -> None:
     |(phi^2)^| <= N s^2 on either layout, and the pairing weights of M sum
     to N.  So phi^2, the spectra, D |phi^|^2 and the pairing sums of M are
     finite if s^2, (N s)^2, N D_max (N s)^2 and N (N s) (N s^2) are, with
-    D_max at most 2 (c + (max|xi2| / min|xi1 != 0|)^2 + max|xi1|^alpha).
+    D_max at most 2 (c + (max|xi2| / min|xi1 != 0|)^2 + max|xi1|^alpha), or
+    D(0,0) if that is larger.
     The operator's rows hold the Nyquist |xi1| on either layout, so its
     dispersion column holds max|xi1|^alpha.  The bounds are Python floats,
     which reach inf without a warning.
@@ -607,7 +618,7 @@ def _check_first_step(op: SteadyOperator, spec: SeedSpec, peak: float) -> None:
     nodes = float(grid.nx * grid.ny)
     spectrum = nodes * peak
     transverse = float(np.abs(xi2).max()) / float(xi1[1, 0])
-    d_max = 2.0 * (c + transverse * transverse + float(op.dispersion.max()))
+    d_max = max(2.0 * (c + transverse * transverse + float(op.dispersion.max())), op.mean_mode)
     bounds = (peak * peak, spectrum * spectrum, nodes * d_max * spectrum * spectrum,
               nodes * spectrum * nodes * peak * peak)
     if all(math.isfinite(bound) for bound in bounds):
@@ -690,11 +701,12 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         records.append(IterationRecord(n, iter_error, m, factor_error, residual))
 
         if max(iter_error, factor_error, residual) <= config.tol:
-            offset = max(float(phi.max()) - 2.0 * p.c, 2.0 * p.c - float(phi.min()))
+            constant = op.mean_mode  # the constant steady state phi = D(0,0)
+            offset = max(float(phi.max()) - constant, constant - float(phi.min()))
             if offset < p.c:
                 status = SolveStatus.DIVERGED
                 reason = (
-                    f"constant state phi = 2c = {2.0 * p.c:g} reached, not a lump: "
+                    f"constant state phi = 2c = {constant:g} reached, not a lump: "
                     f"sup|phi - 2c| = {offset:.3e} below c"
                 )
             else:

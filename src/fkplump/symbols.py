@@ -18,6 +18,12 @@ column k2 = ny/2, modes that are their own mirrors, so that it keeps the
 conjugate symmetry of a real field's spectrum.  SymbolParams checks that
 alpha and c are finite and positive, and dispersion_symbol that |xi1|^alpha
 does not overflow on the wavenumbers it is given.
+
+The periodic problem leaves the mean of phi free; mean_mode_denominator
+decides it, as the value of D at the origin.  Every reader of that value
+takes it from there: SteadyOperator.denominator, the constant-state rule
+of solve, and symbol_m's origin 2/D(0,0) at c = 1, which sets the kernel
+K's integral.
 """
 
 from __future__ import annotations
@@ -54,6 +60,16 @@ class SymbolParams:
             raise ValueError(f"alpha must be finite and positive, got {self.alpha!r}")
         if not np.isfinite(self.c) or self.c <= 0:
             raise ValueError(f"c must be finite and positive, got {self.c!r}")
+
+
+def mean_mode_denominator(c: float) -> float:
+    """D(0, 0), the Petviashvili denominator on the mean mode: 2c.
+
+    It fixes the mean of a periodic steady state by D(0,0) mean(phi) =
+    mean(phi^2), which makes phi = D(0,0) the constant steady state.  The
+    residual symbol is 0 at the origin, so no monitor checks this choice.
+    """
+    return 2.0 * c
 
 
 def dispersion_symbol(xi1: np.ndarray, alpha: float) -> np.ndarray:
@@ -97,11 +113,11 @@ def symbol_m(grid: SpectralGrid, alpha: float) -> np.ndarray:
     """Kernel symbol m = xi1^2 / (|xi|^2 + |xi1|^(alpha+2)), read-only half-lattice.
 
     Real-valued, 0 <= m <= 1.  The row xi1 = 0 is exactly zero for
-    xi2 != 0; the 0/0 at the origin is set to 1, the value 2/D that the
-    Petviashvili denominator gives the mean mode at c = 1.
+    xi2 != 0; the 0/0 at the origin is set to 2/D(0,0) at c = 1
+    (mean_mode_denominator), which is 1 for D(0,0) = 2c.
     """
     SymbolParams(alpha)  # raises unless alpha is finite and positive
-    return _sample(grid, kernel_symbol, alpha, "m", origin=1.0)
+    return _sample(grid, kernel_symbol, alpha, "m", origin=2.0 / mean_mode_denominator(1.0))
 
 
 def symbol_h(grid: SpectralGrid, alpha: float) -> np.ndarray:

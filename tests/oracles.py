@@ -25,6 +25,7 @@ from fkplump.grid import RealField, SpectralGrid, irfft2, quarter_nodes, rfft2
 from fkplump.kernels import PROBE_EXPONENTS, _panel_rule
 from fkplump.symbols import (
     dispersion_symbol,
+    mean_mode_denominator,
     symbol_h,
     symbol_m,
     symbol_t,
@@ -72,11 +73,13 @@ def petviashvili_denominator(xi1, xi2, p):
     """Denominator 2(c + T^2 + |xi1|^alpha) of the fixed-point map, whole and read-only.
 
     T is the transverse multiplier, 0 on the constrained row xi1 = 0, so D
-    is finite there.  SteadyOperator.denominator forms it per row block by
-    the same formula and order of operations, so to the same bits.
+    is finite there.  The origin holds symbols.mean_mode_denominator(c).
+    SteadyOperator.denominator forms D per row block by the same formula
+    and order of operations, so to the same bits.
     """
     transverse = transverse_multiplier(xi1, xi2) ** 2
     denom = 2.0 * (p.c + transverse + dispersion_symbol(xi1, p.alpha))
+    denom = np.where((xi1 == 0) & (xi2 == 0), mean_mode_denominator(p.c), denom)
     denom.setflags(write=False)
     return denom
 
@@ -87,12 +90,15 @@ def complex_denominator(grid, p):
     The reference for the solver's real half-lattice D: off the
     constrained row xi1 = 0, D is the real part of its first ny/2 + 1
     columns to roundoff.  On that row it is ~ -2 xi2^2/LAMBDA^2; there D
-    is finite and SteadyOperator zeroes the image instead.
+    is finite and SteadyOperator zeroes the image instead.  The origin
+    holds symbols.mean_mode_denominator(c).
     """
     xi1 = grid.xi1[:, None].astype(np.complex128)
     xi2 = grid.xi2[None, :]
     dispersion = dispersion_symbol(grid.xi1[:, None], p.alpha)
-    return 2.0 * (p.c + xi2**2 / (xi1 + 1j * LAMBDA) ** 2 + dispersion)
+    denom = 2.0 * (p.c + xi2**2 / (xi1 + 1j * LAMBDA) ** 2 + dispersion)
+    denom[0, 0] = mean_mode_denominator(p.c)
+    return denom
 
 
 def _exponential_eval_matrix(xi, points, half_width, n):

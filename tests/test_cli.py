@@ -33,7 +33,7 @@ from fkplump import cli, kernels
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import ACCEL_DEPTHS, SeedSpec, SolverConfig
-from fkplump.symbols import SymbolParams
+from fkplump.symbols import SymbolParams, mean_mode_denominator
 from oracles import abs_max_relative_error, count_symbol_calls, meshes
 
 FAST_SOLVE = ["solve", "--alpha", "2", "--c", "1", "--n", "128", "--l", "32"]
@@ -252,7 +252,7 @@ class TestSolve:
 
     def test_constant_state_is_not_a_lump(self, tmp_path, capsys):
         # a very wide gaussian is nearly constant, and the map takes it to
-        # the constant steady state phi = 2c in two iterations
+        # the constant steady state phi = D(0,0) in two iterations
         out = tmp_path / "run"
         code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8",
                     "--seed-width", "1e6", "--out", out])
@@ -260,7 +260,7 @@ class TestSolve:
         assert "status=diverged" in capsys.readouterr().out
         record = json.loads((out / "manifest.json").read_text())["run"]
         assert record["status"] == "diverged"
-        assert "constant state phi = 2c = 2" in record["reason"]
+        assert f"constant state phi = 2c = {mean_mode_denominator(1.0):g} " in record["reason"]
 
     def test_lump_at_loose_tol_is_not_the_constant_state(self, tmp_path, capsys):
         # every monitor passes tol 1e300 at once; the field peaks near 12.5,

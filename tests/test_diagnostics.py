@@ -12,7 +12,7 @@ from fkplump.diagnostics import fourier_tail, functionals, residual
 from fkplump.grid import RealField, SpectralGrid
 from fkplump.reference import ExactLumpParams, exact_kp1_lump
 from fkplump.solver import SolverConfig, SteadyOperator, solve
-from fkplump.symbols import SymbolParams
+from fkplump.symbols import SymbolParams, mean_mode_denominator
 from oracles import (
     cube_functionals,
     mask_fourier_tail,
@@ -189,10 +189,10 @@ class TestFunctionals:
         assert got.sobolev_ratio == pytest.approx(ref.sobolev_ratio, rel=1e-13, abs=0.0)
 
     def test_dc_mode_fixed_point_identity(self, unit_solve):
-        # on the torus the steady state forces mean(phi) = mean(phi^2)/(2c)
+        # on the torus the steady state forces mean(phi) = mean(phi^2)/D(0,0)
         field, _ = unit_solve
         v = functionals(field, 2.0)
-        predicted = float(np.mean(field.values**2)) / 2.0
+        predicted = float(np.mean(field.values**2)) / mean_mode_denominator(PARAMS.c)
         assert v.dc_mode == pytest.approx(predicted, rel=1e-6)
 
     def test_holds_the_square_and_three_half_spectra(self):

@@ -10,6 +10,7 @@ from fkplump.symbols import (
     SymbolParams,
     dispersion_symbol,
     kernel_symbol,
+    mean_mode_denominator,
     symbol_h,
     symbol_m,
     symbol_t,
@@ -43,14 +44,19 @@ class TestDenominator:
     def test_spot_values(self, grid_pi):
         d2 = petviashvili_denominator(*half_lattice(grid_pi), SymbolParams(alpha=2.0, c=1.0))
         assert lattice_value(grid_pi, d2, 1, 0) == pytest.approx(4.0, rel=1e-12)
-        assert lattice_value(grid_pi, d2, 0, 0) == pytest.approx(2.0, rel=1e-12)
+        assert lattice_value(grid_pi, d2, 0, 0) == mean_mode_denominator(1.0)
         d1 = petviashvili_denominator(*half_lattice(grid_pi), SymbolParams(alpha=1.0, c=1.0))
         assert lattice_value(grid_pi, d1, 1, 2) == pytest.approx(12.0, rel=1e-12)
 
-    def test_origin_is_2c(self, grid_pi):
+    def test_mean_mode_denominator_is_2c(self):
+        # the one pin of today's mean mode: D(0,0) mean(phi) = mean(phi^2) with D(0,0) = 2c
+        for c in (0.5, 1.0, 1.3, 3.0):
+            assert mean_mode_denominator(c) == 2.0 * c
+
+    def test_origin_is_the_mean_mode_denominator(self, grid_pi):
         for c in (0.5, 1.0, 3.0):
             d = petviashvili_denominator(*half_lattice(grid_pi), SymbolParams(alpha=1.3, c=c))
-            assert d[0, 0] == pytest.approx(2.0 * c, rel=1e-12)
+            assert d[0, 0] == mean_mode_denominator(c)
 
     def test_modulus_floor(self, grid_pi):
         p = SymbolParams(alpha=1.5, c=0.7)
@@ -69,7 +75,8 @@ class TestDenominator:
     def test_matches_complex_reference_off_constrained_row(self):
         # off the row xi1 = 0 the real D is the regularized complex one's
         # real part to roundoff; on that row the transverse term is taken
-        # as 0, leaving the finite 2c (the operator projects the row out)
+        # as 0, leaving the finite 2c (the operator projects the row out),
+        # and the origin is the mean-mode value in both
         grid = SpectralGrid(nx=64, ny=32, lx=100.0, ly=40.0)
         p = SymbolParams(alpha=1.5, c=1.0)
         full = complex_denominator(grid, p)[:, : grid.ny // 2 + 1]
@@ -78,7 +85,8 @@ class TestDenominator:
         assert half.shape == (grid.nx, grid.ny // 2 + 1)
         assert not half.flags.writeable
         assert np.max(np.abs(half[1:] / full.real[1:] - 1.0)) <= 1e-15
-        assert np.all(half[0] == 2.0 * p.c)
+        assert np.all(half[0, 1:] == 2.0 * p.c)
+        assert half[0, 0] == full[0, 0].real == mean_mode_denominator(p.c)
 
     def test_even_in_both_variables(self, grid_pi):
         # even in xi1 on the stored columns, and each stored column k2 also
@@ -104,6 +112,8 @@ class TestSymbolM:
     def test_spot_values(self, grid_pi):
         m2 = symbol_m(grid_pi, 2.0)
         assert lattice_value(grid_pi, m2, 1, 0) == pytest.approx(0.5, rel=1e-12)
+        # the origin is 2/D(0,0) at c = 1, the image of the mean mode at M = 1
+        assert m2[0, 0] == 2.0 / mean_mode_denominator(1.0)
         m1 = symbol_m(grid_pi, 1.0)
         assert lattice_value(grid_pi, m1, 2, 0) == pytest.approx(1.0 / 3.0, rel=1e-12)
 
