@@ -1,17 +1,20 @@
 """Print one SHA-1 per solve, to check that a change keeps solves bit-identical.
 
-Run from the root of a checkout, on its own source:
+Run from the root of a checkout, on its source:
 
     PYTHONPATH=src python tests/digest.py > digest.txt
 
-and diff the output of two checkouts (see README, "Bit-identity digest").
+and diff the output of two checkouts (see README, "Bit-identity digest");
+run the newer checkout's copy in both, so that every case is hashed on
+each.
 Each line is a case name and the SHA-1 of everything the solve returned:
 every IterationRecord as packed float64s, the status, the reason, the
 mixed-step count, the transform and the field's bytes.  The cases are
 alpha 2, 1.5 and 3 on 128^2, L = 32, and alpha 1.7, c = 1.3 on 64^2,
 L = 16, each at depths 0 to 3 on both layouts; a blow-up at nu = 5 and an
-unusable M^nu (amplitude -3, nu = 1.5), both on 128^2; and the constant
-state of a flat seed.  The last lines hash the files that `fkplump solve`
+unusable M^nu (amplitude -3, nu = 1.5), both on 128^2; a collapse of
+the unstabilized map (nu = 0 on 16^2, L = 8) on both layouts; and the
+constant state of a flat seed.  The last lines hash the files that `fkplump solve`
 writes for a converged and a flat-seed run, the manifest without its
 timings.  pytest does not collect this file.
 """
@@ -54,6 +57,8 @@ def cases():
     yield "nu5-128", SolverConfig(params=alpha2, grid=grid128, nu=5.0, max_iter=60), "auto"
     seed = SeedSpec(kind="gaussian", amplitude=-3.0)
     yield "amplitude-3-nu1.5-128", SolverConfig(params=alpha2, grid=grid128, nu=1.5, seed=seed), "auto"
+    for layout in ("auto", "rfft2"):
+        yield f"collapse-nu0-16-{layout}", SolverConfig(params=alpha2, grid=square(16, 8.0), nu=0.0), layout
     flat = SeedSpec(kind="gaussian", width=1e6)
     yield "flat-seed-16", SolverConfig(params=SymbolParams(alpha=2.0, c=1.5), grid=square(16, 8.0),
                                        seed=flat), "auto"
