@@ -17,8 +17,8 @@ means all three fall below the configured tolerance simultaneously.
 
 On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
 outside the energy space (zero mass in x); build_seed projects them out
-of the seed, and the image is exactly 0 there.  D and the pairings are
-real by construction.  A step fails when its cubic pairing vanishes (a
+of the seed, and (phi^2)^ / D is 0 there.  D and the pairings are real
+by construction.  A step fails when its cubic pairing vanishes (a
 collapsed iterate), its M^nu is not finite and positive, or its iterate
 is not finite or blows up past DIVERGENCE_AMPLITUDE c; the run then ends
 DIVERGED with an inf record and the last accepted iterate.
@@ -56,13 +56,18 @@ restarts the history.  Mixing runs only while |1 - M_n| <= ACCEL_GATE;
 elsewhere the plain step is taken and the history is cleared.
 accel_depth = 0 is the paper's plain map, 1 mixes with one pair and the
 default is 3.  The dot product counts each quarter row as often as the
-half-lattice holds it, so both layouts mix alike.  A full history builds
+half-lattice holds it, so both layouts mix alike.
+
+One step (_Iteration.step) takes M and (phi^2)^ / D from
+SteadyOperator.image, applies M^nu, mixes or takes the plain step and
+forms the iterate, its square's spectrum and the monitors; solve keeps
+the seed, the statuses and the stopping rules.  A full history builds
 the mixed spectrum in its oldest dg, which the step drops, and D is
 formed once per row block and step, not held: between steps depth m
-holds 2m + 3 arrays of the layout (the iterate and 2m + 2 spectra).
-Either way one iteration costs one forward and two inverse transforms of
-the layout (one rfft2 and two irfft2, or one dct1 and two idct1), and
-the three monitors are those of the accepted iterate.
+holds 2m + 3 arrays of the layout (the iterate and 2m + 2 spectra).  One
+iteration costs one forward and two inverse transforms of the layout
+(one rfft2 and two irfft2, or one dct1 and two idct1), and the three
+monitors are those of the accepted iterate.
 """
 
 from __future__ import annotations
@@ -122,11 +127,7 @@ MONITORS = ("iter_error", "factor_error", "residual")
 
 
 class DivergenceError(ArithmeticError):
-    """A failed step; m_factor is M for an unusable M^nu, nan for a collapse, else None."""
-
-    def __init__(self, message: str, m_factor: float | None = None) -> None:
-        super().__init__(message)
-        self.m_factor = m_factor
+    """A failed step: a collapse, an unusable M^nu, a non-finite or blown-up iterate."""
 
 
 class SolveStatus(str, Enum):
@@ -262,13 +263,13 @@ class IterationReport:
 
 
 def _gain(m: float, nu: float) -> float:
-    """The step factor M^nu, or DivergenceError (carrying M) unless it is finite and positive."""
+    """The step factor M^nu, or DivergenceError unless it is finite and positive."""
     try:
         gain = math.pow(m, nu)
     except (ValueError, OverflowError):
         gain = math.nan
     if not (math.isfinite(gain) and gain > 0.0):
-        raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive", m)
+        raise DivergenceError(f"step factor M^nu = ({m!r})^{nu!r} is not finite and positive")
     return gain
 
 
@@ -288,15 +289,16 @@ def _real_product(
 
 
 class SteadyOperator:
-    """M, the Petviashvili image and the steady residual on one (grid, params).
+    """M, the quotient (phi^2)^ / D and the steady residual on one (grid, params).
 
     Build it once and pass it the spectra of spectra(); its arrays are
-    real.  The residual symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has no
-    singular term: S phi has the transform A phi^ - (xi1^2/2) (phi^2)^.
-    The constrained row xi1 = 0, xi2 != 0, where D is infinite, is not
-    part of the space: it has weight 0 in the pairings of M, and the image
-    is exactly 0 there.  The other pairing weights turn the stored sums
-    into full-lattice pairings.
+    real.  It holds no solver setting: the step applies M^nu.  The
+    residual symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has no singular
+    term: S phi has the transform A phi^ - (xi1^2/2) (phi^2)^.  The
+    constrained row xi1 = 0, xi2 != 0, where D is infinite, is not part of
+    the space: it has weight 0 in the pairings of M, and the quotient is
+    exactly 0 there.  The other pairing weights turn the stored sums into
+    full-lattice pairings.
 
     Two layouts share every formula.  By default the iterates are n^2
     fields and the spectra rfft2 half-lattices; the weights are the
@@ -420,23 +422,21 @@ class SteadyOperator:
         return 2.0 * _real_dot(a, b) - _real_dot(a[0], b[0]) - _real_dot(a[-1], b[-1])
 
     @small_ufunc_buffers()
-    def image(self, phi_hat: np.ndarray, sq_hat: np.ndarray, nu: float) -> float:
-        """Overwrite sq_hat with the Petviashvili image M^nu (phi^2)^ / D and return M.
+    def image(self, phi_hat: np.ndarray, sq_hat: np.ndarray) -> float:
+        """Overwrite sq_hat with (phi^2)^ / D and return M.
 
         M, the ratio of the D-weighted quadratic pairing of phi^ with itself
         to the cubic pairing of (phi^2)^ with phi^, is 1 at a solution and
         scales as 1/s when phi is replaced by s phi.  One pass over the row
         blocks sums both pairings and divides each block by D, formed once;
-        the constrained row of the image is set to 0.  The gain M^nu then
-        multiplies the whole spectrum.  On either error sq_hat is undefined.
+        the constrained row of the quotient is set to 0.  On an error
+        sq_hat is undefined.
 
         Raises
         ------
         DivergenceError
             If the cubic pairing is below 1e-14 of its natural scale, as
-            for a zero or odd-in-x iterate (the error carries M = nan), or
-            if M^nu is not a finite positive number, as for a negative M
-            and nu = 1.5 (the error carries M).
+            for a zero or odd-in-x iterate.
         """
         # block tiles for the weights, |phi^|^2 and D, reused by every block;
         # the last two take turns as scratch for the products and |(phi^2)^|
@@ -461,12 +461,8 @@ class SteadyOperator:
         if abs(den) <= 1e-14 * scale:
             # A quarter iterate is even-even by construction: parity is no cause there.
             cause = "" if self.quarter else " (or has odd parity)"
-            raise DivergenceError(
-                f"cubic pairing vanished; the iterate has collapsed{cause}", math.nan
-            )
-        m = num / den
-        sq_hat *= _gain(m, nu)
-        return m
+            raise DivergenceError(f"cubic pairing vanished; the iterate has collapsed{cause}")
+        return num / den
 
     def realize(self, next_hat: np.ndarray) -> np.ndarray:
         """The iterate of a spectrum.
@@ -569,6 +565,48 @@ def _mixing_coefficients(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None
     return gamma if np.isfinite(gamma).all() else None
 
 
+class _Iteration:
+    """The Petviashvili step on one operator: the accepted iterate, its two spectra and the mixer.
+
+    A step reuses the old iterate's buffer for the step difference, then
+    for the square and, on the quarter, for the square's spectrum.
+    """
+
+    def __init__(self, op: SteadyOperator, phi: np.ndarray, config: SolverConfig) -> None:
+        self.op = op
+        self.nu = config.nu
+        self.phi = phi
+        self.phi_hat, self.sq_hat = op.spectra(phi)
+        self.mixer = _AndersonMixer(op, config.accel_depth)
+
+    def step(self, n: int) -> tuple[IterationRecord, str | None]:
+        """Step n's record and, if it failed, why (else None).
+
+        A failed step keeps phi, leaves the spectra undefined and records
+        (n, inf, M, |1 - M|, inf), M being nan on a collapse.
+        """
+        m = math.nan
+        try:
+            m = self.op.image(self.phi_hat, self.sq_hat)
+            self.sq_hat *= _gain(m, self.nu)  # sq_hat now holds the image g
+            factor_error = abs(1.0 - m)
+            if self.mixer.depth and factor_error <= ACCEL_GATE:
+                next_hat = self.mixer.mix(self.phi_hat, self.sq_hat)
+            else:
+                self.mixer.reset()
+                next_hat = self.sq_hat
+            next_phi = self.op.realize(next_hat)
+        except DivergenceError as exc:
+            return IterationRecord(n, math.inf, m, abs(1.0 - m), math.inf), str(exc)
+        np.subtract(self.phi, next_phi, out=self.phi)
+        iter_error = _sup(self.phi)
+        np.multiply(next_phi, next_phi, out=self.phi)
+        self.sq_hat = self.op.forward(self.phi, overwrite_x=True)
+        self.phi, self.phi_hat = next_phi, next_hat
+        residual = self.op.residual(next_hat, self.sq_hat)
+        return IterationRecord(n, iter_error, m, factor_error, residual), None
+
+
 def build_seed(config: SolverConfig) -> RealField:
     """Materialize the configured initial guess, projected to zero x-mass.
 
@@ -662,48 +700,25 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
         or pairing sums would overflow; the bound is checked before the
         loop, from the seed's sup.
     """
-    p = config.params
-    grid = config.grid
     seed = build_seed(config)
-    op = SteadyOperator(grid, p, quarter=_is_even_even(seed))
+    op = SteadyOperator(config.grid, config.params, quarter=_is_even_even(seed))
     _check_first_step(op, config.seed, seed.max_abs())
-    # A writable copy of the seed: each iteration reuses the old iterate's
-    # buffer for the step difference, then for the square and, on the
-    # quarter, for the square's spectrum.
-    phi = op.fold(seed.values)
+    phi = op.fold(seed.values)  # a writable copy, which the steps reuse
     del seed
-    phi_hat, sq_hat = op.spectra(phi)
-    mixer = _AndersonMixer(op, config.accel_depth)
+    run = _Iteration(op, phi, config)
+    del phi
     records: list[IterationRecord] = []
 
     for n in range(1, config.max_iter + 1):
-        try:
-            m = op.image(phi_hat, sq_hat, config.nu)  # sq_hat now holds the image g
-            factor_error = abs(1.0 - m)
-            if config.accel_depth and factor_error <= ACCEL_GATE:
-                next_hat = mixer.mix(phi_hat, sq_hat)
-            else:
-                mixer.reset()
-                next_hat = sq_hat
-            next_phi = op.realize(next_hat)
-        except DivergenceError as exc:
-            m = m if exc.m_factor is None else exc.m_factor  # realize raised after image set m
-            records.append(IterationRecord(n, math.inf, m, abs(1.0 - m), math.inf))
-            status, reason = SolveStatus.DIVERGED, str(exc)
+        record, failure = run.step(n)
+        records.append(record)
+        if failure is not None:
+            status, reason = SolveStatus.DIVERGED, failure
             break
-
-        np.subtract(phi, next_phi, out=phi)
-        iter_error = _sup(phi)
-        np.multiply(next_phi, next_phi, out=phi)
-        sq_hat = op.forward(phi, overwrite_x=True)
-        phi, phi_hat = next_phi, next_hat
-        residual = op.residual(phi_hat, sq_hat)
-        records.append(IterationRecord(n, iter_error, m, factor_error, residual))
-
-        if max(iter_error, factor_error, residual) <= config.tol:
+        if max(getattr(record, name) for name in MONITORS) <= config.tol:
             constant = op.mean_mode  # the constant steady state phi = D(0,0)
-            offset = max(float(phi.max()) - constant, constant - float(phi.min()))
-            if offset < p.c:
+            offset = max(float(run.phi.max()) - constant, constant - float(run.phi.min()))
+            if offset < config.params.c:
                 status = SolveStatus.DIVERGED
                 reason = (
                     f"constant state phi = 2c = {constant:g} reached, not a lump: "
@@ -719,10 +734,10 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
 
     report = IterationReport(
         records=tuple(records), status=status, tol=config.tol,
-        reason=reason, mixed_steps=mixer.mixed_steps, transform=op.transform,
+        reason=reason, mixed_steps=run.mixer.mixed_steps, transform=op.transform,
     )
     # The spectra, then the operator and the quarter, are freed before the n^2 copy.
-    mixer = phi_hat = sq_hat = next_hat = None
+    phi, run = run.phi, None
     values = op.unfold(phi)
-    op = phi = next_phi = None
-    return RealField._adopt(grid, values), report
+    op = phi = None
+    return RealField._adopt(config.grid, values), report

@@ -1,7 +1,7 @@
 """Petviashvili iteration: configuration, stabilizing factor, convergence."""
 
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -127,7 +127,8 @@ def padded_solve(config):
     phi_hat = rfft2(phi)
     sq_hat = padded_square_hat(phi_hat, shape)
     for _ in range(config.max_iter):
-        m = op.image(phi_hat, sq_hat, config.nu)
+        m = op.image(phi_hat, sq_hat)
+        sq_hat *= m**config.nu
         next_phi = op.realize(sq_hat)
         iter_error = np.max(np.abs(next_phi - phi))
         phi, phi_hat = next_phi, sq_hat
@@ -140,14 +141,15 @@ def padded_solve(config):
 def factor(field):
     """M of a field, from an operator built for it."""
     op = SteadyOperator(field.grid, PARAMS)
-    return op.image(*op.spectra(field.values), 2.0)
+    return op.image(*op.spectra(field.values))
 
 
 def step(field):
     """One Petviashvili update (nu = 2) of a field: the next iterate's values and M."""
     op = SteadyOperator(field.grid, PARAMS)
     phi_hat, sq_hat = op.spectra(field.values)
-    m = op.image(phi_hat, sq_hat, 2.0)
+    m = op.image(phi_hat, sq_hat)
+    sq_hat *= m**2
     return op.realize(sq_hat), m
 
 
@@ -308,7 +310,7 @@ class TestStabilizingFactor:
             factor(odd)
         quarter = SteadyOperator(small_grid, PARAMS, quarter=True)
         with pytest.raises(DivergenceError, match="^cubic pairing vanished") as caught:
-            quarter.image(*quarter.spectra(np.zeros((33, 33))), 2.0)
+            quarter.image(*quarter.spectra(np.zeros((33, 33))))
         assert "collapsed" in str(caught.value) and "parity" not in str(caught.value)
 
     def test_degenerate_threshold_on_nearly_odd_iterates(self, small_grid):
@@ -325,7 +327,7 @@ class TestStabilizingFactor:
             den = np.vdot(weights, (sq_hat * np.conj(phi_hat)).real)
             scale = np.vdot(weights, np.abs(sq_hat) * np.abs(phi_hat))
             try:
-                op.image(phi_hat, sq_hat, 2.0)
+                op.image(phi_hat, sq_hat)
                 accepted.append(True)
             except DivergenceError as exc:
                 assert str(exc).startswith("cubic pairing vanished")
@@ -342,7 +344,7 @@ class TestConstrainedRow:
         seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
         phi_hat, sq_hat = op.spectra(seed.values)
         assert np.any(sq_hat[0, 1:] != 0.0)  # the square does not keep zero x-mass
-        op.image(phi_hat, sq_hat, 2.0)
+        op.image(phi_hat, sq_hat)
         assert np.all(sq_hat[0, 1:] == 0.0)
         assert sq_hat[0, 0] != 0.0
 
@@ -350,10 +352,10 @@ class TestConstrainedRow:
         op = SteadyOperator(small_grid, PARAMS)
         seed = build_seed(SolverConfig(params=PARAMS, grid=small_grid))
         phi_hat, sq_hat = op.spectra(seed.values)
-        m = op.image(phi_hat, sq_hat.copy(), 2.0)
+        m = op.image(phi_hat, sq_hat.copy())
         perturbed = phi_hat.copy()
         perturbed[0, 1:] += 1e3 * (1.0 + 1.0j)
-        assert op.image(perturbed, sq_hat, 2.0) == m
+        assert op.image(perturbed, sq_hat) == m
 
 
 class TestStep:
@@ -492,9 +494,8 @@ class TestSolve:
 
     def test_step_rejects_unusable_factor(self):
         for m, nu in [(-0.5, 1.5), (-0.5, 3.0), (math.nan, 2.0), (math.inf, 2.0), (0.0, 2.0)]:
-            with pytest.raises(DivergenceError, match=r"^step factor M\^nu") as caught:
+            with pytest.raises(DivergenceError, match=r"^step factor M\^nu"):
                 solver._gain(m, nu)
-            assert caught.value.m_factor is m
 
     @pytest.mark.parametrize("quarter", [False, True])
     def test_non_finite_iterate_is_refused(self, small_grid, quarter):
@@ -508,8 +509,8 @@ class TestSolve:
         # the third image gets an inf mode, so its iterate is not finite
         real_image, calls = SteadyOperator.image, []
 
-        def image(self, phi_hat, sq_hat, nu):
-            calls.append(real_image(self, phi_hat, sq_hat, nu))
+        def image(self, phi_hat, sq_hat):
+            calls.append(real_image(self, phi_hat, sq_hat))
             if len(calls) == 3:
                 sq_hat[1, 1] = math.inf
             return calls[-1]
@@ -536,11 +537,10 @@ class TestSolve:
         assert math.isnan(final.m_factor) and math.isnan(final.factor_error)
         before, _ = solve(replace(config, max_iter=9))
         assert field.values.tobytes() == before.values.tobytes()
-        # the collapse is image's DivergenceError, which carries M = nan
+        # the collapse is image's DivergenceError, raised before M exists
         op = SteadyOperator(grid, PARAMS)
-        with pytest.raises(DivergenceError, match="^cubic pairing vanished") as caught:
-            op.image(*op.spectra(np.zeros(grid.shape)), 2.0)
-        assert math.isnan(caught.value.m_factor)
+        with pytest.raises(DivergenceError, match="^cubic pairing vanished"):
+            op.image(*op.spectra(np.zeros(grid.shape)))
 
     def test_blow_up_returns_last_accepted_iterate(self):
         # nu = 5 blows the third iterate up to sup 1.74e35; realize refuses
@@ -556,6 +556,41 @@ class TestSolve:
         before, _ = solve(replace(config, max_iter=2))
         assert field.values.tobytes() == before.values.tobytes()
         assert field.max_abs() == pytest.approx(2.63e-11, rel=1e-2)
+
+    @pytest.mark.parametrize("layout", ["dct1", "rfft2"])
+    @pytest.mark.parametrize("n, nu, depth", [(64, 2.0, 0), (64, 2.0, 3), (16, 0.0, 3)])
+    def test_the_step_is_the_loop(self, monkeypatch, layout, n, nu, depth):
+        # the step driven by hand from build_seed, under solve's stopping rule,
+        # gives solve's records and field to the bit; nu = 0 collapses at step
+        # 10 with M = nan and keeps the iterate of a 9-step run
+        if layout == "rfft2":
+            half_lattice_only(monkeypatch)
+        grid = SpectralGrid(nx=n, ny=n, lx=n / 4, ly=n / 4)
+        config = SolverConfig(params=PARAMS, grid=grid, nu=nu, accel_depth=depth)
+        field, report = solve(config)
+        seed = build_seed(config)
+        op = SteadyOperator(grid, PARAMS, quarter=solver._is_even_even(seed))
+        run = solver._Iteration(op, op.fold(seed.values), config)
+        records = []
+        for step_n in range(1, config.max_iter + 1):
+            record, failure = run.step(step_n)
+            records.append(record)
+            if failure is not None or max(record.iter_error, record.factor_error,
+                                          record.residual) <= config.tol:
+                break
+        assert op.transform == report.transform == layout
+        packed = [np.array([astuple(r) for r in recs]).tobytes() for recs in (records, report.records)]
+        assert packed[0] == packed[1]
+        assert op.unfold(run.phi).tobytes() == field.values.tobytes()
+        if nu:
+            assert failure is None and report.converged()
+            return
+        assert failure == report.reason and failure.startswith("cubic pairing vanished")
+        last = records[-1]
+        assert (last.iteration, last.iter_error, last.residual) == (10, math.inf, math.inf)
+        assert math.isnan(last.m_factor) and math.isnan(last.factor_error)
+        before, _ = solve(replace(config, max_iter=9))
+        assert field.values.tobytes() == before.values.tobytes()
 
     def test_empty_report_has_no_final(self):
         report = IterationReport(records=(), status=SolveStatus.MAX_ITER, tol=1e-5)
@@ -879,10 +914,11 @@ class TestLayouts:
             half.dot(phi_hat, sq_hat), rel=1e-13
         )
         # image overwrites the squares' spectra, so it comes after the residual
-        m = half.image(phi_hat, sq_hat, 2.0)
-        assert quarter.image(q_hat, q_sq_hat, 2.0) == pytest.approx(m, rel=1e-13)
-        image = half.realize(sq_hat)
-        q_image = quarter.realize(q_sq_hat)
+        m = half.image(phi_hat, sq_hat)
+        q_m = quarter.image(q_hat, q_sq_hat)
+        assert q_m == pytest.approx(m, rel=1e-13)
+        image = half.realize(sq_hat * m**2)
+        q_image = quarter.realize(q_sq_hat * q_m**2)
         assert np.max(np.abs(quarter.unfold(q_image) - image)) <= 1e-13 * np.max(np.abs(image))
 
 
@@ -964,7 +1000,7 @@ class TestLayouts:
         for quarter in (True, False):
             op = SteadyOperator(grid, PARAMS, quarter=quarter)
             phi_hat, sq_hat = op.spectra(op.fold(seed))
-            _, peak = peak_n2(grid, lambda: op.image(phi_hat, sq_hat, 2.0))
+            _, peak = peak_n2(grid, lambda: op.image(phi_hat, sq_hat))
             assert peak <= 0.4, f"quarter={quarter}: {peak:.3f} n^2"
 
     def test_residual_holds_one_spectrum_and_one_block(self):

@@ -1,6 +1,8 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
+import inspect
 from pathlib import Path
 
 import fkplump
@@ -210,3 +212,20 @@ def test_solver_has_one_exception():
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.ClassDef) for base in node.bases}
         assert "DivergenceError" not in bases, path.stem
+
+
+def test_solve_leaves_the_step_to_the_iteration():
+    # one Petviashvili step lives beside an operator of (grid, params) alone:
+    # solve calls none of the step's operations, no SteadyOperator method
+    # takes a solver setting, and DivergenceError carries only its message
+    tree = ast.parse(Path(solver.__file__).read_text())
+    (solve,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve"]
+    called = {node.func.attr for node in ast.walk(solve)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert called & {"image", "mix", "realize", "forward", "residual", "spectra"} == set()
+    settings = {f.name for f in dataclasses.fields(solver.SolverConfig)} - {"grid", "params"}
+    methods = [value for value in vars(solver.SteadyOperator).values() if inspect.isfunction(value)]
+    assert len(methods) > 5
+    for method in methods:
+        assert set(inspect.signature(method).parameters) & settings == set(), method.__name__
+    assert solver.DivergenceError.__init__ is ArithmeticError.__init__
