@@ -721,8 +721,8 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
             if offset < config.params.c:
                 status = SolveStatus.DIVERGED
                 reason = (
-                    f"constant state phi = 2c = {constant:g} reached, not a lump: "
-                    f"sup|phi - 2c| = {offset:.3e} below c"
+                    f"constant state phi = D(0,0) = {constant:g} reached, not a lump: "
+                    f"sup|phi - D(0,0)| = {offset:.3e} below c"
                 )
             else:
                 status = SolveStatus.CONVERGED

@@ -260,11 +260,11 @@ class TestSolve:
         assert "status=diverged" in capsys.readouterr().out
         record = json.loads((out / "manifest.json").read_text())["run"]
         assert record["status"] == "diverged"
-        assert f"constant state phi = 2c = {mean_mode_denominator(1.0):g} " in record["reason"]
+        assert f"constant state phi = D(0,0) = {mean_mode_denominator(1.0):g} " in record["reason"]
 
     def test_lump_at_loose_tol_is_not_the_constant_state(self, tmp_path, capsys):
         # every monitor passes tol 1e300 at once; the field peaks near 12.5,
-        # far from phi = 2c, so the run is converged, not a constant state
+        # far from phi = D(0,0), so the run is converged, not a constant state
         code = run(["solve", "--alpha", "2", "--n", "16", "--l", "8", "--tol", "1e300",
                     "--out", tmp_path / "run"])
         assert code == EXIT_OK

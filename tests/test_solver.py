@@ -1,6 +1,7 @@
 """Petviashvili iteration: configuration, stabilizing factor, convergence."""
 
 import math
+import re
 from dataclasses import astuple, replace
 from types import SimpleNamespace
 
@@ -1067,7 +1068,8 @@ class TestConstantState:
         field, report = solve(SolverConfig(params=self.PARAMS, grid=self.GRID, seed=seed))
         assert report.transform == layout
         assert report.status is SolveStatus.DIVERGED
-        assert report.reason.startswith(f"constant state phi = 2c = {constant:g} ")
+        assert re.fullmatch(rf"constant state phi = D\(0,0\) = {constant:g} reached, not a lump: "
+                            r"sup\|phi - D\(0,0\)\| = \d\.\d{3}e[+-]\d+ below c", report.reason)
         assert np.max(np.abs(field.values - constant)) <= 1e-5
 
     @pytest.mark.parametrize("layout", ["dct1", "rfft2"])
