@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import RealField, _sup
-from .reference import DomainRangeError
+from .grid import DomainRangeError, RealField, _sup
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import math
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from pathlib import Path
 from typing import NoReturn
 
@@ -65,7 +65,7 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[list | tuple]) -> None:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
@@ -190,10 +190,7 @@ def _solver_config(resolved: dict[str, object]) -> SolverConfig:
 
 
 def _write_iteration_log(path: Path, report) -> None:
-    rows = [
-        [r.iteration, r.iter_error, r.m_factor, r.factor_error, r.residual]
-        for r in report.records
-    ]
+    rows = [astuple(record) for record in report.records]
     _write_csv(path, ["iter", "iter_error", "m_factor", "factor_error", "residual"], rows)
 
 

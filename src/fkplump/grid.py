@@ -17,7 +17,10 @@ A field that is even in x and in y is held by its quarter, the nodes
 x, y >= 0 (indices n/2, ..., n - 1 and then 0, the node x = lx = -lx):
 (nx/2 + 1, ny/2 + 1) values.  Its type-1 cosine transform dct1 is the
 rfft2 of the whole field on the rows k1 = 0, ..., nx/2, up to the sign
-(-1)^(k1 + k2) of the shift to x = 0; the other rows repeat these.
+(-1)^(k1 + k2) of the shift to x = 0; the other rows repeat these.  Every
+slice of the mirror map (node j and node n - j) is taken here:
+quarter_nodes, fold_quarter and its adjoint on a matrix's columns
+fold_columns, unfold_quarter and RealField.reflection_defects.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ class InvalidFieldError(ValueError):
 
 class GridMismatchError(ValueError):
     """Two objects that must share a grid do not."""
+
+
+class DomainRangeError(ValueError):
+    """A requested coordinate lies outside the available domain."""
 
 
 def fft_workers() -> int:
@@ -281,6 +288,16 @@ def fold_quarter(values: np.ndarray) -> np.ndarray:
     quarter[hx, :hy] = values[0, hy:]
     quarter[hx, hy] = values[0, 0]
     return quarter
+
+
+def fold_columns(matrix: np.ndarray) -> np.ndarray:
+    """The columns of matrix summed onto the quarter's nodes, the adjoint of
+    unfold_quarter along them: matrix @ v = fold_columns(matrix) @ q for the
+    even v whose quarter is q, as node n/2 + k and its mirror n/2 - k hold q[k]."""
+    n = matrix.shape[1]
+    folded = matrix[:, quarter_nodes(n)]
+    folded[:, 1 : n // 2] += matrix[:, n // 2 - 1 : 0 : -1]
+    return folded
 
 
 def unfold_quarter(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -15,20 +15,17 @@ monitored by three errors per iteration: the sup-norm step difference,
 |1 - M_n|, and the sup norm of the steady-equation residual; convergence
 means all three fall below the configured tolerance simultaneously.
 
-On the constrained row xi1 = 0, xi2 != 0, D is infinite: those modes lie
-outside the energy space (zero mass in x); build_seed projects them out
-of the seed, and (phi^2)^ / D is 0 there.  D and the pairings are real
-by construction.  A step fails when its cubic pairing vanishes (a
-collapsed iterate), its M^nu is not finite and positive, or its iterate
-is not finite or blows up past DIVERGENCE_AMPLITUDE c; the run then ends
-DIVERGED with an inf record and the last accepted iterate.
+On the constrained row (symbols.CONSTRAINED_ROW) D is infinite: build_seed
+projects the row out of the seed, and (phi^2)^ / D is 0 there.  D and the
+pairings are real by construction.  A step fails when its cubic pairing
+vanishes (a collapsed iterate), its M^nu is not finite and positive, or
+its iterate is not finite or blows up past DIVERGENCE_AMPLITUDE c; the
+run then ends DIVERGED with an inf record and the last accepted iterate.
 
-The periodic problem leaves the mean of phi free.  D at the origin fixes
-it, D(0,0) mean(phi) = mean(phi^2), and symbols.mean_mode_denominator
-decides that value (2c); SteadyOperator.denominator writes it there.  It
-also makes phi = D(0,0) the constant steady state: a run that converges
-to within c of it, where a lump, about 0 at the domain edge, never comes,
-is DIVERGED too.
+The mean mode D(0,0), which fixes the free mean of phi
+(symbols.mean_mode_denominator), makes phi = D(0,0) the constant steady
+state: a run that converges to within c of it, where a lump, about 0 at
+the domain edge, never comes, is DIVERGED too.
 
 The loop runs on one of two layouts of SteadyOperator, chosen by the
 seed.  Every symbol is even in xi1 and xi2, so an even-even seed stays
@@ -96,7 +93,8 @@ from .grid import (  # noqa: F401
     unfold_quarter,
 )
 from .reference import ExactLumpParams, _check_amplitude, _check_width, exact_kp1_lump, gaussian_seed
-from .symbols import ALPHA_ENERGY_CRITICAL, SymbolParams, dispersion_symbol, mean_mode_denominator
+from .symbols import (ALPHA_ENERGY_CRITICAL, CONSTRAINED_ROW, SymbolParams, dispersion_symbol,
+                      mean_mode_denominator)
 
 #: Sup-norm blow-up guard, in units of the wave speed.  A larger iterate is a
 #: failed step (SteadyOperator.realize): an inf record and the last accepted iterate.
@@ -295,10 +293,10 @@ class SteadyOperator:
     real.  It holds no solver setting: the step applies M^nu.  The
     residual symbol A = xi1^2 (c + |xi1|^alpha) + xi2^2 has no singular
     term: S phi has the transform A phi^ - (xi1^2/2) (phi^2)^.  The
-    constrained row xi1 = 0, xi2 != 0, where D is infinite, is not part of
-    the space: it has weight 0 in the pairings of M, and the quotient is
-    exactly 0 there.  The other pairing weights turn the stored sums into
-    full-lattice pairings.
+    constrained row (symbols.CONSTRAINED_ROW), where D is infinite, has
+    weight 0 in the pairings of M, and the quotient is exactly 0 there.
+    The other pairing weights turn the stored sums into full-lattice
+    pairings.
 
     Two layouts share every formula.  By default the iterates are n^2
     fields and the spectra rfft2 half-lattices; the weights are the
@@ -311,8 +309,9 @@ class SteadyOperator:
 
     No 2-D array is held.  D = 2 (c + T^2 + |xi1|^alpha), with T = xi2/xi1,
     is formed once per row block (denominator) in image's one pass, which
-    sums the pairings of M and divides by D.  Its value at the origin,
-    mean_mode, is symbols.mean_mode_denominator's.
+    sums the pairings of M and divides by D; check_first_step bounds it
+    without a tile.  Its value at the origin, mean_mode, is
+    symbols.mean_mode_denominator's.
     A is held as its row term xi1^2 (c + |xi1|^alpha) and its column term
     xi2^2, and the weights as row and column factors; both are formed per
     row block where they are used, to the bits of 2-D arrays (a sum, and
@@ -379,6 +378,33 @@ class SteadyOperator:
             out[0, 0] = self.mean_mode
         return out
 
+    def check_first_step(self, peak: float, label: str) -> None:
+        """Raise ValueError unless the first step's arithmetic stays finite
+        for a seed of sup peak, named label in the message.
+
+        With N the node count, |phi^| <= N peak and |(phi^2)^| <= N peak^2
+        on either layout, and the pairing weights of M sum to N.  So phi^2,
+        the spectra, D |phi^|^2 and the pairing sums of M are finite if
+        peak^2, (N peak)^2, N D_max (N peak)^2 and N (N peak) (N peak^2)
+        are, with D_max = 2 (c + (max|xi2| / min|xi1 != 0|)^2 +
+        max|xi1|^alpha), or mean_mode if that is larger: the rows hold the
+        Nyquist |xi1| on either layout.  The bounds are Python floats, which
+        reach inf without a warning.
+        """
+        c = float(self.params.c)
+        xi1, xi2 = self._wavenumbers
+        nodes = float(self.grid.nx * self.grid.ny)
+        spectrum = nodes * peak
+        transverse = float(np.abs(xi2).max()) / float(xi1[1, 0])
+        d_max = max(2.0 * (c + transverse * transverse + float(self.dispersion.max())), self.mean_mode)
+        bounds = (peak * peak, spectrum * spectrum, nodes * d_max * spectrum * spectrum,
+                  nodes * spectrum * nodes * peak * peak)
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise ValueError(
+                f"c = {c!r} and {label} are too large for the grid: the first step's "
+                "phi^2, its spectra or the pairing sums of M would overflow"
+            )
+
     @property
     def transform(self) -> str:
         """The forward transform of the layout, as recorded in run reports."""
@@ -429,7 +455,7 @@ class SteadyOperator:
         to the cubic pairing of (phi^2)^ with phi^, is 1 at a solution and
         scales as 1/s when phi is replaced by s phi.  One pass over the row
         blocks sums both pairings and divides each block by D, formed once;
-        the constrained row of the quotient is set to 0.  On an error
+        then the constrained row of the quotient is set to 0.  On an error
         sq_hat is undefined.
 
         Raises
@@ -447,7 +473,7 @@ class SteadyOperator:
             w, power, work = tiles[:, : len(p)]
             np.multiply(self.row_weights[rows], self.column_weights, out=w)
             if rows.start == 0:
-                w[0, 1:] = 0.0  # the constrained row
+                w[CONSTRAINED_ROW] = 0.0
             np.sqrt(_real_product(p, p, out=power, scratch=work), out=work)
             work *= np.abs(s, out=power)
             scale += float(np.vdot(w, work))
@@ -456,8 +482,7 @@ class SteadyOperator:
             power *= self.denominator(rows, out=work)
             num += float(np.vdot(w, power))
             s /= work
-            if rows.start == 0:
-                s[0, 1:] = 0.0
+        sq_hat[CONSTRAINED_ROW] = 0.0
         if abs(den) <= 1e-14 * scale:
             # A quarter iterate is even-even by construction: parity is no cause there.
             cause = "" if self.quarter else " (or has odd parity)"
@@ -610,8 +635,8 @@ class _Iteration:
 def build_seed(config: SolverConfig) -> RealField:
     """Materialize the configured initial guess, projected to zero x-mass.
 
-    The projection zeroes the modes (xi1 = 0, xi2 != 0), which every image
-    of the iteration keeps at 0 (SteadyOperator.image), so that the first
+    The projection zeroes the constrained row (symbols.CONSTRAINED_ROW),
+    which every image keeps at 0 (SteadyOperator.image), so that the first
     iterate starts in the space too.  The sampled field and then its
     spectrum are dropped as soon as they are used.
     """
@@ -627,7 +652,7 @@ def build_seed(config: SolverConfig) -> RealField:
             raise ValueError(f"seed file grid {seed.grid} does not match run grid {config.grid}")
     phi_hat = rfft2(seed.values)
     del seed
-    phi_hat[0, 1:] = 0.0
+    phi_hat[CONSTRAINED_ROW] = 0.0
     values = irfft2(phi_hat, config.grid.shape, overwrite_x=True)
     del phi_hat
     return RealField._adopt(config.grid, values)
@@ -636,39 +661,6 @@ def build_seed(config: SolverConfig) -> RealField:
 def _is_even_even(seed: RealField) -> bool:
     """Whether the seed's reflection defects in x and y are at roundoff (RealField.is_even_even)."""
     return seed.is_even_even
-
-
-def _check_first_step(op: SteadyOperator, spec: SeedSpec, peak: float) -> None:
-    """Raise ValueError unless the first iteration's arithmetic stays finite.
-
-    With s the seed's sup and N the node count, |phi^| <= N s and
-    |(phi^2)^| <= N s^2 on either layout, and the pairing weights of M sum
-    to N.  So phi^2, the spectra, D |phi^|^2 and the pairing sums of M are
-    finite if s^2, (N s)^2, N D_max (N s)^2 and N (N s) (N s^2) are, with
-    D_max at most 2 (c + (max|xi2| / min|xi1 != 0|)^2 + max|xi1|^alpha), or
-    D(0,0) if that is larger.
-    The operator's rows hold the Nyquist |xi1| on either layout, so its
-    dispersion column holds max|xi1|^alpha.  The bounds are Python floats,
-    which reach inf without a warning.
-    """
-    grid, c = op.grid, float(op.params.c)
-    xi1, xi2 = op._wavenumbers
-    nodes = float(grid.nx * grid.ny)
-    spectrum = nodes * peak
-    transverse = float(np.abs(xi2).max()) / float(xi1[1, 0])
-    d_max = max(2.0 * (c + transverse * transverse + float(op.dispersion.max())), op.mean_mode)
-    bounds = (peak * peak, spectrum * spectrum, nodes * d_max * spectrum * spectrum,
-              nodes * spectrum * nodes * peak * peak)
-    if all(math.isfinite(bound) for bound in bounds):
-        return
-    if spec.amplitude is not None:  # only a gaussian has one
-        seed = f"seed amplitude {spec.amplitude!r}"
-    else:
-        seed = f"seed peak {peak:.3g}"
-    raise ValueError(
-        f"c = {c!r} and {seed} are too large for the grid: the first step's "
-        "phi^2, its spectra or the pairing sums of M would overflow"
-    )
 
 
 def _stalled(record: IterationRecord, tol: float) -> str:
@@ -702,7 +694,9 @@ def solve(config: SolverConfig) -> tuple[RealField, IterationReport]:
     """
     seed = build_seed(config)
     op = SteadyOperator(config.grid, config.params, quarter=_is_even_even(seed))
-    _check_first_step(op, config.seed, seed.max_abs())
+    peak, amplitude = seed.max_abs(), config.seed.amplitude  # only a gaussian has one
+    op.check_first_step(peak, f"seed peak {peak:.3g}" if amplitude is None
+                        else f"seed amplitude {amplitude!r}")
     phi = op.fold(seed.values)  # a writable copy, which the steps reuse
     del seed
     run = _Iteration(op, phi, config)

@@ -10,8 +10,9 @@ it on its own rows.  kernel_symbol is
 and symbol_m/symbol_h sample it, read-only, on the rfft2 half-lattice.
 transverse_multiplier is xi2/xi1, the multiplier of dx^-1 dy.  It is
 undefined on the constrained row xi1 = 0, xi2 != 0, whose modes lie
-outside the energy space (dx^-1 dy phi in L^2), so it is 0 there and the
-solver's SteadyOperator projects the row out; symbol_t samples it, and
+outside the energy space (dx^-1 dy phi in L^2), so it is 0 there;
+CONSTRAINED_ROW indexes that row, which the solver projects out of the
+seed and of every image.  symbol_t samples the multiplier, and
 SteadyOperator.denominator forms the same quotient inline per row block.  A
 symbol odd in xi1 (h, t) or xi2 (t) is 0 on the Nyquist row k1 = -nx/2 or
 column k2 = ny/2, modes that are their own mirrors, so that it keeps the
@@ -21,9 +22,9 @@ does not overflow on the wavenumbers it is given.
 
 The periodic problem leaves the mean of phi free; mean_mode_denominator
 decides it, as the value of D at the origin.  Every reader of that value
-takes it from there: SteadyOperator.denominator, the constant-state rule
-of solve, and symbol_m's origin 2/D(0,0) at c = 1, which sets the kernel
-K's integral.
+takes it from there: SteadyOperator.denominator and its first-step bound,
+the constant-state rule of solve, and symbol_m's origin 2/D(0,0) at
+c = 1, which sets the kernel K's integral.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from .grid import SpectralGrid, _frozen_array  # noqa: F401
 
 #: Existence threshold: no nontrivial lumps for alpha <= 4/5.
 ALPHA_ENERGY_CRITICAL = 0.8
+
+#: The constrained row xi1 = 0, xi2 != 0 of a spectrum: row 0 holds k1 = 0
+#: and column 0 holds k2 = 0 on the half-lattice and the quarter alike.
+CONSTRAINED_ROW = np.s_[0, 1:]
 
 
 @dataclass(frozen=True)

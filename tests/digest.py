@@ -13,10 +13,16 @@ mixed-step count, the transform and the field's bytes.  The cases are
 alpha 2, 1.5 and 3 on 128^2, L = 32, and alpha 1.7, c = 1.3 on 64^2,
 L = 16, each at depths 0 to 3 on both layouts; a blow-up at nu = 5 and an
 unusable M^nu (amplitude -3, nu = 1.5), both on 128^2; a collapse of
-the unstabilized map (nu = 0 on 16^2, L = 8) on both layouts; and the
-constant state of a flat seed.  The last lines hash the files that `fkplump solve`
-writes for a converged and a flat-seed run, the manifest without its
-timings.  pytest does not collect this file.
+the unstabilized map (nu = 0 on 16^2, L = 8) on both layouts; the
+constant state of a flat seed; and a solve from a saved seed that is not
+even, the exact lump at t = 3 on 64^2, L = 16, which the parity rule puts
+on the half-lattice.  Then one line each hashes a post-processing result
+on small grids: rescale_solution of an even and a non-even source, the
+kernels K and H and a convolution, residual, functionals and
+fourier_tail of an even and a non-even field, and the truncated norms of
+the four criterion-5 probes.  The last lines hash the files that
+`fkplump solve` writes for a converged and a flat-seed run, the manifest
+without its timings.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,10 +35,30 @@ import os
 import struct
 import sys
 import tempfile
+from dataclasses import astuple
 from pathlib import Path
 
+import numpy as np
+
 import fkplump.solver
-from fkplump import SeedSpec, SolverConfig, SpectralGrid, SymbolParams, solve
+from fkplump import (
+    ExactLumpParams,
+    RealField,
+    SeedSpec,
+    SolverConfig,
+    SpectralGrid,
+    SymbolParams,
+    build_kernel,
+    convolve,
+    exact_kp1_lump,
+    fourier_tail,
+    functionals,
+    integrability_probe,
+    rescale_solution,
+    residual,
+    save_field,
+    solve,
+)
 from fkplump.cli import main
 
 
@@ -81,6 +107,36 @@ def solve_digest(config: SolverConfig, layout: str) -> str:
     return h.hexdigest()
 
 
+def file_seed_digest() -> str:
+    """The solve from the exact lump at t = 3, shifted in x and so not even,
+    saved to a file: build_seed's file branch, then the half-lattice."""
+    grid = square(64, 16.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "seed.fkpl")
+        save_field(path, exact_kp1_lump(grid, ExactLumpParams(c=1.0, t=3.0)), 2.0, 1.0)
+        config = SolverConfig(params=SymbolParams(alpha=2.0), grid=grid,
+                              seed=SeedSpec(kind="file", path=path))
+        return solve_digest(config, "auto")
+
+
+def post_processing():
+    """(name, float64 values) of each digested post-processing result."""
+    grid = square(64, 16.0)
+    even = exact_kp1_lump(grid, ExactLumpParams(c=1.0))
+    shifted = exact_kp1_lump(grid, ExactLumpParams(c=1.0, t=3.0))
+    for name, phi in (("even", even), ("shifted", shifted)):
+        yield f"rescale-{name}", rescale_solution(phi, 2.0, 1.5, square(32, 8.0)).values
+        yield f"residual-{name}", residual(phi, SymbolParams(alpha=2.0))
+        yield f"functionals-{name}", astuple(functionals(phi, 2.0))
+        yield f"fourier-tail-{name}", fourier_tail(phi)
+    kernel = build_kernel(grid, 1.5, "K")
+    yield "kernel-K", kernel.values
+    yield "kernel-H", build_kernel(grid, 1.5, "H").values
+    yield "convolve-K", convolve(kernel, RealField(grid, even.values * even.values)).values
+    for which, p in (("m", 3.0), ("m", 2.0), ("h", 1.9), ("h", 2.1)):
+        yield f"probe-{which}-p{p:g}", integrability_probe(1.0, p, which).truncated_norms
+
+
 def cli_digests(name: str, argv: list[str]) -> list[str]:
     """SHA-1 lines of the exit code and the files of one `fkplump solve` run."""
     home = os.getcwd()
@@ -108,6 +164,10 @@ def cli_digests(name: str, argv: list[str]) -> list[str]:
 def main_digest() -> None:
     for name, config, layout in cases():
         print(f"{name} {solve_digest(config, layout)}", flush=True)
+    print(f"file-shifted-lump-64 {file_seed_digest()}", flush=True)
+    for name, values in post_processing():
+        digest = hashlib.sha1(np.asarray(values, dtype=np.float64).tobytes()).hexdigest()
+        print(f"{name} {digest}", flush=True)
     for name, argv in (
         ("alpha2-128", ["--alpha", "2", "--n", "128", "--l", "32"]),
         ("flat-seed-16", ["--alpha", "2", "--c", "1.5", "--n", "16", "--l", "8", "--seed-width", "1e6"]),

@@ -229,3 +229,46 @@ def test_solve_leaves_the_step_to_the_iteration():
     for method in methods:
         assert set(inspect.signature(method).parameters) & settings == set(), method.__name__
     assert solver.DivergenceError.__init__ is ArithmeticError.__init__
+
+
+def package_trees():
+    """Each module of the package, parsed, by name."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(Path(fkplump.__file__).parent.glob("*.py"))}
+
+
+def is_constrained_row(index):
+    """Whether a subscript's index is the literal [0, 1:]."""
+    return (isinstance(index, ast.Tuple) and len(index.elts) == 2
+            and isinstance(index.elts[0], ast.Constant) and index.elts[0].value == 0
+            and isinstance(index.elts[1], ast.Slice) and index.elts[1].step is None
+            and index.elts[1].upper is None and isinstance(index.elts[1].lower, ast.Constant)
+            and index.elts[1].lower.value == 1)
+
+
+def test_constrained_row_is_indexed_through_its_owner():
+    # symbols.CONSTRAINED_ROW is the one literal [0, 1:] of the package
+    found = [(stem, node.lineno) for stem, tree in package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript) and is_constrained_row(node.slice)]
+    owner = [("symbols", node.lineno) for node in package_trees()["symbols"].body
+             if isinstance(node, ast.Assign)
+             and [getattr(target, "id", None) for target in node.targets] == ["CONSTRAINED_ROW"]]
+    assert found == owner and len(owner) == 1
+
+
+def test_mirror_slices_live_in_grid():
+    # a slice with a negative step walks the mirror map, whose slices grid holds
+    found = {stem for stem, tree in package_trees().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Slice) and isinstance(node.step, ast.UnaryOp)
+             and isinstance(node.step.op, ast.USub)}
+    assert found <= {"grid"}
+
+
+def test_wavenumbers_are_read_on_the_operator_alone():
+    # D and its first-step bound are formed in SteadyOperator, beside the
+    # wavenumbers they read
+    found = {(stem, ast.unparse(node.value)) for stem, tree in package_trees().items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_wavenumbers"}
+    assert found == {("solver", "self")}
